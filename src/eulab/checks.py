@@ -5,24 +5,37 @@ compares exactly; the report carries a PASS/FAIL verdict and, on failure,
 the first counterexample or the two mismatched polynomials.  Checks never
 abort the suite on a mathematical mismatch; resource-cap violations do
 propagate, since they are environmental rather than mathematical.
+
+Each registry entry is data: a name, a summary, a run function and a size
+range ``lo..hi``.  The parameter grid follows from the run function's own
+signature, one rule per parameter name:
+
+* ``n`` sweeps ``lo..hi``;
+* ``a``, ``b`` sweep every pair with a, b >= 1 and ``lo <= a + b <= hi``;
+* ``klass`` sweeps ``CLASSES`` (outermost), each with the whole ``n`` range;
+* ``seed`` is not swept; it takes the seed of the sweep.
+
+``max_n``, when given, replaces ``hi``.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 from typing import Callable, Mapping
 
 from .action import orbit, toggle, toggle_many
 from .bijection import mirror
 from .enumerators import (
+    KINDS,
     EnumeratorKind,
     alternating_weight,
     build,
     euler_number,
     half_weight,
-    profile_counts,
     profile_sum,
     stirling_eulerian,
 )
@@ -47,6 +60,7 @@ from .perms import (
     enumerate_class,
     format_perm,
     is_prefix_decreasing,
+    letters,
     lrmin_values,
     rlmin_values,
     stats,
@@ -59,6 +73,10 @@ _MATH_FAILURES = (
     NotSymmetricError,
     RepresentativeError,
 )
+
+# exponent maps of the enumerator kinds, reused by the per-word sums below
+_DES_ASC = KINDS[EnumeratorKind.SE].exponents
+_REFINED = KINDS[EnumeratorKind.REFINED].exponents
 
 
 @dataclass(frozen=True)
@@ -106,6 +124,12 @@ def _gamma_nonneg_integer(p: MultiPoly) -> bool:
     return all(c.denominator == 1 and c > 0 for _, c in p.terms())
 
 
+def _class_enumerator(klass: PermClass, n: int) -> MultiPoly:
+    """x^des y^asc al^weight over a class: the bse enumerator over
+    decreasing-prefix words, the se enumerator over S_n."""
+    return profile_sum(klass, letters(klass, n), _DES_ASC)
+
+
 # -- individual checks -------------------------------------------------------
 
 
@@ -144,29 +168,19 @@ def _basis_sum(gammas, pair: MultiPoly, linear: MultiPoly, degree: int) -> Multi
     return total
 
 
-def _check_mainthm2(n: int) -> CheckReport:
-    """Refined four-variable enumerator equals its basis expansion with the
-    coefficients peeled from the two-variable polynomial."""
+def _refined_in_basis(check: str, klass: PermClass, n: int) -> CheckReport:
+    """Refined four-variable enumerator over a class equals its basis
+    expansion, with the coefficients peeled from the class enumerator and
+    the degree one less than the word length.  The registry binds ``check``
+    and ``klass``: mainthm2 over decreasing-prefix words, ji-gam over S_n."""
     params = {"n": n}
-    lhs = build(EnumeratorKind.REFINED, n, klass=PermClass.PRW).value
-    gammas = gamma_expand(build(EnumeratorKind.BSE, n).value).gammas
+    lhs = build(EnumeratorKind.REFINED, n, klass=klass).value
+    gammas = gamma_expand(_class_enumerator(klass, n)).gammas
     u1, u2, u3, u4 = (MultiPoly.var(v) for v in ("u1", "u2", "u3", "u4"))
-    rhs = _basis_sum(gammas, u1 * u2, u3 + u4, n)
+    rhs = _basis_sum(gammas, u1 * u2, u3 + u4, letters(klass, n) - 1)
     if lhs != rhs:
-        return _fail("mainthm2", params, lhs=str(lhs), rhs=str(rhs))
-    return _pass("mainthm2", params)
-
-
-def _check_ji_gam(n: int) -> CheckReport:
-    """Same statement over the full symmetric group (degree n-1)."""
-    params = {"n": n}
-    lhs = build(EnumeratorKind.REFINED, n, klass=PermClass.SYM).value
-    gammas = gamma_expand(build(EnumeratorKind.SE, n).value).gammas
-    u1, u2, u3, u4 = (MultiPoly.var(v) for v in ("u1", "u2", "u3", "u4"))
-    rhs = _basis_sum(gammas, u1 * u2, u3 + u4, n - 1)
-    if lhs != rhs:
-        return _fail("ji-gam", params, lhs=str(lhs), rhs=str(rhs))
-    return _pass("ji-gam", params)
+        return _fail(check, params, lhs=str(lhs), rhs=str(rhs))
+    return _pass(check, params)
 
 
 def _check_mainthm2_var(n: int) -> CheckReport:
@@ -211,9 +225,8 @@ def _check_grammar32(n: int) -> CheckReport:
     want = MultiPoly.var("a") * value
     if got != want:
         return _fail("grammar-32", params, derived=str(got), enumerated=str(want))
-    labeled = poly_sum(
-        slot_labels(w).monomial() for w in enumerate_class(PermClass.PRW, n + 1)
-    )
+    words = enumerate_class(PermClass.PRW, letters(PermClass.PRW, n))
+    labeled = poly_sum(slot_labels(w).monomial() for w in words)
     if labeled != value:
         return _fail("grammar-32", params, labeled=str(labeled), enumerated=str(value))
     return _pass("grammar-32", params)
@@ -226,7 +239,7 @@ def _check_des_pk(n: int) -> CheckReport:
     params = {"n": n}
     lhs = profile_sum(
         PermClass.PRW,
-        n + 1,
+        letters(PermClass.PRW, n),
         lambda s: {"u": s.peaks, "v": s.des, "w": s.asc, "al": s.weight},
     )
     gammas = gamma_expand(build(EnumeratorKind.BSE, n).value).gammas
@@ -317,19 +330,10 @@ def _check_secant(n: int) -> CheckReport:
     return _pass("secant", params, value=str(at))
 
 
-def _ambient(klass: PermClass, n: int) -> int:
-    return n + 1 if klass is PermClass.PRW else n
-
-
-def _class_enumerator(klass: PermClass, n: int) -> MultiPoly:
-    kind = EnumeratorKind.BSE if klass is PermClass.PRW else EnumeratorKind.SE
-    return build(kind, n).value
-
-
 def _orbit_partition(klass: PermClass, n: int):
     """Orbits of the toggle action restricted to a class, or a FAIL payload
     when the class is not closed under the action."""
-    m = _ambient(klass, n)
+    m = letters(klass, n)
     words = list(enumerate_class(klass, m))
     member_set = set(words)
     seen: set = set()
@@ -356,48 +360,26 @@ def _check_pip(klass: str, n: int) -> CheckReport:
     orbits, escape = _orbit_partition(tag, n)
     if escape is not None:
         return _fail("pip", params, **escape)
+    u1, u2, u3, u4, x, y = (MultiPoly.var(v) for v in ("u1", "u2", "u3", "u4", "x", "y"))
+    # (exponent map, peak factor, double-ascent factor) of each alphabet;
+    # the two-variable one comes last, so its product feeds the total
+    alphabets = ((_REFINED, u1 * u2, u3 + u4), (_DES_ASC, x * y, x + y))
     total = MultiPoly.zero()
     for orb in orbits:
         rs = stats(orb.representative)
         weight = MultiPoly.monomial(1, {"al": rs.weight})
-        u1, u2, u3, u4 = (MultiPoly.var(v) for v in ("u1", "u2", "u3", "u4"))
-        x, y = MultiPoly.var("x"), MultiPoly.var("y")
-        lhs_ref = poly_sum(
-            MultiPoly.monomial(
-                1,
-                {
-                    "u1": s.peaks,
-                    "u2": s.peaks,
-                    "u3": s.double_asc,
-                    "u4": s.double_desc,
-                    "al": s.weight,
-                },
-            )
-            for s in map(stats, orb.members)
-        )
-        rhs_ref = (u1 * u2) ** rs.peaks * (u3 + u4) ** rs.double_asc * weight
-        if lhs_ref != rhs_ref:
-            return _fail(
-                "pip",
-                params,
-                representative=format_perm(orb.representative),
-                lhs=str(lhs_ref),
-                rhs=str(rhs_ref),
-            )
-        lhs_xy = poly_sum(
-            MultiPoly.monomial(1, {"x": s.des, "y": s.asc, "al": s.weight})
-            for s in map(stats, orb.members)
-        )
-        rhs_xy = (x * y) ** rs.peaks * (x + y) ** rs.double_asc * weight
-        if lhs_xy != rhs_xy:
-            return _fail(
-                "pip",
-                params,
-                representative=format_perm(orb.representative),
-                lhs=str(lhs_xy),
-                rhs=str(rhs_xy),
-            )
-        total = total + rhs_xy
+        for exponents, pair, linear in alphabets:
+            lhs = poly_sum(MultiPoly.monomial(1, exponents(stats(w))) for w in orb.members)
+            rhs = pair**rs.peaks * linear**rs.double_asc * weight
+            if lhs != rhs:
+                return _fail(
+                    "pip",
+                    params,
+                    representative=format_perm(orb.representative),
+                    lhs=str(lhs),
+                    rhs=str(rhs),
+                )
+        total = total + rhs
     enumerated = _class_enumerator(tag, n)
     if total != enumerated:
         return _fail("pip", params, orbit_total=str(total), enumerator=str(enumerated))
@@ -409,16 +391,17 @@ def _check_gamm(klass: str, n: int) -> CheckReport:
     (xy)^des (x+y)^(deg - 2 des) al^weight, deg the word length minus 1."""
     tag = PermClass(klass)
     params = {"klass": tag.value, "n": n}
-    m = _ambient(tag, n)
+    m = letters(tag, n)
     deg = m - 1
-    x, y = MultiPoly.var("x"), MultiPoly.var("y")
-    linear_powers = {e: (x + y) ** e for e in range(deg + 1)}
-    acc = MultiPoly.zero()
-    for s, c in profile_counts(tag, m):
+
+    def ddfree(s):
+        # t marks the power of x + y until the sum is formed
         if s.double_desc:
-            continue
-        head = MultiPoly.monomial(c, {"x": s.des, "y": s.des, "al": s.weight})
-        acc = acc + head * linear_powers[deg - 2 * s.des]
+            return None
+        return {"x": s.des, "y": s.des, "t": deg - 2 * s.des, "al": s.weight}
+
+    linear = MultiPoly.var("x") + MultiPoly.var("y")
+    acc = profile_sum(tag, m, ddfree).substitute("t", linear)
     enumerated = _class_enumerator(tag, n)
     if acc != enumerated:
         return _fail("gamm", params, ddfree_sum=str(acc), enumerator=str(enumerated))
@@ -459,9 +442,7 @@ def _check_bijection(n: int) -> CheckReport:
                 "bijection", params, word=format_perm(w), image=format_perm(p),
                 reason="minima total changed",
             )
-    dist = profile_sum(
-        PermClass.PRW, n, lambda s: {"x": s.des, "y": s.asc, "al": s.weight}
-    )
+    dist = profile_sum(PermClass.PRW, n, _DES_ASC)
     if not dist.is_symmetric_in("x", "y"):
         return _fail("bijection", params, distribution=str(dist))
     return _pass("bijection", params)
@@ -502,11 +483,9 @@ def _check_group_action(n: int, seed: int = 0) -> CheckReport:
             if kind in (PEAK, VALLEY):
                 ok = v == w
             elif kind == DOUBLE_ASC:
-                want_min = x in rl
-                ok = vkind == DOUBLE_DESC and (x in lrmin_values(v)) == want_min
+                ok = vkind == DOUBLE_DESC and (x in lrmin_values(v)) == (x in rl)
             else:
-                want_min = x in lr
-                ok = vkind == DOUBLE_ASC and (x in rlmin_values(v)) == want_min
+                ok = vkind == DOUBLE_ASC and (x in rlmin_values(v)) == (x in lr)
             if not ok:
                 return _fail(
                     "group-action", params, word=format_perm(w), letter=x,
@@ -521,12 +500,8 @@ def _check_group_action(n: int, seed: int = 0) -> CheckReport:
                             "group-action", params, word=format_perm(w),
                             letters=[x, y], reason="toggles do not commute",
                         )
-    seen: set = set()
-    for w in words:
-        if w in seen:
-            continue
-        orb = orbit(w, cap=n)
-        seen.update(orb.members)
+    orbits, _ = _orbit_partition(PermClass.SYM, n)  # S_n is closed under toggles
+    for orb in orbits:
         rs = stats(orb.representative)
         if orb.size != 2**rs.double_asc:
             return _fail(
@@ -550,180 +525,118 @@ def _check_group_action(n: int, seed: int = 0) -> CheckReport:
 
 # -- registry ----------------------------------------------------------------
 
+CLASSES = (PermClass.SYM.value, PermClass.PRW.value)
+
 
 @dataclass(frozen=True)
 class CheckDef:
+    """One registry entry; see the module docstring for the grid rule."""
+
     name: str
-    summary: str
     run: Callable[..., CheckReport]
-    sweep: Callable[[int | None], list]
-    describe: Callable[[int | None], str]
+    lo: int
+    hi: int
+    summary: str
+
+    @property
+    def params(self) -> tuple:
+        """Parameter names of the run function, in signature order."""
+        return tuple(inspect.signature(self.run).parameters)
+
+    def sweep(self, max_n: int | None = None, seed: int = 0) -> list:
+        """Parameter dicts of the default sweep, in run order."""
+        top = self.hi if max_n is None else max_n
+        if "a" in self.params:
+            grid = [{"a": a, "b": s - a} for s in range(self.lo, top + 1) for a in range(1, s)]
+        else:
+            grid = [{"n": k} for k in range(self.lo, top + 1)]
+        if "klass" in self.params:
+            grid = [{"klass": c, **p} for c in CLASSES for p in grid]
+        if "seed" in self.params:
+            grid = [{**p, "seed": seed} for p in grid]
+        return grid
+
+    def describe(self, max_n: int | None = None) -> str:
+        """One-line description of the default sweep."""
+        top = self.hi if max_n is None else max_n
+        if "a" in self.params:
+            return f"a,b>=1, a+b<={top}"
+        text = f"n={self.lo}..{top}"
+        if "klass" in self.params:
+            text = f"class in ({', '.join(CLASSES)}), {text}"
+        return text
 
 
-def _n_sweep(lo: int, hi: int):
-    return (
-        lambda max_n: [{"n": k} for k in range(lo, (hi if max_n is None else max_n) + 1)],
-        lambda max_n: f"n={lo}..{hi if max_n is None else max_n}",
+REGISTRY: dict = {
+    d.name: d
+    for d in (
+        # name, run, lo, hi, summary
+        CheckDef("symmetry-gamma", _check_symmetry_gamma, 1, 8,
+                 "two-variable enumerator: symmetry and nonnegative integer basis coefficients"),
+        CheckDef("prw-g", _check_prw_g, 1, 8,
+                 "peeled coefficients equal all three enumeration routes"),
+        CheckDef("mainthm2", partial(_refined_in_basis, "mainthm2", PermClass.PRW), 1, 8,
+                 "refined enumerator over decreasing-prefix words in the peeled basis"),
+        CheckDef("ji-gam", partial(_refined_in_basis, "ji-gam", PermClass.SYM), 1, 8,
+                 "refined enumerator over the symmetric group in the peeled basis"),
+        CheckDef("mainthm2-var", _check_mainthm2_var, 1, 7,
+                 "five-variable enumerator collapses to the three-variable one"),
+        CheckDef("grammar-31", _check_grammar31, 1, 7,
+                 "two-variable rule-set derivative equals the marked enumerator"),
+        CheckDef("grammar-32", _check_grammar32, 1, 7,
+                 "five-variable rule-set derivative, enumerator, and slot labels agree"),
+        CheckDef("des-pk", _check_des_pk, 1, 8,
+                 "peak/descent/ascent joint distribution in the peeled basis"),
+        CheckDef("cgk-alpha", _check_cgk_alpha, 2, 8,
+                 "binomial convolution of ascent-refined minima weights is symmetric"),
+        CheckDef("secant", _check_secant, 1, 8,
+                 "evaluation at (-1, 1): alternating words, signs, half-weight link"),
+        CheckDef("pip", _check_pip, 1, 7,
+                 "per-orbit product formula and orbit totals"),
+        CheckDef("gamm", _check_gamm, 1, 7,
+                 "class enumerator equals its double-descent-free expansion"),
+        CheckDef("bijection", _check_bijection, 1, 8,
+                 "mirror involution: statistic swaps and minima preservation"),
+        CheckDef("group-action", _check_group_action, 1, 7,
+                 "toggles: involution, commutation, class flips, orbit structure"),
     )
-
-
-def _klass_sweep(lo: int, hi: int):
-    def sweep(max_n):
-        top = hi if max_n is None else max_n
-        return [
-            {"klass": tag.value, "n": k}
-            for tag in (PermClass.SYM, PermClass.PRW)
-            for k in range(lo, top + 1)
-        ]
-
-    return sweep, lambda max_n: f"class in (sym, prw), n={lo}..{hi if max_n is None else max_n}"
-
-
-def _ab_sweep(hi: int):
-    def sweep(max_n):
-        top = hi if max_n is None else max_n
-        return [{"a": a, "b": s - a} for s in range(2, top + 1) for a in range(1, s)]
-
-    return sweep, lambda max_n: f"a,b>=1, a+b<={hi if max_n is None else max_n}"
-
-
-def _defs() -> list:
-    out = []
-
-    def add(name, summary, run, pair):
-        out.append(CheckDef(name, summary, run, pair[0], pair[1]))
-
-    add(
-        "symmetry-gamma",
-        "two-variable enumerator: symmetry and nonnegative integer basis coefficients",
-        _check_symmetry_gamma,
-        _n_sweep(1, 8),
-    )
-    add(
-        "prw-g",
-        "peeled coefficients equal all three enumeration routes",
-        _check_prw_g,
-        _n_sweep(1, 8),
-    )
-    add(
-        "mainthm2",
-        "refined enumerator over decreasing-prefix words in the peeled basis",
-        _check_mainthm2,
-        _n_sweep(1, 8),
-    )
-    add(
-        "ji-gam",
-        "refined enumerator over the symmetric group in the peeled basis",
-        _check_ji_gam,
-        _n_sweep(1, 8),
-    )
-    add(
-        "mainthm2-var",
-        "five-variable enumerator collapses to the three-variable one",
-        _check_mainthm2_var,
-        _n_sweep(1, 7),
-    )
-    add(
-        "grammar-31",
-        "two-variable rule-set derivative equals the marked enumerator",
-        _check_grammar31,
-        _n_sweep(1, 7),
-    )
-    add(
-        "grammar-32",
-        "five-variable rule-set derivative, enumerator, and slot labels agree",
-        _check_grammar32,
-        _n_sweep(1, 7),
-    )
-    add(
-        "des-pk",
-        "peak/descent/ascent joint distribution in the peeled basis",
-        _check_des_pk,
-        _n_sweep(1, 8),
-    )
-    add(
-        "cgk-alpha",
-        "binomial convolution of ascent-refined minima weights is symmetric",
-        _check_cgk_alpha,
-        _ab_sweep(8),
-    )
-    add(
-        "secant",
-        "evaluation at (-1, 1): alternating words, signs, half-weight link",
-        _check_secant,
-        _n_sweep(1, 8),
-    )
-    add(
-        "pip",
-        "per-orbit product formula and orbit totals",
-        _check_pip,
-        _klass_sweep(1, 7),
-    )
-    add(
-        "gamm",
-        "class enumerator equals its double-descent-free expansion",
-        _check_gamm,
-        _klass_sweep(1, 7),
-    )
-    add(
-        "bijection",
-        "mirror involution: statistic swaps and minima preservation",
-        _check_bijection,
-        _n_sweep(1, 8),
-    )
-    add(
-        "group-action",
-        "toggles: involution, commutation, class flips, orbit structure",
-        _check_group_action,
-        _n_sweep(1, 7),
-    )
-    return out
-
-
-REGISTRY: dict = {d.name: d for d in _defs()}
+}
 
 
 def verify(name: str, **params) -> CheckReport:
     """Run one named check.  Mathematical mismatches come back as FAIL
-    reports; unknown names and malformed parameters raise."""
+    reports; unknown names and parameters that do not fit the check's
+    signature raise, and so does any other error from the check body."""
     defn = REGISTRY.get(name)
     if defn is None:
         known = ", ".join(REGISTRY)
         raise UnknownCheckError(f"no check named {name!r} (known: {known})")
     try:
+        inspect.signature(defn.run).bind(**params)
+    except TypeError as exc:
+        raise ValueOutOfRangeError(f"bad parameters for check {name!r}: {exc}") from None
+    try:
         return defn.run(**params)
     except _MATH_FAILURES as exc:
         return CheckReport(name, params, "FAIL", {"error": exc.code, "message": exc.message})
-    except TypeError as exc:
-        raise ValueOutOfRangeError(f"bad parameters for check {name!r}: {exc}") from None
 
 
 def verify_all(max_n: int | None = None, seed: int = 0) -> list:
     """Run every registered check over its default parameter sweep
-    (bounded by ``max_n`` when given).  Returns one aggregated report per
-    check, in registry order."""
+    (bounded by ``max_n`` when given; ``seed`` reaches every check that
+    takes one).  Returns one aggregated report per check, in registry
+    order."""
     out = []
     for defn in REGISTRY.values():
-        failure = None
+        sweep = {"sweep": defn.describe(max_n)}
         runs = 0
-        for params in defn.sweep(max_n):
-            if defn.name == "group-action":
-                params = {**params, "seed": seed}
+        for params in defn.sweep(max_n, seed):
             report = verify(defn.name, **params)
             runs += 1
             if not report.passed:
-                failure = report
+                witness = {"params": report.params, **(report.witness or {})}
+                out.append(CheckReport(defn.name, sweep, "FAIL", witness))
                 break
-        if failure is None:
-            agg = CheckReport(
-                defn.name, {"sweep": defn.describe(max_n)}, "PASS", {"runs": runs}
-            )
         else:
-            agg = CheckReport(
-                defn.name,
-                {"sweep": defn.describe(max_n)},
-                "FAIL",
-                {"params": failure.params, **(failure.witness or {})},
-            )
-        out.append(agg)
+            out.append(CheckReport(defn.name, sweep, "PASS", {"runs": runs}))
     return out

@@ -13,7 +13,7 @@ import sys
 
 from .action import orbit, orbit_dot
 from .bijection import mirror, pair_table
-from .checks import REGISTRY, verify, verify_all
+from .checks import CLASSES, REGISTRY, verify, verify_all
 from .enumerators import EnumeratorKind, build
 from .errors import CapExceededError, EulabError
 from .gamma import GammaRoute, gamma_expand, gamma_from_class
@@ -126,42 +126,24 @@ def _cmd_verify(args) -> int:
                 print(f"{r.verdict} {r.check} ({r.params.get('sweep', '')})")
         return 0 if all(r.passed for r in reports) else 1
 
-    params: dict = {}
-    if args.n is not None:
-        params["n"] = args.n
-    if args.a is not None:
-        params["a"] = args.a
-    if args.b is not None:
-        params["b"] = args.b
-    if args.klass is not None:
-        params["klass"] = args.klass
-    if args.check == "group-action":
-        params.setdefault("seed", args.seed)
-    if args.check == "pip" or args.check == "gamm":
-        if "klass" not in params:
-            # run both classes when none is named
-            reports = [
-                verify(args.check, klass=tag, **params) for tag in ("sym", "prw")
-            ]
-            if args.json:
-                _emit([r.to_json() for r in reports])
-            else:
-                for r in reports:
-                    _print_report(r)
-            return 0 if all(r.passed for r in reports) else 1
-    report = verify(args.check, **params)
+    defn = REGISTRY[args.check]
+    given = (("n", args.n), ("a", args.a), ("b", args.b), ("klass", args.klass))
+    params = {k: v for k, v in given if v is not None}
+    if "seed" in defn.params:
+        params["seed"] = args.seed
+    # a check that takes a class runs over every class when none is named
+    fan_out = "klass" in defn.params and args.klass is None
+    runs = [{"klass": c, **params} for c in CLASSES] if fan_out else [params]
+    reports = [verify(args.check, **p) for p in runs]
     if args.json:
-        _emit(report.to_json())
+        payload = [r.to_json() for r in reports]
+        _emit(payload if fan_out else payload[0])
     else:
-        _print_report(report)
-    return 0 if report.passed else 1
-
-
-def _print_report(report) -> None:
-    print(report.line())
-    if report.witness:
-        for key, value in report.witness.items():
-            print(f"  {key}: {value}")
+        for r in reports:
+            print(r.line())
+            for key, value in (r.witness or {}).items():
+                print(f"  {key}: {value}")
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("-a", type=int)
     p_verify.add_argument("-b", type=int)
     p_verify.add_argument(
-        "--class", dest="klass", choices=("sym", "prw"), help="class for pip/gamm"
+        "--class", dest="klass", choices=CLASSES, help="class for checks that take one"
     )
     p_verify.add_argument("--max-n", type=int, help="sweep bound for 'all'")
     p_verify.add_argument("--seed", type=int, default=0, help="seed for sampled properties")

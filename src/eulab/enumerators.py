@@ -1,21 +1,25 @@
 """Statistic-generating polynomials over permutation classes.
 
-Every builder sums one monomial per word of a class, with exponents read off
-the word's statistic profile and the weight variable ``al`` raised to the
-minima count.  Profile multiplicities per class are cached, so repeated
-builds at the same size enumerate only once.
+Every enumerator sums one monomial per word of a class, with exponents read
+off the word's statistic profile and the weight variable ``al`` raised to
+the minima count.  Profile multiplicities per class are cached, so repeated
+sums at the same size enumerate only once.
 
-Kinds (``index`` is written n):
+``KINDS`` is the one table of enumerator kinds: each kind names the classes
+it may run over (the first is the default) and its exponent map.  ``build``
+reads nothing else per kind.  The index of a kind is the size index of its
+class: decreasing-prefix words of index n have n+1 letters, words of S_n
+have n (see ``perms.letters``).
 
-* ``bse``:   x^des y^asc al^(lrmin+rlmin-2) over decreasing-prefix words on
-  n+1 letters; symmetric in x, y and homogeneous of degree n.
+* ``bse``:   x^des y^asc al^(lrmin+rlmin-2) over decreasing-prefix words;
+  symmetric in x, y and homogeneous of degree n.
 * ``bse-z``: splits the descents of the same words as
   x^(des-lrmin+1) y^asc z^(lrmin-1), same weight.
 * ``ptilde``: (u1 u2)^peaks u3^da u4^dd' u5^(lrmin-1) al^weight over the
   same words, where dd' counts double descents past the decreasing prefix.
-* ``se``:    x^des y^asc al^(lrmin+rlmin-2) over all of S_n.
+* ``se``:    the ``bse`` exponents over all of S_n.
 * ``refined``: (u1 u2)^peaks u3^da u4^dd al^weight over a chosen class
-  (decreasing-prefix words on n+1 letters, or S_n).
+  (decreasing-prefix words by default, or S_n).
 """
 
 from __future__ import annotations
@@ -25,9 +29,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb
+from typing import Callable, NamedTuple
 
 from .errors import CapExceededError, ValueOutOfRangeError
-from .perms import PermClass, StatProfile, enumerate_class, enumeration_cap, stats
+from .perms import PermClass, StatProfile, enumerate_class, enumeration_cap, letters, stats
 from .poly import MultiPoly
 
 
@@ -67,42 +72,69 @@ class Enumerator:
 @functools.lru_cache(maxsize=None)
 def profile_counts(tag: PermClass, n: int) -> tuple:
     """Multiplicity of each statistic profile over a class, as a sorted
-    tuple of (StatProfile, count) pairs."""
+    tuple of (StatProfile, count) pairs.  A size past the enumeration cap
+    is rejected before any word is generated."""
     counts: dict[StatProfile, int] = {}
-    for w in enumerate_class(tag, n, cap=n):
+    for w in enumerate_class(tag, n):
         s = stats(w)
         counts[s] = counts.get(s, 0) + 1
     return tuple(sorted(counts.items()))
 
 
-def _sum_monomials(counts, exponents) -> MultiPoly:
-    """Sum count * monomial(exponents(profile)) over a profile table."""
+def profile_sum(tag: PermClass, n: int, exponents, cap: int | None = None) -> MultiPoly:
+    """Sum one monomial per member of a class on n letters, its exponents
+    read off the member's profile; an exponent map that returns None drops
+    the member.
+
+    The cap is checked here as well as in ``enumerate_class``, because a
+    cached profile table skips enumeration: a lower cap set after the table
+    was filled still applies."""
+    limit = enumeration_cap() if cap is None else cap
+    if n > limit:
+        raise CapExceededError(f"enumeration over {n} letters exceeds the cap {limit}")
     terms: dict = {}
-    for s, c in counts:
-        mono = tuple(sorted((v, e) for v, e in exponents(s).items() if e))
-        terms[mono] = terms.get(mono, 0) + c
+    for s, c in profile_counts(tag, n):
+        exps = exponents(s)
+        if exps is not None:
+            mono = tuple(sorted((v, e) for v, e in exps.items() if e))
+            terms[mono] = terms.get(mono, 0) + c
     return MultiPoly(terms)
 
 
-def _guard(size: int, cap: int | None) -> None:
-    limit = enumeration_cap() if cap is None else cap
-    if size > limit:
-        raise CapExceededError(f"enumeration over {size} letters exceeds the cap {limit}")
+class KindSpec(NamedTuple):
+    classes: tuple  # the classes a kind may run over, the default first
+    exponents: Callable[[StatProfile], dict]
 
 
-def profile_sum(tag: PermClass, n: int, exponents, cap: int | None = None) -> MultiPoly:
-    """Sum one monomial per class member, exponents read off its profile."""
-    _guard(n, cap)
-    return _sum_monomials(profile_counts(tag, n), exponents)
+def _des_asc(s: StatProfile) -> dict:
+    return {"x": s.des, "y": s.asc, "al": s.weight}
+
+
+KINDS = {
+    EnumeratorKind.BSE: KindSpec((PermClass.PRW,), _des_asc),
+    EnumeratorKind.BSE_Z: KindSpec(
+        (PermClass.PRW,),
+        lambda s: {"x": s.des - s.lrmin + 1, "y": s.asc, "z": s.lrmin - 1, "al": s.weight},
+    ),
+    EnumeratorKind.PTILDE: KindSpec(
+        (PermClass.PRW,),
+        lambda s: {"u1": s.peaks, "u2": s.peaks, "u3": s.double_asc, "u4": s.internal_dd,
+                   "u5": s.lrmin_dd, "al": s.weight},
+    ),
+    EnumeratorKind.SE: KindSpec((PermClass.SYM,), _des_asc),
+    EnumeratorKind.REFINED: KindSpec(
+        (PermClass.PRW, PermClass.SYM),
+        lambda s: {"u1": s.peaks, "u2": s.peaks, "u3": s.double_asc, "u4": s.double_desc,
+                   "al": s.weight},
+    ),
+}
 
 
 def build(
-    kind: EnumeratorKind,
-    index: int,
-    klass: PermClass | None = None,
-    cap: int | None = None,
+    kind: EnumeratorKind, index: int, klass: PermClass | None = None, cap: int | None = None
 ) -> Enumerator:
-    """Build one enumerator; see the module docstring for the kinds.
+    """Build one enumerator; see the module docstring for the kinds.  Only
+    a kind with more than one class takes ``klass`` and records it.
 
     >>> str(build(EnumeratorKind.BSE, 1).value)
     'al*x + al*y'
@@ -110,70 +142,21 @@ def build(
     'al*y + al*z'
     """
     kind = EnumeratorKind(kind)
-    if index < 0:
-        raise ValueOutOfRangeError(f"index must be nonnegative, got {index}")
-    if kind is EnumeratorKind.REFINED:
-        if klass is None:
-            klass = PermClass.PRW
-        if klass not in (PermClass.PRW, PermClass.SYM):
-            raise ValueOutOfRangeError(f"refined enumerator over {klass.value} is not defined")
-    elif klass is not None:
+    spec = KINDS[kind]
+    if klass is None:
+        tag = spec.classes[0]
+    elif len(spec.classes) == 1:
         raise ValueOutOfRangeError(f"kind {kind.value} does not take a class")
-
-    if kind in (EnumeratorKind.BSE, EnumeratorKind.BSE_Z, EnumeratorKind.PTILDE):
-        size, tag = index + 1, PermClass.PRW
-    elif kind is EnumeratorKind.SE:
-        size, tag = index, PermClass.SYM
+    elif klass not in spec.classes:
+        raise ValueOutOfRangeError(f"{kind.value} enumerator over {klass.value} is not defined")
     else:
-        size = index + 1 if klass is PermClass.PRW else index
         tag = klass
-    if kind is EnumeratorKind.SE and index < 1:
-        raise ValueOutOfRangeError("the se enumerator needs index >= 1")
-    _guard(size, cap)
-    counts = profile_counts(tag, size)
-
-    if kind is EnumeratorKind.BSE:
-        value = _sum_monomials(
-            counts, lambda s: {"x": s.des, "y": s.asc, "al": s.weight}
-        )
-    elif kind is EnumeratorKind.BSE_Z:
-        value = _sum_monomials(
-            counts,
-            lambda s: {
-                "x": s.des - s.lrmin + 1,
-                "y": s.asc,
-                "z": s.lrmin - 1,
-                "al": s.weight,
-            },
-        )
-    elif kind is EnumeratorKind.PTILDE:
-        value = _sum_monomials(
-            counts,
-            lambda s: {
-                "u1": s.peaks,
-                "u2": s.peaks,
-                "u3": s.double_asc,
-                "u4": s.internal_dd,
-                "u5": s.lrmin_dd,
-                "al": s.weight,
-            },
-        )
-    elif kind is EnumeratorKind.SE:
-        value = _sum_monomials(
-            counts, lambda s: {"x": s.des, "y": s.asc, "al": s.weight}
-        )
-    else:
-        value = _sum_monomials(
-            counts,
-            lambda s: {
-                "u1": s.peaks,
-                "u2": s.peaks,
-                "u3": s.double_asc,
-                "u4": s.double_desc,
-                "al": s.weight,
-            },
-        )
-    return Enumerator(kind=kind, index=index, klass=klass, value=value)
+    size = letters(tag, index)
+    # the weight exponent lrmin + rlmin - 2 presumes a nonempty word
+    if size < 1:
+        raise ValueOutOfRangeError(f"index {index} leaves the {kind.value} enumerator no letters")
+    value = profile_sum(tag, size, spec.exponents, cap)
+    return Enumerator(kind, index, tag if len(spec.classes) > 1 else None, value)
 
 
 def stirling_eulerian(m: int, k: int, cap: int | None = None) -> MultiPoly:
@@ -184,23 +167,12 @@ def stirling_eulerian(m: int, k: int, cap: int | None = None) -> MultiPoly:
     """
     if m < 0 or k < 0:
         raise ValueOutOfRangeError(f"need m, k >= 0, got m={m}, k={k}")
-    _guard(m, cap)
-    terms: dict = {}
-    for s, c in profile_counts(PermClass.SYM, m):
-        if s.asc == k:
-            mono = ((("al", s.rlmin),) if s.rlmin else ())
-            terms[mono] = terms.get(mono, 0) + c
-    return MultiPoly(terms)
+    return profile_sum(PermClass.SYM, m, lambda s: {"al": s.rlmin} if s.asc == k else None, cap)
 
 
 def alternating_weight(n: int, cap: int | None = None) -> MultiPoly:
     """Sum of al^rlmin over the down-up alternating words in S_n."""
-    _guard(n, cap)
-    terms: dict = {}
-    for s, c in profile_counts(PermClass.ALT_DOWN_UP, n):
-        mono = ((("al", s.rlmin),) if s.rlmin else ())
-        terms[mono] = terms.get(mono, 0) + c
-    return MultiPoly(terms)
+    return profile_sum(PermClass.ALT_DOWN_UP, n, lambda s: {"al": s.rlmin}, cap)
 
 
 @functools.lru_cache(maxsize=None)

@@ -14,12 +14,10 @@ from __future__ import annotations
 
 from enum import IntEnum
 from fractions import Fraction
-from typing import Sequence
-
 from dataclasses import dataclass
 
 from .errors import NonzeroResidualError, NotSymmetricError, ValueOutOfRangeError
-from .perms import PermClass, enumerate_class, stats
+from .perms import PermClass, enumerate_class, letters, stats
 from .poly import MultiPoly, poly_sum
 
 
@@ -96,7 +94,7 @@ def gamma_from_class(route: GammaRoute, n: int, cap: int | None = None) -> list:
             if s.des <= n // 2:
                 buckets[s.des].append(MultiPoly.monomial(1, {"al": s.rlmin}))
         return [poly_sum(b) for b in buckets]
-    members = enumerate_class(PermClass.PRW, n + 1, cap)
+    members = enumerate_class(PermClass.PRW, letters(PermClass.PRW, n), cap)
     if route is GammaRoute.ASC_NO_DA:
         for w in members:
             s = stats(w)
@@ -110,7 +108,3 @@ def gamma_from_class(route: GammaRoute, n: int, cap: int | None = None) -> list:
     return [
         poly_sum(b) * Fraction(1, 2 ** (n - 2 * k)) for k, b in enumerate(buckets)
     ]
-
-
-def gamma_lists_equal(a: Sequence[MultiPoly], b: Sequence[MultiPoly]) -> bool:
-    return len(a) == len(b) and all(p == q for p, q in zip(a, b))

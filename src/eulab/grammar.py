@@ -16,8 +16,7 @@ combinatorially, one label per insertion slot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     DuplicateRuleHeadError,
@@ -50,9 +49,6 @@ class Grammar:
 
     def heads(self) -> tuple:
         return tuple(h for h, _ in self.rules)
-
-    def text(self) -> str:
-        return "\n".join(f"{head} -> {body};" for head, body in self.rules)
 
 
 def parse_grammar(source: str) -> Grammar:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import os
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import CapExceededError, InvalidPermutationError, ValueOutOfRangeError
 
@@ -30,14 +30,18 @@ _CAP_ENV = "EULAB_MAX_N"
 
 def enumeration_cap() -> int:
     """Largest word length the class enumerators will touch.  Defaults to
-    10 and can be overridden with the EULAB_MAX_N environment variable."""
+    10 and can be overridden with the EULAB_MAX_N environment variable,
+    which must be an integer of at least 1."""
     raw = os.environ.get(_CAP_ENV)
     if raw is None:
         return DEFAULT_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValueOutOfRangeError(f"{_CAP_ENV} must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise ValueOutOfRangeError(f"{_CAP_ENV} must be at least 1, got {cap}")
+    return cap
 
 
 def check_word(word: Sequence[int]) -> Perm:
@@ -122,18 +126,11 @@ def minima(word: Sequence[int]) -> tuple[tuple, tuple]:
     ((1, 2, 3), (3, 4, 6, 7, 10))
     """
     w = check_word(word)
-    lr, best = [], _INF
-    for i, v in enumerate(w, start=1):
-        if v < best:
-            best = v
-            lr.append(i)
-    rl, best = [], _INF
-    for i in range(len(w), 0, -1):
-        if w[i - 1] < best:
-            best = w[i - 1]
-            rl.append(i)
-    rl.reverse()
-    return tuple(lr), tuple(rl)
+    lr, rl = lrmin_values(w), rlmin_values(w)
+    return (
+        tuple(i for i, v in enumerate(w, start=1) if v in lr),
+        tuple(i for i, v in enumerate(w, start=1) if v in rl),
+    )
 
 
 PEAK, VALLEY, DOUBLE_ASC, DOUBLE_DESC = "peak", "valley", "double_asc", "double_desc"
@@ -242,6 +239,18 @@ class PermClass(Enum):
     PRW = "prw"
     NDD_INTERIOR = "ndd-interior"
     ALT_DOWN_UP = "alt-down-up"
+
+
+def letters(tag: PermClass, index: int) -> int:
+    """Word length behind size index ``index`` of a class.  Index n over
+    decreasing-prefix words means words on n+1 letters, so that the
+    enumerator of index n has degree n in x and y; every other class is
+    indexed by its word length.
+
+    >>> letters(PermClass.PRW, 3), letters(PermClass.SYM, 3)
+    (4, 3)
+    """
+    return index + 1 if tag is PermClass.PRW else index
 
 
 def _no_interior_double_descent_run(w: Perm) -> bool:

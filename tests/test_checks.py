@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from eulab.checks import CheckReport, REGISTRY, verify, verify_all
+from eulab.checks import CheckDef, CheckReport, REGISTRY, verify, verify_all
 from eulab.errors import UnknownCheckError, ValueOutOfRangeError
 from eulab.poly import parse_poly
 
@@ -25,6 +25,24 @@ EXPECTED_CHECKS = [
     "bijection",
     "group-action",
 ]
+
+# (sweep, runs) that ``verify_all()`` reports for each check when it passes
+DEFAULT_SWEEPS = {
+    "symmetry-gamma": ("n=1..8", 8),
+    "prw-g": ("n=1..8", 8),
+    "mainthm2": ("n=1..8", 8),
+    "ji-gam": ("n=1..8", 8),
+    "mainthm2-var": ("n=1..7", 7),
+    "grammar-31": ("n=1..7", 7),
+    "grammar-32": ("n=1..7", 7),
+    "des-pk": ("n=1..8", 8),
+    "cgk-alpha": ("a,b>=1, a+b<=8", 28),
+    "secant": ("n=1..8", 8),
+    "pip": ("class in (sym, prw), n=1..7", 14),
+    "gamm": ("class in (sym, prw), n=1..7", 14),
+    "bijection": ("n=1..8", 8),
+    "group-action": ("n=1..7", 7),
+}
 
 
 def test_registry_contents():
@@ -75,6 +93,23 @@ def test_unknown_check():
 def test_bad_params_rejected():
     with pytest.raises(ValueOutOfRangeError):
         verify("secant", q=3)
+    with pytest.raises(ValueOutOfRangeError):
+        verify("secant")
+    with pytest.raises(ValueOutOfRangeError):
+        verify("cgk-alpha", n=3)
+
+
+def test_type_error_inside_a_check_propagates():
+    # only parameters that do not fit the signature are a usage error
+    def buggy(n):
+        return None + n
+
+    REGISTRY["buggy"] = CheckDef(name="buggy", run=buggy, lo=1, hi=1, summary="bug")
+    try:
+        with pytest.raises(TypeError):
+            verify("buggy", n=1)
+    finally:
+        del REGISTRY["buggy"]
 
 
 def test_report_json_round_trip():
@@ -93,19 +128,12 @@ def test_report_line_format():
 
 def test_failure_path_is_honest():
     # mathematical mismatches surface as FAIL reports, never as exceptions
-    from eulab.checks import CheckDef
     from eulab.errors import NotSymmetricError
 
     def broken(n):
         raise NotSymmetricError("forced mismatch for the report path")
 
-    defn = CheckDef(
-        name="broken",
-        summary="always fails",
-        run=broken,
-        sweep=lambda max_n: [{"n": 2}],
-        describe=lambda max_n: "n=2",
-    )
+    defn = CheckDef(name="broken", summary="always fails", run=broken, lo=2, hi=2)
     REGISTRY["broken"] = defn
     try:
         report = verify("broken", n=2)
@@ -136,5 +164,32 @@ def test_verify_all_small():
     reports = verify_all(max_n=4)
     assert [r.check for r in reports] == EXPECTED_CHECKS
     assert all(r.passed for r in reports)
-    for r in reports:
-        assert "sweep" in r.params
+    got = {r.check: (r.params["sweep"], r.witness["runs"]) for r in reports}
+    assert got == {
+        **{name: ("n=1..4", 4) for name in EXPECTED_CHECKS},
+        "cgk-alpha": ("a,b>=1, a+b<=4", 6),
+        "pip": ("class in (sym, prw), n=1..4", 8),
+        "gamm": ("class in (sym, prw), n=1..4", 8),
+    }
+
+
+def test_default_sweeps():
+    # the grid verify_all() runs without a bound; its runs are the sweep size
+    got = {
+        name: (defn.describe(), len(defn.sweep())) for name, defn in REGISTRY.items()
+    }
+    assert got == DEFAULT_SWEEPS
+    assert REGISTRY["pip"].sweep()[:2] == [
+        {"klass": "sym", "n": 1},
+        {"klass": "sym", "n": 2},
+    ]
+    assert REGISTRY["pip"].sweep()[7] == {"klass": "prw", "n": 1}
+    assert REGISTRY["cgk-alpha"].sweep()[:3] == [
+        {"a": 1, "b": 1},
+        {"a": 1, "b": 2},
+        {"a": 2, "b": 1},
+    ]
+    assert REGISTRY["group-action"].sweep(2, seed=5) == [
+        {"n": 1, "seed": 5},
+        {"n": 2, "seed": 5},
+    ]

@@ -180,6 +180,58 @@ def test_verify_all_exit_zero(capsys):
     assert all(line.startswith("PASS ") for line in lines)
 
 
+def test_verify_class_fan_out(capsys):
+    # a check that takes a class runs once per class unless --class names one
+    code, out, _ = run(capsys, "verify", "pip", "-n", "3")
+    assert code == 0
+    reports = [line for line in out.splitlines() if not line.startswith("  ")]
+    assert reports == ["PASS pip klass=sym n=3", "PASS pip klass=prw n=3"]
+
+    code, out, _ = run(capsys, "verify", "pip", "-n", "3", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert isinstance(payload, list)
+    assert [CheckReport.from_json(p).params for p in payload] == [
+        {"klass": "sym", "n": 3},
+        {"klass": "prw", "n": 3},
+    ]
+
+    code, out, _ = run(capsys, "verify", "pip", "-n", "3", "--class", "prw", "--json")
+    assert code == 0
+    report = CheckReport.from_json(json.loads(out))
+    assert report.params == {"klass": "prw", "n": 3}
+
+
+def test_verify_seed_reaches_checks_that_take_one(capsys):
+    from eulab.checks import CheckDef, REGISTRY
+
+    def seeded(n, seed):
+        return CheckReport("seeded", {"n": n, "seed": seed}, "PASS")
+
+    REGISTRY["seeded"] = CheckDef(name="seeded", summary="echo", run=seeded, lo=1, hi=1)
+    try:
+        code, out, _ = run(capsys, "verify", "seeded", "-n", "2", "--seed", "7")
+        assert code == 0
+        assert out.strip() == "PASS seeded n=2 seed=7"
+    finally:
+        del REGISTRY["seeded"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "secant"),
+        ("verify", "secant", "-n", "3", "-a", "2"),
+        ("verify", "secant", "-n", "3", "--class", "sym"),
+        ("verify", "cgk-alpha", "-n", "3"),
+    ],
+)
+def test_verify_missing_or_unknown_parameter_exit_two(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "VALUE_OUT_OF_RANGE" in err
+
+
 def test_verify_unknown_check(capsys):
     # argparse pre-filters the check name, so this is a usage error
     with pytest.raises(SystemExit) as info:
@@ -212,6 +264,40 @@ def test_cap_exit_three(capsys, monkeypatch):
     assert "CAP_EXCEEDED" in err
 
 
+@pytest.mark.parametrize("raw", ["0", "-3"])
+def test_nonpositive_cap_exit_two(capsys, monkeypatch, raw):
+    monkeypatch.setenv("EULAB_MAX_N", raw)
+    code, _, err = run(capsys, "poly", "bse", "-n", "1")
+    assert code == 2
+    assert "VALUE_OUT_OF_RANGE" in err
+
+
+def test_cap_rejected_before_any_word(capsys, monkeypatch):
+    # with a cold profile cache, the rejection must come before enumeration
+    import eulab.checks
+    import eulab.enumerators
+    import eulab.perms
+    from eulab.checks import verify
+    from eulab.errors import CapExceededError
+    from eulab.perms import PermClass
+
+    def no_words(word):
+        raise AssertionError("a word was generated past the cap")
+
+    for module in (eulab.perms, eulab.enumerators, eulab.checks):
+        monkeypatch.setattr(module, "stats", no_words)
+    monkeypatch.setenv("EULAB_MAX_N", "6")
+    eulab.enumerators.profile_counts.cache_clear()
+
+    code, _, err = run(capsys, "verify", "gamm", "-n", "8", "--class", "sym")
+    assert code == 3
+    assert "CAP_EXCEEDED" in err
+    with pytest.raises(CapExceededError):
+        verify("gamm", klass="sym", n=8)
+    with pytest.raises(CapExceededError):
+        eulab.enumerators.profile_counts(PermClass.SYM, 8)
+
+
 def test_verify_fail_exit_one(capsys):
     from eulab.checks import CheckDef, CheckReport as CR, REGISTRY
 
@@ -219,8 +305,8 @@ def test_verify_fail_exit_one(capsys):
         name="always-fail",
         summary="fails",
         run=lambda n: CR("always-fail", {"n": n}, "FAIL", {"detail": "no"}),
-        sweep=lambda max_n: [{"n": 1}],
-        describe=lambda max_n: "n=1",
+        lo=1,
+        hi=1,
     )
     REGISTRY["always-fail"] = defn
     try:

@@ -71,6 +71,10 @@ def test_build_rejects_bad_index():
         build(EnumeratorKind.SE, 0)
     with pytest.raises(ValueOutOfRangeError):
         build(EnumeratorKind.BSE, -1)
+    # no letters: the minima weight would be al^-2
+    with pytest.raises(ValueOutOfRangeError):
+        build(EnumeratorKind.REFINED, 0, klass=PermClass.SYM)
+    assert build(EnumeratorKind.BSE, 0).value == MultiPoly.one()
 
 
 def test_build_respects_cap():
