@@ -23,14 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import CapExceededError, RepresentativeError, ValueOutOfRangeError
+from .errors import RepresentativeError, ValueOutOfRangeError
 from .perms import (
     DOUBLE_ASC,
     DOUBLE_DESC,
     Perm,
+    _check_cap,
     check_word,
     classify,
-    enumeration_cap,
     format_perm,
     lrmin_values,
     rlmin_values,
@@ -151,7 +151,7 @@ class Orbit:
         return len(self.members)
 
 
-def orbit(word: Sequence[int], cap: int | None = None) -> Orbit:
+def orbit(word: Sequence[int]) -> Orbit:
     """Breadth-first closure of ``word`` under every letter toggle.
 
     >>> orbit((2, 1, 3)).members
@@ -159,9 +159,7 @@ def orbit(word: Sequence[int], cap: int | None = None) -> Orbit:
     """
     w = check_word(word)
     n = len(w)
-    limit = enumeration_cap() if cap is None else cap
-    if n > limit:
-        raise CapExceededError(f"word length {n} exceeds the enumeration cap {limit}")
+    _check_cap(n)
     seen = {w}
     frontier = [w]
     while frontier:

@@ -102,7 +102,7 @@ def mirror(word: Sequence[int]) -> Perm:
     return tuple(x for b in out_blocks for x in b)
 
 
-def pair_table(n: int, cap: int | None = None) -> list:
+def pair_table(n: int) -> list:
     """All (word, mirror(word)) pairs over the decreasing-prefix words on n
     letters, in lexicographic order of the first component."""
-    return [(w, mirror(w)) for w in enumerate_class(PermClass.PRW, n, cap)]
+    return [(w, mirror(w)) for w in enumerate_class(PermClass.PRW, n)]

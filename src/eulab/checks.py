@@ -47,7 +47,7 @@ from .errors import (
     UnknownCheckError,
     ValueOutOfRangeError,
 )
-from .gamma import GammaRoute, gamma_expand, gamma_from_class
+from .gamma import GammaRoute, basis_sum, gamma_expand, gamma_from_class
 from .grammar import builtin, derive, slot_labels
 from .perms import (
     DOUBLE_ASC,
@@ -120,10 +120,6 @@ def _fail(check: str, params: dict, **witness) -> CheckReport:
     return CheckReport(check, params, "FAIL", witness or None)
 
 
-def _gamma_nonneg_integer(p: MultiPoly) -> bool:
-    return all(c.denominator == 1 and c > 0 for _, c in p.terms())
-
-
 def _class_enumerator(klass: PermClass, n: int) -> MultiPoly:
     """x^des y^asc al^weight over a class: the bse enumerator over
     decreasing-prefix words, the se enumerator over S_n."""
@@ -142,7 +138,7 @@ def _check_symmetry_gamma(n: int) -> CheckReport:
         return _fail("symmetry-gamma", params, polynomial=str(value))
     expansion = gamma_expand(value)
     for k, g in enumerate(expansion.gammas):
-        if not _gamma_nonneg_integer(g):
+        if not all(c.denominator == 1 and c > 0 for _, c in g.terms()):
             return _fail("symmetry-gamma", params, k=k, gamma=str(g))
     return _pass("symmetry-gamma", params, gamma=[str(g) for g in expansion.gammas])
 
@@ -161,13 +157,6 @@ def _check_prw_g(n: int) -> CheckReport:
     return _pass("prw-g", params, gamma=[str(g) for g in want])
 
 
-def _basis_sum(gammas, pair: MultiPoly, linear: MultiPoly, degree: int) -> MultiPoly:
-    total = MultiPoly.zero()
-    for k, g in enumerate(gammas):
-        total = total + g * pair**k * linear ** (degree - 2 * k)
-    return total
-
-
 def _refined_in_basis(check: str, klass: PermClass, n: int) -> CheckReport:
     """Refined four-variable enumerator over a class equals its basis
     expansion, with the coefficients peeled from the class enumerator and
@@ -177,7 +166,7 @@ def _refined_in_basis(check: str, klass: PermClass, n: int) -> CheckReport:
     lhs = build(EnumeratorKind.REFINED, n, klass=klass).value
     gammas = gamma_expand(_class_enumerator(klass, n)).gammas
     u1, u2, u3, u4 = (MultiPoly.var(v) for v in ("u1", "u2", "u3", "u4"))
-    rhs = _basis_sum(gammas, u1 * u2, u3 + u4, letters(klass, n) - 1)
+    rhs = basis_sum(gammas, u1 * u2, u3 + u4, letters(klass, n) - 1)
     if lhs != rhs:
         return _fail(check, params, lhs=str(lhs), rhs=str(rhs))
     return _pass(check, params)
@@ -244,7 +233,7 @@ def _check_des_pk(n: int) -> CheckReport:
     )
     gammas = gamma_expand(build(EnumeratorKind.BSE, n).value).gammas
     u, v, w = (MultiPoly.var(c) for c in ("u", "v", "w"))
-    rhs = _basis_sum(gammas, u * v * w, v + w, n)
+    rhs = basis_sum(gammas, u * v * w, v + w, n)
     if lhs != rhs:
         return _fail("des-pk", params, lhs=str(lhs), rhs=str(rhs))
     return _pass("des-pk", params)
@@ -261,12 +250,9 @@ def _check_cgk_alpha(a: int, b: int) -> CheckReport:
     al = MultiPoly.var("al")
 
     def side(j: int) -> MultiPoly:
-        total = MultiPoly.zero()
-        for k in range(1, n + 1):
-            se = stirling_eulerian(k, j - 1)
-            if not se.is_zero():
-                total = total + al ** (n - k) * comb(n, k) * se
-        return total
+        return poly_sum(
+            al ** (n - k) * comb(n, k) * stirling_eulerian(k, j - 1) for k in range(1, n + 1)
+        )
 
     lhs, rhs = side(a), side(b)
     if lhs != rhs:
@@ -341,7 +327,7 @@ def _orbit_partition(klass: PermClass, n: int):
     for w in words:
         if w in seen:
             continue
-        orb = orbit(w, cap=m)
+        orb = orbit(w)
         stray = set(orb.members) - member_set
         if stray:
             return None, {"orbit_of": format_perm(w), "escapes_to": format_perm(min(stray))}
@@ -361,16 +347,17 @@ def _check_pip(klass: str, n: int) -> CheckReport:
     if escape is not None:
         return _fail("pip", params, **escape)
     u1, u2, u3, u4, x, y = (MultiPoly.var(v) for v in ("u1", "u2", "u3", "u4", "x", "y"))
-    # (exponent map, peak factor, double-ascent factor) of each alphabet;
-    # the two-variable one comes last, so its product feeds the total
+    # (exponent map, peak factor, double-ascent factor) of each alphabet
     alphabets = ((_REFINED, u1 * u2, u3 + u4), (_DES_ASC, x * y, x + y))
-    total = MultiPoly.zero()
-    for orb in orbits:
+
+    def product(orb, pair: MultiPoly, linear: MultiPoly) -> MultiPoly:
         rs = stats(orb.representative)
-        weight = MultiPoly.monomial(1, {"al": rs.weight})
+        return pair**rs.peaks * linear**rs.double_asc * MultiPoly.monomial(1, {"al": rs.weight})
+
+    for orb in orbits:
         for exponents, pair, linear in alphabets:
             lhs = poly_sum(MultiPoly.monomial(1, exponents(stats(w))) for w in orb.members)
-            rhs = pair**rs.peaks * linear**rs.double_asc * weight
+            rhs = product(orb, pair, linear)
             if lhs != rhs:
                 return _fail(
                     "pip",
@@ -379,7 +366,7 @@ def _check_pip(klass: str, n: int) -> CheckReport:
                     lhs=str(lhs),
                     rhs=str(rhs),
                 )
-        total = total + rhs
+    total = poly_sum(product(orb, x * y, x + y) for orb in orbits)
     enumerated = _class_enumerator(tag, n)
     if total != enumerated:
         return _fail("pip", params, orbit_total=str(total), enumerator=str(enumerated))
@@ -605,8 +592,9 @@ REGISTRY: dict = {
 
 def verify(name: str, **params) -> CheckReport:
     """Run one named check.  Mathematical mismatches come back as FAIL
-    reports; unknown names and parameters that do not fit the check's
-    signature raise, and so does any other error from the check body."""
+    reports; unknown names, parameters that do not fit the check's
+    signature and classes outside ``CLASSES`` raise, and so does any other
+    error from the check body."""
     defn = REGISTRY.get(name)
     if defn is None:
         known = ", ".join(REGISTRY)
@@ -615,6 +603,10 @@ def verify(name: str, **params) -> CheckReport:
         inspect.signature(defn.run).bind(**params)
     except TypeError as exc:
         raise ValueOutOfRangeError(f"bad parameters for check {name!r}: {exc}") from None
+    klass = params.get("klass", CLASSES[0])
+    if klass not in CLASSES:
+        known = ", ".join(CLASSES)
+        raise ValueOutOfRangeError(f"check {name!r} takes a class in ({known}), not {klass!r}")
     try:
         return defn.run(**params)
     except _MATH_FAILURES as exc:
@@ -625,12 +617,17 @@ def verify_all(max_n: int | None = None, seed: int = 0) -> list:
     """Run every registered check over its default parameter sweep
     (bounded by ``max_n`` when given; ``seed`` reaches every check that
     takes one).  Returns one aggregated report per check, in registry
-    order."""
+    order.  A ``max_n`` that leaves some check no runs is rejected before
+    any check runs."""
+    grids = {name: defn.sweep(max_n, seed) for name, defn in REGISTRY.items()}
+    empty = [name for name, grid in grids.items() if not grid]
+    if empty:
+        raise ValueOutOfRangeError(f"max_n={max_n} leaves no runs for {', '.join(empty)}")
     out = []
     for defn in REGISTRY.values():
         sweep = {"sweep": defn.describe(max_n)}
         runs = 0
-        for params in defn.sweep(max_n, seed):
+        for params in grids[defn.name]:
             report = verify(defn.name, **params)
             runs += 1
             if not report.passed:

@@ -25,15 +25,16 @@ have n (see ``perms.letters``).
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb
 from typing import Callable, NamedTuple
 
-from .errors import CapExceededError, ValueOutOfRangeError
-from .perms import PermClass, StatProfile, enumerate_class, enumeration_cap, letters, stats
-from .poly import MultiPoly
+from .errors import ValueOutOfRangeError
+from .perms import PermClass, StatProfile, _check_cap, enumerate_class, letters, stats
+from .poly import MultiPoly, poly_sum
 
 
 class EnumeratorKind(Enum):
@@ -74,14 +75,10 @@ def profile_counts(tag: PermClass, n: int) -> tuple:
     """Multiplicity of each statistic profile over a class, as a sorted
     tuple of (StatProfile, count) pairs.  A size past the enumeration cap
     is rejected before any word is generated."""
-    counts: dict[StatProfile, int] = {}
-    for w in enumerate_class(tag, n):
-        s = stats(w)
-        counts[s] = counts.get(s, 0) + 1
-    return tuple(sorted(counts.items()))
+    return tuple(sorted(Counter(stats(w) for w in enumerate_class(tag, n)).items()))
 
 
-def profile_sum(tag: PermClass, n: int, exponents, cap: int | None = None) -> MultiPoly:
+def profile_sum(tag: PermClass, n: int, exponents) -> MultiPoly:
     """Sum one monomial per member of a class on n letters, its exponents
     read off the member's profile; an exponent map that returns None drops
     the member.
@@ -89,16 +86,9 @@ def profile_sum(tag: PermClass, n: int, exponents, cap: int | None = None) -> Mu
     The cap is checked here as well as in ``enumerate_class``, because a
     cached profile table skips enumeration: a lower cap set after the table
     was filled still applies."""
-    limit = enumeration_cap() if cap is None else cap
-    if n > limit:
-        raise CapExceededError(f"enumeration over {n} letters exceeds the cap {limit}")
-    terms: dict = {}
-    for s, c in profile_counts(tag, n):
-        exps = exponents(s)
-        if exps is not None:
-            mono = tuple(sorted((v, e) for v, e in exps.items() if e))
-            terms[mono] = terms.get(mono, 0) + c
-    return MultiPoly(terms)
+    _check_cap(n)
+    maps = ((exponents(s), c) for s, c in profile_counts(tag, n))
+    return poly_sum(MultiPoly.monomial(c, exps) for exps, c in maps if exps is not None)
 
 
 class KindSpec(NamedTuple):
@@ -130,9 +120,7 @@ KINDS = {
 }
 
 
-def build(
-    kind: EnumeratorKind, index: int, klass: PermClass | None = None, cap: int | None = None
-) -> Enumerator:
+def build(kind: EnumeratorKind, index: int, klass: PermClass | None = None) -> Enumerator:
     """Build one enumerator; see the module docstring for the kinds.  Only
     a kind with more than one class takes ``klass`` and records it.
 
@@ -155,11 +143,11 @@ def build(
     # the weight exponent lrmin + rlmin - 2 presumes a nonempty word
     if size < 1:
         raise ValueOutOfRangeError(f"index {index} leaves the {kind.value} enumerator no letters")
-    value = profile_sum(tag, size, spec.exponents, cap)
+    value = profile_sum(tag, size, spec.exponents)
     return Enumerator(kind, index, tag if len(spec.classes) > 1 else None, value)
 
 
-def stirling_eulerian(m: int, k: int, cap: int | None = None) -> MultiPoly:
+def stirling_eulerian(m: int, k: int) -> MultiPoly:
     """Sum of al^rlmin over the words in S_m with exactly k ascents.
 
     >>> str(stirling_eulerian(3, 1))
@@ -167,12 +155,12 @@ def stirling_eulerian(m: int, k: int, cap: int | None = None) -> MultiPoly:
     """
     if m < 0 or k < 0:
         raise ValueOutOfRangeError(f"need m, k >= 0, got m={m}, k={k}")
-    return profile_sum(PermClass.SYM, m, lambda s: {"al": s.rlmin} if s.asc == k else None, cap)
+    return profile_sum(PermClass.SYM, m, lambda s: {"al": s.rlmin} if s.asc == k else None)
 
 
-def alternating_weight(n: int, cap: int | None = None) -> MultiPoly:
+def alternating_weight(n: int) -> MultiPoly:
     """Sum of al^rlmin over the down-up alternating words in S_n."""
-    return profile_sum(PermClass.ALT_DOWN_UP, n, lambda s: {"al": s.rlmin}, cap)
+    return profile_sum(PermClass.ALT_DOWN_UP, n, lambda s: {"al": s.rlmin})
 
 
 @functools.lru_cache(maxsize=None)

@@ -6,8 +6,8 @@
 and the final residual must vanish exactly.
 
 ``gamma_from_class`` computes the same coefficient lists directly from
-permutation classes, by three different filters (documented on the enum),
-without touching the polynomial route.
+permutation classes, one profile sum per route with its own filter and
+statistic (documented on the enum), without touching the peeling route.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from enum import IntEnum
 from fractions import Fraction
 from dataclasses import dataclass
 
+from .enumerators import profile_sum
 from .errors import NonzeroResidualError, NotSymmetricError, ValueOutOfRangeError
-from .perms import PermClass, enumerate_class, letters, stats
+from .perms import PermClass, letters
 from .poly import MultiPoly, poly_sum
 
 
@@ -33,10 +34,18 @@ class GammaExpansion:
 
     def reconstruct(self) -> MultiPoly:
         vx, vy = MultiPoly.var(self.x), MultiPoly.var(self.y)
-        total = MultiPoly.zero()
-        for k, g in enumerate(self.gammas):
-            total = total + g * (vx * vy) ** k * (vx + vy) ** (self.n - 2 * k)
-        return total
+        return basis_sum(self.gammas, vx * vy, vx + vy, self.n)
+
+
+def basis_sum(gammas, pair: MultiPoly, linear: MultiPoly, degree: int) -> MultiPoly:
+    """The sum of ``gammas[k] * pair^k * linear^(degree - 2k)``: the basis
+    expansion with the given coefficients, over any pair and linear factor.
+
+    >>> x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    >>> str(basis_sum([MultiPoly.const(1), MultiPoly.const(3)], x * y, x + y, 2))
+    'x^2 + 5*x*y + y^2'
+    """
+    return poly_sum(g * pair**k * linear ** (degree - 2 * k) for k, g in enumerate(gammas))
 
 
 def gamma_expand(p: MultiPoly, x: str = "x", y: str = "y") -> GammaExpansion:
@@ -78,7 +87,18 @@ class GammaRoute(IntEnum):
     NDD_DESCENTS = 3
 
 
-def gamma_from_class(route: GammaRoute, n: int, cap: int | None = None) -> list:
+# each route's class and exponent map: the coefficient index is the exponent
+# of the marker k, the weight that of al, and None drops a word
+_ROUTES = {
+    GammaRoute.ASC_NO_DA: (
+        PermClass.PRW, lambda s: None if s.double_asc else {"k": s.asc, "al": s.weight}
+    ),
+    GammaRoute.PEAKS_HALVED: (PermClass.PRW, lambda s: {"k": s.peaks, "al": s.weight}),
+    GammaRoute.NDD_DESCENTS: (PermClass.NDD_INTERIOR, lambda s: {"k": s.des, "al": s.rlmin}),
+}
+
+
+def gamma_from_class(route: GammaRoute, n: int) -> list:
     """Coefficient list gamma_0..gamma_floor(n/2) computed by enumeration.
 
     >>> [str(g) for g in gamma_from_class(GammaRoute.NDD_DESCENTS, 4)][2]
@@ -87,24 +107,9 @@ def gamma_from_class(route: GammaRoute, n: int, cap: int | None = None) -> list:
     route = GammaRoute(route)
     if n < 1:
         raise ValueOutOfRangeError(f"n must be at least 1, got {n}")
-    buckets: list[list[MultiPoly]] = [[] for _ in range(n // 2 + 1)]
-    if route is GammaRoute.NDD_DESCENTS:
-        for w in enumerate_class(PermClass.NDD_INTERIOR, n, cap):
-            s = stats(w)
-            if s.des <= n // 2:
-                buckets[s.des].append(MultiPoly.monomial(1, {"al": s.rlmin}))
-        return [poly_sum(b) for b in buckets]
-    members = enumerate_class(PermClass.PRW, letters(PermClass.PRW, n), cap)
-    if route is GammaRoute.ASC_NO_DA:
-        for w in members:
-            s = stats(w)
-            if s.double_asc == 0 and s.asc <= n // 2:
-                buckets[s.asc].append(MultiPoly.monomial(1, {"al": s.weight}))
-        return [poly_sum(b) for b in buckets]
-    # PEAKS_HALVED
-    for w in members:
-        s = stats(w)
-        buckets[s.peaks].append(MultiPoly.monomial(1, {"al": s.weight}))
-    return [
-        poly_sum(b) * Fraction(1, 2 ** (n - 2 * k)) for k, b in enumerate(buckets)
-    ]
+    tag, exponents = _ROUTES[route]
+    marked = profile_sum(tag, letters(tag, n), exponents)
+    gammas = [marked.coefficient({"k": k}) for k in range(n // 2 + 1)]
+    if route is GammaRoute.PEAKS_HALVED:
+        return [g * Fraction(1, 2 ** (n - 2 * k)) for k, g in enumerate(gammas)]
+    return gammas

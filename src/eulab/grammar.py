@@ -15,6 +15,7 @@ combinatorially, one label per insertion slot.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -35,7 +36,7 @@ from .perms import (
     lrmin_values,
     rlmin_values,
 )
-from .poly import ExprParser, MultiPoly, tokenize
+from .poly import ExprParser, MultiPoly, poly_sum, tokenize
 
 
 @dataclass(frozen=True)
@@ -100,20 +101,13 @@ def builtin(name: str) -> Grammar:
 def derivative(grammar: Grammar, p: MultiPoly) -> MultiPoly:
     """One application of the rule-set derivative."""
     rules = grammar.rule_map()
-    result = MultiPoly.zero()
-    for mono, coef in p.terms():
-        exps = dict(mono)
-        for v, e in mono:
-            image = rules.get(v)
-            if image is None:
-                continue
-            rest = dict(exps)
-            if e == 1:
-                del rest[v]
-            else:
-                rest[v] = e - 1
-            result = result + MultiPoly.monomial(coef * e, rest) * image
-    return result
+    # D(c v^e rest) = c e v^(e-1) rest D(v), one product per ruled variable
+    return poly_sum(
+        MultiPoly.monomial(coef * e, {**dict(mono), v: e - 1}) * rules[v]
+        for mono, coef in p.terms()
+        for v, e in mono
+        if v in rules
+    )
 
 
 def derive(grammar: Grammar, start: MultiPoly | str, steps: int) -> MultiPoly:
@@ -147,13 +141,8 @@ class LabelWord(NamedTuple):
         """Product of the labels u1..u5 with the weight variable raised to
         the marked-letter count.  The final slot's ``a`` is excluded so the
         result matches the word's statistic monomial."""
-        exps: dict[str, int] = {}
-        for lab in self.labels:
-            if lab != LABEL_FINAL:
-                exps[lab] = exps.get(lab, 0) + 1
-        if self.marked:
-            exps["al"] = self.marked
-        return MultiPoly.monomial(1, exps)
+        exps = Counter(lab for lab in self.labels if lab != LABEL_FINAL)
+        return MultiPoly.monomial(1, {**exps, "al": self.marked})
 
 
 def slot_labels(word: Sequence[int]) -> LabelWord:

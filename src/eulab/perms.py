@@ -44,6 +44,14 @@ def enumeration_cap() -> int:
     return cap
 
 
+def _check_cap(n: int) -> None:
+    """Reject words on ``n`` letters past the enumeration cap.  Every path
+    that enumerates calls this before it generates or reads any word."""
+    cap = enumeration_cap()
+    if n > cap:
+        raise CapExceededError(f"{n} letters exceed the enumeration cap {cap} ({_CAP_ENV})")
+
+
 def check_word(word: Sequence[int]) -> Perm:
     """Validate that ``word`` is a permutation of 1..n and return it as a
     tuple."""
@@ -262,15 +270,13 @@ def _is_down_up(w: Perm) -> bool:
     return all((w[i] > w[i + 1]) == (i % 2 == 0) for i in range(len(w) - 1))
 
 
-def enumerate_class(tag: PermClass, n: int, cap: int | None = None) -> Iterator[Perm]:
+def enumerate_class(tag: PermClass, n: int) -> Iterator[Perm]:
     """Stream the members of a class on n letters in lexicographic order.
 
     ``n`` must stay at or below the enumeration cap (see
-    ``enumeration_cap``); pass ``cap`` to override per call.
+    ``enumeration_cap``).
     """
-    limit = enumeration_cap() if cap is None else cap
-    if n > limit:
-        raise CapExceededError(f"n={n} exceeds the enumeration cap {limit}")
+    _check_cap(n)
     low = 0 if tag is PermClass.SYM else 1
     if n < low:
         raise ValueOutOfRangeError(f"n={n} is too small for class {tag.value}")
@@ -284,5 +290,5 @@ def enumerate_class(tag: PermClass, n: int, cap: int | None = None) -> Iterator[
     return (w for w in base if _is_down_up(w))
 
 
-def class_size(tag: PermClass, n: int, cap: int | None = None) -> int:
-    return sum(1 for _ in enumerate_class(tag, n, cap))
+def class_size(tag: PermClass, n: int) -> int:
+    return sum(1 for _ in enumerate_class(tag, n))

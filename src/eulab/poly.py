@@ -7,6 +7,13 @@ equal polynomials compare equal structurally.  Negative exponents are allowed
 for single-term polynomials only (inverting a sum has no polynomial meaning),
 which is all the calculus here ever needs.
 
+Every polynomial is built by one private accumulator, ``_collect``: it sums
+the coefficients of equal monomials and drops zero sums.  Only the public
+constructors (``MultiPoly(mapping)``, ``monomial``, ``const``) coerce to
+``Fraction``; operations pass their ``Fraction``s through untouched.  So the
+monomial format and the coefficient type are decided here alone, and other
+modules combine polynomials only with the operators and ``poly_sum``.
+
 The text form uses ``+ - * ^``, integer and rational literals (``3``,
 ``1/2``), and parentheses.  ``parse_poly(str(p)) == p`` holds for every
 polynomial ``p``.
@@ -14,6 +21,8 @@ polynomial ``p``.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
@@ -33,6 +42,11 @@ Scalar = Union[int, Fraction]
 PRETTY_NAMES = {"al": "α"}
 
 
+def _mono(exps: Mapping[str, int]) -> Mono:
+    """The monomial of an exponent map; zero exponents are dropped."""
+    return tuple(sorted((v, e) for v, e in exps.items() if e))
+
+
 def _mono_mul(a: Mono, b: Mono) -> Mono:
     if not a:
         return b
@@ -48,10 +62,22 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(sorted(exps.items()))
 
 
-def _mono_pow(m: Mono, k: int) -> Mono:
-    if k == 0:
-        return ()
-    return tuple((v, e * k) for v, e in m)
+def _collect(pairs: Iterable[tuple[Mono, Fraction]]) -> dict:
+    """The one accumulator: sum the coefficients of equal monomials and drop
+    the zero sums.  Coefficients pass through as given, so every caller
+    hands it ``Fraction``s."""
+    terms: dict[Mono, Fraction] = {}
+    for mono, coef in pairs:
+        old = terms.get(mono)
+        terms[mono] = coef if old is None else old + coef
+    return {mono: coef for mono, coef in terms.items() if coef}
+
+
+def _wrap(terms: dict) -> "MultiPoly":
+    """A polynomial over an accumulated term map, without copying it."""
+    out = MultiPoly.__new__(MultiPoly)
+    object.__setattr__(out, "_terms", terms)
+    return out
 
 
 class MultiPoly:
@@ -61,13 +87,8 @@ class MultiPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Mono, Scalar] | None = None):
-        clean: dict[Mono, Fraction] = {}
-        if terms:
-            for mono, coef in terms.items():
-                c = Fraction(coef)
-                if c:
-                    clean[mono] = c
-        object.__setattr__(self, "_terms", clean)
+        pairs = ((mono, Fraction(coef)) for mono, coef in (terms or {}).items())
+        object.__setattr__(self, "_terms", _collect(pairs))
 
     # -- constructors ------------------------------------------------------
 
@@ -77,20 +98,19 @@ class MultiPoly:
 
     @classmethod
     def one(cls) -> "MultiPoly":
-        return cls({(): Fraction(1)})
+        return cls({(): 1})
 
     @classmethod
     def const(cls, c: Scalar) -> "MultiPoly":
-        return cls({(): Fraction(c)})
+        return cls({(): c})
 
     @classmethod
     def var(cls, name: str) -> "MultiPoly":
-        return cls({((name, 1),): Fraction(1)})
+        return cls({((name, 1),): 1})
 
     @classmethod
     def monomial(cls, coef: Scalar, exps: Mapping[str, int]) -> "MultiPoly":
-        mono = tuple(sorted((v, e) for v, e in exps.items() if e))
-        return cls({mono: Fraction(coef)})
+        return cls({_mono(exps): coef})
 
     # -- basic protocol ----------------------------------------------------
 
@@ -137,23 +157,12 @@ class MultiPoly:
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        terms = dict(self._terms)
-        for mono, coef in p._terms.items():
-            nc = terms.get(mono, Fraction(0)) + coef
-            if nc:
-                terms[mono] = nc
-            else:
-                terms.pop(mono, None)
-        out = MultiPoly.__new__(MultiPoly)
-        object.__setattr__(out, "_terms", terms)
-        return out
+        return _wrap(_collect(itertools.chain(self._terms.items(), p._terms.items())))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = MultiPoly.__new__(MultiPoly)
-        object.__setattr__(out, "_terms", {m: -c for m, c in self._terms.items()})
-        return out
+        return _wrap(_collect((m, -c) for m, c in self._terms.items()))
 
     def __sub__(self, other):
         p = self._coerce(other)
@@ -171,18 +180,11 @@ class MultiPoly:
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        terms: dict[Mono, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in p._terms.items():
-                mono = _mono_mul(m1, m2)
-                nc = terms.get(mono, Fraction(0)) + c1 * c2
-                if nc:
-                    terms[mono] = nc
-                else:
-                    terms.pop(mono, None)
-        out = MultiPoly.__new__(MultiPoly)
-        object.__setattr__(out, "_terms", terms)
-        return out
+        return _wrap(_collect(
+            (_mono_mul(m1, m2), c1 * c2)
+            for m1, c1 in self._terms.items()
+            for m2, c2 in p._terms.items()
+        ))
 
     __rmul__ = __mul__
 
@@ -199,7 +201,7 @@ class MultiPoly:
                     "negative power of a polynomial with more than one term"
                 )
             ((mono, coef),) = self._terms.items()
-            return MultiPoly({_mono_pow(mono, k): coef**k})
+            return _wrap({tuple((v, e * k) for v, e in mono): coef**k})
         base, result = self, MultiPoly.one()
         while k:
             if k & 1:
@@ -218,25 +220,19 @@ class MultiPoly:
         >>> str(p.coefficient({"x": 2}))
         '3*y + 1'
         """
-        want = {v: e for v, e in pattern.items()}
-        terms: dict[Mono, Fraction] = {}
-        for mono, coef in self._terms.items():
-            exps = dict(mono)
-            if all(exps.get(v, 0) == e for v, e in want.items()):
-                rest = tuple((v, e) for v, e in mono if v not in want)
-                terms[rest] = terms.get(rest, Fraction(0)) + coef
-        return MultiPoly(terms)
+        want = dict(pattern)
+        return _wrap(_collect(
+            (tuple((v, e) for v, e in mono if v not in want), coef)
+            for mono, coef in self._terms.items()
+            if all(dict(mono).get(v, 0) == e for v, e in want.items())
+        ))
 
     def degree_in(self, var: str) -> int:
         """Largest exponent of ``var`` over all terms (0 if absent)."""
-        if not self._terms:
-            return 0
         return max((dict(mono).get(var, 0) for mono in self._terms), default=0)
 
     def total_degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(sum(e for _, e in mono) for mono in self._terms)
+        return max((sum(e for _, e in mono) for mono in self._terms), default=0)
 
     def homogeneous_degree_in(self, variables: Sequence[str]) -> int:
         """Common total degree of every term restricted to ``variables``.
@@ -264,15 +260,12 @@ class MultiPoly:
     def rename(self, names: Mapping[str, str]) -> "MultiPoly":
         """Simultaneously rename variables, merging exponents if two names
         map to the same target."""
-        terms: dict[Mono, Fraction] = {}
-        for mono, coef in self._terms.items():
-            exps: dict[str, int] = {}
-            for v, e in mono:
-                nv = names.get(v, v)
-                exps[nv] = exps.get(nv, 0) + e
-            new = tuple(sorted((v, e) for v, e in exps.items() if e))
-            terms[new] = terms.get(new, Fraction(0)) + coef
-        return MultiPoly(terms)
+
+        def renamed(mono: Mono) -> Mono:
+            # the product of the renamed factors merges equal targets
+            return functools.reduce(_mono_mul, (((names.get(v, v), e),) for v, e in mono), ())
+
+        return _wrap(_collect((renamed(mono), coef) for mono, coef in self._terms.items()))
 
     def is_symmetric_in(self, a: str, b: str) -> bool:
         return self == self.rename({a: b, b: a})
@@ -298,17 +291,18 @@ class MultiPoly:
                 powers[e] = q**e
             return powers[e]
 
-        result = MultiPoly.zero()
-        for mono, coef in self._terms.items():
-            exps = dict(mono)
-            e = exps.pop(var, 0)
-            rest = MultiPoly({tuple(sorted(exps.items())): coef})
-            result = result + (rest if e == 0 else rest * qpow(e))
-        return result
+        def replaced(mono: Mono, coef: Fraction):
+            e = dict(mono).get(var, 0)
+            rest = tuple((v, x) for v, x in mono if v != var)
+            return ((_mono_mul(rest, m), coef * c) for m, c in qpow(e)._terms.items())
+
+        return _wrap(_collect(
+            pair for mono, coef in self._terms.items() for pair in replaced(mono, coef)
+        ))
 
     def eval_at(self, point: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a rational point binding every variable."""
-        total = Fraction(0)
+        total = 0
         for mono, coef in self._terms.items():
             val = coef
             for v, e in mono:
@@ -321,7 +315,7 @@ class MultiPoly:
                     )
                 val *= x**e
             total += val
-        return total
+        return Fraction(total)
 
     # -- rendering ---------------------------------------------------------
 
@@ -370,23 +364,17 @@ class MultiPoly:
     def to_json(self) -> dict:
         """Stable JSON object: terms in display order, coefficients as
         ``"num/den"`` strings."""
-        out = []
-        for mono, coef in self._ordered_terms():
-            out.append(
-                {
-                    "exp": {v: e for v, e in sorted(mono)},
-                    "coef": f"{coef.numerator}/{coef.denominator}",
-                }
-            )
-        return {"terms": out}
+        return {"terms": [
+            {"exp": dict(mono), "coef": f"{coef.numerator}/{coef.denominator}"}
+            for mono, coef in self._ordered_terms()
+        ]}
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "MultiPoly":
-        terms: dict[Mono, Fraction] = {}
-        for item in payload["terms"]:
-            mono = tuple(sorted((str(v), int(e)) for v, e in item["exp"].items() if int(e)))
-            terms[mono] = terms.get(mono, Fraction(0)) + Fraction(item["coef"])
-        return cls(terms)
+        return _wrap(_collect(
+            (_mono({str(v): int(e) for v, e in item["exp"].items()}), Fraction(item["coef"]))
+            for item in payload["terms"]
+        ))
 
 
 # -- parsing ---------------------------------------------------------------
@@ -399,7 +387,8 @@ class Token(NamedTuple):
     column: int
 
 
-_SYMBOLS = ("->", "+", "-", "*", "^", "(", ")", ";")
+# ASCII only: ``str.isdigit`` is also true for "²" and "٣"
+_DIGITS = frozenset("0123456789")
 
 
 def tokenize(text: str) -> list[Token]:
@@ -424,16 +413,16 @@ def tokenize(text: str) -> list[Token]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             num = int(text[start:i])
             den = 1
-            if i < n and text[i] == "/" and i + 1 < n and text[i + 1].isdigit():
+            if i < n and text[i] == "/" and i + 1 < n and text[i + 1] in _DIGITS:
                 i += 1
                 dstart = i
-                while i < n and text[i].isdigit():
+                while i < n and text[i] in _DIGITS:
                     i += 1
                 den = int(text[dstart:i])
                 if den == 0:
@@ -582,14 +571,4 @@ def parse_poly(text: str) -> MultiPoly:
 
 def poly_sum(items: Iterable[MultiPoly]) -> MultiPoly:
     """Sum many polynomials without quadratic rebuilding."""
-    terms: dict[Mono, Fraction] = {}
-    for p in items:
-        for mono, coef in p._terms.items():
-            nc = terms.get(mono, Fraction(0)) + coef
-            if nc:
-                terms[mono] = nc
-            else:
-                terms.pop(mono, None)
-    out = MultiPoly.__new__(MultiPoly)
-    object.__setattr__(out, "_terms", terms)
-    return out
+    return _wrap(_collect(pair for p in items for pair in p._terms.items()))

@@ -99,6 +99,32 @@ def test_bad_params_rejected():
         verify("cgk-alpha", n=3)
 
 
+@pytest.mark.parametrize(
+    "name, klass", [("pip", "bogus"), ("gamm", "alt-down-up"), ("pip", "ndd-interior")]
+)
+def test_class_outside_the_grid_rejected(name, klass):
+    with pytest.raises(ValueOutOfRangeError):
+        verify(name, klass=klass, n=3)
+
+
+@pytest.mark.parametrize("max_n", [-5, 0, 1])
+def test_max_n_leaving_a_check_no_runs_rejected(monkeypatch, max_n):
+    import eulab.checks
+
+    def ran(name, **params):
+        raise AssertionError(f"{name} ran before the sweeps were checked")
+
+    monkeypatch.setattr(eulab.checks, "verify", ran)
+    with pytest.raises(ValueOutOfRangeError) as info:
+        verify_all(max_n=max_n)
+    assert "cgk-alpha" in info.value.message
+
+
+def test_smallest_max_n_runs_every_check():
+    reports = verify_all(max_n=2)
+    assert all(r.passed and r.witness["runs"] >= 1 for r in reports)
+
+
 def test_type_error_inside_a_check_propagates():
     # only parameters that do not fit the signature are a usage error
     def buggy(n):

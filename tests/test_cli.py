@@ -257,6 +257,23 @@ def test_invalid_word_exit_two(capsys):
     assert "INVALID_PERMUTATION" in err
 
 
+def test_grammar_file_with_non_ascii_digit_exit_two(tmp_path, capsys):
+    path = tmp_path / "r.txt"
+    path.write_text("a -> a*x^\u00b2;\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "grammar", "derive", "--file", str(path), "--start", "a", "--steps", "1"
+    )
+    assert (code, out) == (2, "")
+    assert "SYNTAX_ERROR" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("max_n", ["-5", "1"])
+def test_verify_all_max_n_without_runs_exit_two(capsys, max_n):
+    code, out, err = run(capsys, "verify", "all", "--max-n", max_n)
+    assert (code, out) == (2, "")
+    assert "VALUE_OUT_OF_RANGE" in err
+
+
 def test_cap_exit_three(capsys, monkeypatch):
     monkeypatch.setenv("EULAB_MAX_N", "3")
     code, _, err = run(capsys, "poly", "bse", "-n", "6")

@@ -77,11 +77,12 @@ def test_build_rejects_bad_index():
     assert build(EnumeratorKind.BSE, 0).value == MultiPoly.one()
 
 
-def test_build_respects_cap():
+def test_build_respects_cap(monkeypatch):
     with pytest.raises(CapExceededError):
         build(EnumeratorKind.BSE, 11)
+    monkeypatch.setenv("EULAB_MAX_N", "9")
     with pytest.raises(CapExceededError):
-        build(EnumeratorKind.BSE, 10, cap=9)
+        build(EnumeratorKind.BSE, 10)
 
 
 def test_enumerator_record_round_trip():

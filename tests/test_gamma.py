@@ -110,3 +110,23 @@ def test_halving_route_uses_exact_fractions():
     assert all(
         coef == Fraction(int(coef)) for g in got for _, coef in g.terms()
     )
+
+
+def test_routes_one_and_two_read_the_warm_profile_cache(monkeypatch):
+    import eulab.enumerators
+    import eulab.gamma
+    import eulab.perms
+
+    n = 5
+    want = gamma_expand(build(EnumeratorKind.BSE, n).value).gammas
+
+    def no_words(*args):
+        raise AssertionError("a word was generated with the profile cache warm")
+
+    for module in (eulab.perms, eulab.enumerators, eulab.gamma):
+        for name in ("enumerate_class", "stats"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_words)
+    for route in (GammaRoute.ASC_NO_DA, GammaRoute.PEAKS_HALVED):
+        assert tuple(gamma_from_class(route, n)) == want
+

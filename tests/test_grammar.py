@@ -42,6 +42,12 @@ def test_parse_rejects_missing_separator():
     assert info.value.line == 1
 
 
+def test_parse_rejects_non_ascii_digits():
+    with pytest.raises(PolySyntaxError) as info:
+        parse_grammar("a -> a;\nb -> b*x^\u00b2;")
+    assert (info.value.line, info.value.column) == (2, 10)
+
+
 def test_parse_rejects_duplicate_head():
     with pytest.raises(DuplicateRuleHeadError):
         parse_grammar("x -> y; x -> z;")

@@ -176,10 +176,41 @@ def test_cap_enforced(monkeypatch):
     assert enumeration_cap() == 10
 
 
-def test_explicit_cap_argument():
-    assert len(list(enumerate_class(PermClass.SYM, 4, cap=4))) == 24
+def test_explicit_cap_argument(monkeypatch):
+    monkeypatch.setenv("EULAB_MAX_N", "4")
+    assert len(list(enumerate_class(PermClass.SYM, 4))) == 24
     with pytest.raises(CapExceededError):
-        list(enumerate_class(PermClass.SYM, 5, cap=4))
+        list(enumerate_class(PermClass.SYM, 5))
+
+
+def test_one_cap_guard_with_one_wording(monkeypatch):
+    from eulab.action import orbit
+    from eulab.enumerators import EnumeratorKind, build
+
+    build(EnumeratorKind.SE, 4)  # a warm profile cache must not bypass the cap
+    monkeypatch.setenv("EULAB_MAX_N", "3")
+    messages = set()
+    for call in (
+        lambda: enumerate_class(PermClass.SYM, 4),
+        lambda: orbit((1, 2, 3, 4)),
+        lambda: build(EnumeratorKind.SE, 4),
+    ):
+        with pytest.raises(CapExceededError) as info:
+            call()
+        messages.add(info.value.message)
+    assert messages == {"4 letters exceed the enumeration cap 3 (EULAB_MAX_N)"}
+
+
+def test_no_public_function_takes_a_cap():
+    # EULAB_MAX_N is the only way to set the cap
+    import importlib
+    import inspect
+
+    for mod in ("action", "bijection", "enumerators", "gamma", "perms"):
+        module = importlib.import_module(f"eulab.{mod}")
+        for name, obj in vars(module).items():
+            if inspect.isfunction(obj) and not name.startswith("_"):
+                assert "cap" not in inspect.signature(obj).parameters, f"{mod}.{name}"
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -154,6 +154,16 @@ def test_syntax_errors_have_position():
         parse_poly("x $ y")
 
 
+@pytest.mark.parametrize(
+    "src, column", [("x^\u00b2", 3), ("x^\u0663", 3), ("\u00b2", 1), ("2*x + \u0663", 7)]
+)
+def test_non_ascii_digits_are_syntax_errors(src, column):
+    # str.isdigit is true for both, and int() would even read the Arabic-Indic 3
+    with pytest.raises(PolySyntaxError) as info:
+        parse_poly(src)
+    assert (info.value.line, info.value.column) == (1, column)
+
+
 def test_poly_sum():
     parts = [parse_poly("x"), parse_poly("y"), parse_poly("x")]
     assert poly_sum(parts) == parse_poly("2*x + y")
@@ -201,3 +211,32 @@ def test_round_trips_random(p):
 def test_substitute_constant_matches_eval(p, c):
     q = p.substitute("x", c).substitute("y", c).substitute("z", c)
     assert q == MultiPoly.const(p.eval_at({v: c for v in p.variables()} or {}))
+
+
+def _stored_cleanly(p: MultiPoly) -> bool:
+    # nonzero Fraction coefficients on sorted monomials with nonzero exponents
+    return all(
+        type(c) is Fraction and c != 0 and list(m) == sorted(m) and all(e for _, e in m)
+        for m, c in p.terms()
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys(), small_polys(), st.integers(min_value=-3, max_value=3))
+def test_every_operation_stores_only_nonzero_fractions(p, q, c):
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    repeated = {"terms": [{"exp": {"x": 1}, "coef": "1/2"}, {"exp": {"x": 1}, "coef": "-1/2"}]}
+    results = [
+        p + q, p - q, p * q, -p, p + c, c - p, p * c, p**2, p**0,
+        MultiPoly.monomial(c or 1, {"x": 1, "y": 2}) ** -2,
+        p.coefficient({"x": 1}), p.coefficient({"x": 0, "y": 1}),
+        p.rename({"y": "x"}), p.rename({"x": "y", "y": "x"}),
+        p.substitute("x", q), p.substitute("y", c),
+        MultiPoly.from_json(p.to_json()), poly_sum(r for r in (p, q, -p)),
+        MultiPoly({(): c}), MultiPoly.monomial(c, {"x": 0}), MultiPoly.const(c),
+    ]
+    for r in results:
+        assert _stored_cleanly(r), r
+    # cancellations leave the empty map, not zero coefficients
+    for zero in ((x - y).rename({"y": "x"}), MultiPoly.from_json(repeated), p - p, p * 0):
+        assert zero.is_zero() and len(zero) == 0
