@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument(
         "--builtin", choices=("two-variable", "five-variable"), help="built-in rule set"
     )
-    p_derive.add_argument("--start", required=True, help="start variable")
+    p_derive.add_argument("--start", required=True, help="start polynomial, e.g. a or a*b")
     p_derive.add_argument("--steps", type=int, required=True)
     p_derive.add_argument("--json", action="store_true")
 

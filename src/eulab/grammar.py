@@ -36,7 +36,7 @@ from .perms import (
     lrmin_values,
     rlmin_values,
 )
-from .poly import ExprParser, MultiPoly, poly_sum, tokenize
+from .poly import ExprParser, MultiPoly, parse_poly, tokenize
 
 
 @dataclass(frozen=True)
@@ -100,18 +100,12 @@ def builtin(name: str) -> Grammar:
 
 def derivative(grammar: Grammar, p: MultiPoly) -> MultiPoly:
     """One application of the rule-set derivative."""
-    rules = grammar.rule_map()
-    # D(c v^e rest) = c e v^(e-1) rest D(v), one product per ruled variable
-    return poly_sum(
-        MultiPoly.monomial(coef * e, {**dict(mono), v: e - 1}) * rules[v]
-        for mono, coef in p.terms()
-        for v, e in mono
-        if v in rules
-    )
+    return p.derivation(grammar.rule_map())
 
 
 def derive(grammar: Grammar, start: MultiPoly | str, steps: int) -> MultiPoly:
-    """Apply the derivative ``steps`` times to ``start``.
+    """Apply the derivative ``steps`` times to ``start``, a polynomial or
+    its text form.
 
     >>> g = builtin("two-variable")
     >>> str(derive(g, "a", 1))
@@ -119,7 +113,7 @@ def derive(grammar: Grammar, start: MultiPoly | str, steps: int) -> MultiPoly:
     """
     if steps < 0:
         raise ValueOutOfRangeError(f"steps must be nonnegative, got {steps}")
-    p = MultiPoly.var(start) if isinstance(start, str) else start
+    p = parse_poly(start) if isinstance(start, str) else start
     for _ in range(steps):
         p = derivative(grammar, p)
     return p

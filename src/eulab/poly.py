@@ -1,18 +1,23 @@
 """Sparse multivariate Laurent polynomials with exact rational coefficients.
 
-A polynomial is a finite map from monomials to nonzero `fractions.Fraction`
-coefficients.  A monomial is a sorted tuple of ``(variable, exponent)`` pairs
-with nonzero integer exponents, so the zero polynomial is the empty map and
-equal polynomials compare equal structurally.  Negative exponents are allowed
-for single-term polynomials only (inverting a sum has no polynomial meaning),
-which is all the calculus here ever needs.
+A polynomial is a finite map from monomials to nonzero exact coefficients in
+one canonical form: an ``int`` when the value is integral, a
+``fractions.Fraction`` with denominator above 1 otherwise.  A monomial is a
+sorted tuple of ``(variable, exponent)`` pairs with nonzero integer
+exponents, so the zero polynomial is the empty map and equal polynomials
+compare equal structurally.  Negative exponents are allowed for single-term
+polynomials only (inverting a sum has no polynomial meaning), which is all
+the calculus here ever needs.
 
 Every polynomial is built by one private accumulator, ``_collect``: it sums
-the coefficients of equal monomials and drops zero sums.  Only the public
-constructors (``MultiPoly(mapping)``, ``monomial``, ``const``) coerce to
-``Fraction``; operations pass their ``Fraction``s through untouched.  So the
-monomial format and the coefficient type are decided here alone, and other
-modules combine polynomials only with the operators and ``poly_sum``.
+the coefficients of equal monomials, drops zero sums and turns an integral
+``Fraction`` back into an ``int``.  The public constructors
+(``MultiPoly(mapping)``, ``monomial``, ``const``) accept only ``int`` and
+``Fraction`` coefficients, through ``_coef``.  So integer polynomials, such as
+every rule-set derivative, run on ``int`` arithmetic, and the monomial
+format and the coefficient type are decided here alone: other modules
+combine polynomials only with the operators, ``poly_sum`` and
+``derivation``.
 
 The text form uses ``+ - * ^``, integer and rational literals (``3``,
 ``1/2``), and parentheses.  ``parse_poly(str(p)) == p`` holds for every
@@ -62,15 +67,31 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(sorted(exps.items()))
 
 
-def _collect(pairs: Iterable[tuple[Mono, Fraction]]) -> dict:
-    """The one accumulator: sum the coefficients of equal monomials and drop
-    the zero sums.  Coefficients pass through as given, so every caller
-    hands it ``Fraction``s."""
-    terms: dict[Mono, Fraction] = {}
+def _coef(c) -> Scalar:
+    """The canonical form of a coefficient given to a public constructor.
+    Inexact or parsed input (a float, a string) is a ``TypeError``, as it is
+    for the operators."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):  # bool and other int subclasses
+        return int(c)
+    raise TypeError(f"coefficient must be an int or a Fraction, not {type(c).__name__}")
+
+
+def _collect(pairs: Iterable[tuple[Mono, Scalar]]) -> dict:
+    """The one accumulator: sum the coefficients of equal monomials, drop
+    the zero sums, and store an integral ``Fraction`` as an ``int``."""
+    terms: dict[Mono, Scalar] = {}
     for mono, coef in pairs:
         old = terms.get(mono)
         terms[mono] = coef if old is None else old + coef
-    return {mono: coef for mono, coef in terms.items() if coef}
+    return {
+        mono: coef.numerator if type(coef) is Fraction and coef.denominator == 1 else coef
+        for mono, coef in terms.items()
+        if coef
+    }
 
 
 def _wrap(terms: dict) -> "MultiPoly":
@@ -87,7 +108,7 @@ class MultiPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Mono, Scalar] | None = None):
-        pairs = ((mono, Fraction(coef)) for mono, coef in (terms or {}).items())
+        pairs = ((mono, _coef(coef)) for mono, coef in (terms or {}).items())
         object.__setattr__(self, "_terms", _collect(pairs))
 
     # -- constructors ------------------------------------------------------
@@ -136,7 +157,7 @@ class MultiPoly:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def terms(self) -> Iterator[tuple[Mono, Fraction]]:
+    def terms(self) -> Iterator[tuple[Mono, Scalar]]:
         """Terms in the deterministic display order (graded lexicographic,
         highest total degree first)."""
         return iter(self._ordered_terms())
@@ -201,7 +222,8 @@ class MultiPoly:
                     "negative power of a polynomial with more than one term"
                 )
             ((mono, coef),) = self._terms.items()
-            return _wrap({tuple((v, e * k) for v, e in mono): coef**k})
+            # through Fraction: an int at a negative power is a float
+            return _wrap(_collect([(tuple((v, e * k) for v, e in mono), Fraction(coef) ** k)]))
         base, result = self, MultiPoly.one()
         while k:
             if k & 1:
@@ -291,7 +313,7 @@ class MultiPoly:
                 powers[e] = q**e
             return powers[e]
 
-        def replaced(mono: Mono, coef: Fraction):
+        def replaced(mono: Mono, coef: Scalar):
             e = dict(mono).get(var, 0)
             rest = tuple((v, x) for v, x in mono if v != var)
             return ((_mono_mul(rest, m), coef * c) for m, c in qpow(e)._terms.items())
@@ -299,6 +321,31 @@ class MultiPoly:
         return _wrap(_collect(
             pair for mono, coef in self._terms.items() for pair in replaced(mono, coef)
         ))
+
+    def derivation(self, images: Mapping[str, "MultiPoly"]) -> "MultiPoly":
+        """The derivation D with D(v) = ``images[v]`` for each variable with
+        an image and D(v) = 0 for every other variable, extended by the
+        Leibniz rule, also to negative powers:
+        D(c v^e rest) = c e v^(e-1) rest D(v), summed over the variables
+        of each term.
+
+        >>> str(parse_poly("x^2*y + y^-1").derivation({"y": parse_poly("x*y")}))
+        'x^3*y - x*y^-1'
+        """
+
+        def products():
+            for mono, coef in self._terms.items():
+                for i, (v, e) in enumerate(mono):
+                    image = images.get(v)
+                    if image is None:
+                        continue
+                    lowered = ((v, e - 1),) if e != 1 else ()
+                    base = mono[:i] + lowered + mono[i + 1:]
+                    scaled = coef * e
+                    for m, c in image._terms.items():
+                        yield _mono_mul(base, m), scaled * c
+
+        return _wrap(_collect(products()))
 
     def eval_at(self, point: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a rational point binding every variable."""
@@ -319,10 +366,10 @@ class MultiPoly:
 
     # -- rendering ---------------------------------------------------------
 
-    def _ordered_terms(self) -> list[tuple[Mono, Fraction]]:
+    def _ordered_terms(self) -> list[tuple[Mono, Scalar]]:
         all_vars = sorted(self.variables())
 
-        def key(item: tuple[Mono, Fraction]):
+        def key(item: tuple[Mono, Scalar]):
             exps = dict(item[0])
             vec = tuple(exps.get(v, 0) for v in all_vars)
             return (sum(vec), vec)

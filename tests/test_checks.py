@@ -1,5 +1,6 @@
 """Identity-verification registry and its reports."""
 
+import hashlib
 import json
 
 import pytest
@@ -197,6 +198,15 @@ def test_verify_all_small():
         "pip": ("class in (sym, prw), n=1..4", 8),
         "gamm": ("class in (sym, prw), n=1..4", 8),
     }
+
+
+def test_verify_all_json_is_pinned():
+    # the recorded digest of the whole report list: a change of coefficient
+    # type or rendering anywhere would show here
+    text = json.dumps([r.to_json() for r in verify_all(max_n=3)], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "877982ed4e09f1e82dcafda9870603b8597426ed7a6bebebe71079e0af3c786a"
+    )
 
 
 def test_default_sweeps():

@@ -110,6 +110,17 @@ def test_grammar_derive_file(tmp_path, capsys):
     assert out.strip() == "a*α*y + a*α*z"
 
 
+def test_grammar_derive_parses_start(tmp_path, capsys):
+    path = tmp_path / "rules.txt"
+    path.write_text("a -> a*b;\n")
+    derive = ("grammar", "derive", "--file", str(path), "--steps", "1", "--start")
+    assert run(capsys, *derive, "a") == (0, "a*b\n", "")
+    assert run(capsys, *derive, "a*b") == (0, "a*b^2\n", "")
+    code, out, err = run(capsys, *derive, "a*(b")
+    assert (code, out) == (2, "")
+    assert "SYNTAX_ERROR" in err and "Traceback" not in err
+
+
 def test_grammar_derive_builtin_json(capsys):
     code, out, _ = run(
         capsys, "grammar", "derive", "--builtin", "five-variable",

@@ -1,5 +1,7 @@
 """Grammar DSL parsing, formal derivatives, and slot labeling."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -110,6 +112,26 @@ def test_five_variable_derivative_matches_enumerator(n):
     a = parse_poly("a")
     want = a * build(EnumeratorKind.PTILDE, n).value
     assert derive(g, a, n) == want
+
+
+@pytest.mark.parametrize("name", ["two-variable", "five-variable"])
+def test_derivative_at_all_ones_counts_arrangements(name):
+    # both rule sets count the decreasing-prefix words on n+1 letters,
+    # |PRW_(n+1)| = A000522(n) = sum_j n!/j!, with no enumeration
+    g = builtin(name)
+    p = parse_poly("a")
+    for n in range(15):
+        want = sum(math.factorial(n) // math.factorial(j) for j in range(n + 1))
+        assert p.eval_at(dict.fromkeys(p.variables(), 1)) == want, n
+        p = derive(g, p, 1)
+
+
+def test_string_start_is_parsed():
+    g = parse_grammar("a -> a*b;")
+    assert derive(g, "a", 1) == parse_poly("a*b")
+    assert derive(g, "a*b", 1) == parse_poly("a*b^2")
+    with pytest.raises(PolySyntaxError):
+        derive(g, "a*", 1)
 
 
 def test_slot_labels_worked_example():

@@ -25,6 +25,20 @@ def test_constructors():
     assert MultiPoly.monomial(Fraction(1, 2), {"x": 1}) == parse_poly("1/2 * x")
 
 
+@pytest.mark.parametrize("bad", [0.1, 0.5, "1/3", "2", None])
+def test_constructors_reject_inexact_coefficients(bad):
+    # the operators reject these too (p + 0.5 is a TypeError)
+    for build in (
+        lambda: MultiPoly.const(bad),
+        lambda: MultiPoly.monomial(bad, {"x": 1}),
+        lambda: MultiPoly({(): bad}),
+    ):
+        with pytest.raises(TypeError):
+            build()
+    with pytest.raises(TypeError):
+        MultiPoly.var("x") + bad
+
+
 def test_binomial_square():
     assert parse_poly("(x+y)^2") == parse_poly("x^2 + 2*x*y + y^2")
 
@@ -47,6 +61,9 @@ def test_negative_power_requires_monomial():
     with pytest.raises(ZeroAtNegativePowerError):
         MultiPoly.zero() ** -1
     assert parse_poly("(2*x)^-1") == parse_poly("1/2 * x^-1")
+    # an int at a negative power is a float: 0.5 would still compare equal
+    ((_, coef),) = ((2 * MultiPoly.var("x")) ** -1).terms()
+    assert type(coef) is Fraction and coef == Fraction(1, 2)
 
 
 def test_pow_zero_is_one():
@@ -170,7 +187,11 @@ def test_poly_sum():
     assert poly_sum([]) == MultiPoly.zero()
 
 
-_coef = st.integers(min_value=-4, max_value=4)
+# small denominators, so that sums and products of fractions turn integral
+_coef = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+)
 _exp = st.integers(min_value=0, max_value=3)
 
 
@@ -213,16 +234,30 @@ def test_substitute_constant_matches_eval(p, c):
     assert q == MultiPoly.const(p.eval_at({v: c for v in p.variables()} or {}))
 
 
+def _canonical(c) -> bool:
+    # an int when integral, a Fraction only when not, never zero
+    return c != 0 and (type(c) is int or (type(c) is Fraction and c.denominator > 1))
+
+
 def _stored_cleanly(p: MultiPoly) -> bool:
-    # nonzero Fraction coefficients on sorted monomials with nonzero exponents
+    # canonical coefficients on sorted monomials with nonzero exponents
     return all(
-        type(c) is Fraction and c != 0 and list(m) == sorted(m) and all(e for _, e in m)
+        _canonical(c) and list(m) == sorted(m) and all(e for _, e in m)
         for m, c in p.terms()
     )
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_polys(), small_polys(), st.integers(min_value=-3, max_value=3))
+@given(
+    small_polys(),
+    small_polys(),
+    # a bool is an int subclass: only the constructor coercion stores it as an int
+    st.one_of(
+        st.integers(min_value=-3, max_value=3),
+        st.booleans(),
+        st.fractions(min_value=-3, max_value=3, max_denominator=2),
+    ),
+)
 def test_every_operation_stores_only_nonzero_fractions(p, q, c):
     x, y = MultiPoly.var("x"), MultiPoly.var("y")
     repeated = {"terms": [{"exp": {"x": 1}, "coef": "1/2"}, {"exp": {"x": 1}, "coef": "-1/2"}]}
@@ -234,9 +269,53 @@ def test_every_operation_stores_only_nonzero_fractions(p, q, c):
         p.substitute("x", q), p.substitute("y", c),
         MultiPoly.from_json(p.to_json()), poly_sum(r for r in (p, q, -p)),
         MultiPoly({(): c}), MultiPoly.monomial(c, {"x": 0}), MultiPoly.const(c),
+        p.derivation({"x": q, "y": MultiPoly.const(c)}),
     ]
     for r in results:
         assert _stored_cleanly(r), r
     # cancellations leave the empty map, not zero coefficients
     for zero in ((x - y).rename({"y": "x"}), MultiPoly.from_json(repeated), p - p, p * 0):
         assert zero.is_zero() and len(zero) == 0
+
+
+def test_integral_results_are_stored_as_ints():
+    half = MultiPoly.monomial(Fraction(1, 2), {"x": 1})
+    whole = half + half
+    assert [(c, type(c)) for _, c in whole.terms()] == [(1, int)]
+    assert [(c, type(c)) for _, c in (whole * Fraction(1, 3)).terms()] == [
+        (Fraction(1, 3), Fraction)
+    ]
+    assert [type(c) for _, c in (whole * Fraction(1, 3) * 3).terms()] == [int]
+
+
+def _leibniz_oracle(p: MultiPoly, images: dict) -> MultiPoly:
+    # the per-term construction: one monomial times one image per ruled variable
+    return poly_sum(
+        MultiPoly.monomial(coef * e, {**dict(mono), v: e - 1}) * images[v]
+        for mono, coef in p.terms()
+        for v, e in mono
+        if v in images
+    )
+
+
+@st.composite
+def laurent_polys(draw):
+    terms = draw(st.lists(
+        st.tuples(
+            _coef,
+            st.dictionaries(st.sampled_from("xyzw"), st.integers(min_value=-3, max_value=3)),
+        ),
+        max_size=4,
+    ))
+    return poly_sum(MultiPoly.monomial(c, exps) for c, exps in terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    laurent_polys(),
+    st.dictionaries(st.sampled_from("xyzw"), laurent_polys(), max_size=4),
+)
+def test_derivation_matches_per_term_leibniz(p, images):
+    got = p.derivation(images)
+    assert got == _leibniz_oracle(p, images)
+    assert _stored_cleanly(got)
