@@ -16,6 +16,13 @@ runs.  The action used here applies, per letter class:
 Toggling distinct letters commutes, every toggle is an involution, and each
 orbit contains exactly one word free of double descents; the verification
 registry checks all of that exhaustively at small sizes.
+
+Inputs are validated once, at the boundary: the public functions check the
+word with ``perms.check_word`` and the letter with ``_check_letter``.  The
+``_``-prefixed kernels (``_toggle`` and the move helpers it shares with the
+public swap and hop) trust their caller to hand them a permutation tuple
+and a letter of it; ``orbit`` and ``toggle_many`` validate their input once
+and then run on them.
 """
 
 from __future__ import annotations
@@ -24,18 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import RepresentativeError, ValueOutOfRangeError
-from .perms import (
-    DOUBLE_ASC,
-    DOUBLE_DESC,
-    Perm,
-    _check_cap,
-    check_word,
-    classify,
-    format_perm,
-    lrmin_values,
-    rlmin_values,
-    stats,
-)
+from .perms import Perm, _check_cap, _stats, check_word, format_perm
 
 
 @dataclass(frozen=True)
@@ -54,9 +50,79 @@ class Factorization:
 
 
 def _check_letter(w: Perm, x: int) -> int:
-    if not (1 <= x <= len(w)):
-        raise ValueOutOfRangeError(f"letter {x} not in 1..{len(w)}")
+    """Position of the letter x in the validated word w; x must be a plain
+    ``int`` in 1..n."""
+    if type(x) is not int or not (1 <= x <= len(w)):
+        raise ValueOutOfRangeError(f"letter {x!r} not in 1..{len(w)}")
     return w.index(x)
+
+
+_SWAP, _HOP_LEFT, _HOP_RIGHT = "swap", "hop-left", "hop-right"
+
+
+def _move(w: Perm, i: int) -> str | None:
+    """The move the toggle makes on the letter at position i.  Its class is
+    read off its two neighbours (``n + 1`` stands for the +inf padding) and
+    the minimum test scans one side: a double ascent hops left when it is a
+    right-to-left minimum, a double descent hops right when it is a
+    left-to-right minimum, any other double ascent or descent is swapped,
+    and peaks and valleys (None) stay put."""
+    x = w[i]
+    top = len(w) + 1
+    left = w[i - 1] if i else top
+    right = w[i + 1] if i + 1 < len(w) else top
+    if left < x < right:
+        return _HOP_LEFT if min(w[i + 1 :], default=top) > x else _SWAP
+    if left > x > right:
+        return _HOP_RIGHT if min(w[:i], default=top) > x else _SWAP
+    return None
+
+
+def _runs(w: Perm, i: int) -> tuple[int, int]:
+    """Bounds ``lo <= i < hi`` of the maximal runs of letters above w[i]
+    flanking position i: they are ``w[lo:i]`` and ``w[i + 1:hi]``."""
+    x = w[i]
+    lo = i
+    while lo > 0 and w[lo - 1] > x:
+        lo -= 1
+    hi = i + 1
+    while hi < len(w) and w[hi] > x:
+        hi += 1
+    return lo, hi
+
+
+def _swap(w: Perm, i: int) -> Perm:
+    """The interval swap of the letter at position i."""
+    lo, hi = _runs(w, i)
+    return w[:lo] + w[i + 1 : hi] + (w[i],) + w[lo:i] + w[hi:]
+
+
+def _hop(w: Perm, i: int, move: str) -> Perm:
+    """The minima hop of the letter x at position i.  Its anchor is the
+    greatest left-to-right minimum below x for a leftward hop, which is the
+    first letter below x, and the greatest right-to-left minimum below x for
+    a rightward one, which is the last letter below x.  x lands at the
+    anchor's position: just before the anchor going left, just after it
+    going right."""
+    x = w[i]
+    if move == _HOP_LEFT:
+        j = next(j for j in range(i) if w[j] < x)
+    else:
+        j = next(j for j in range(len(w) - 1, i, -1) if w[j] < x)
+    rest = w[:i] + w[i + 1 :]
+    return rest[:j] + (x,) + rest[j:]
+
+
+def _toggle(w: Perm, x: int) -> Perm:
+    """``toggle`` of a word already known to be a permutation tuple and a
+    letter in 1..n."""
+    i = w.index(x)
+    move = _move(w, i)
+    if move is None:
+        return w
+    if move == _SWAP:
+        return _swap(w, i)
+    return _hop(w, i, move)
 
 
 def x_factorization(word: Sequence[int], x: int) -> Factorization:
@@ -68,12 +134,7 @@ def x_factorization(word: Sequence[int], x: int) -> Factorization:
     """
     w = check_word(word)
     i = _check_letter(w, x)
-    lo = i
-    while lo > 0 and w[lo - 1] > x:
-        lo -= 1
-    hi = i + 1
-    while hi < len(w) and w[hi] > x:
-        hi += 1
+    lo, hi = _runs(w, i)
     return Factorization(
         prefix=w[:lo], left_high=w[lo:i], pivot=x, right_high=w[i + 1 : hi], suffix=w[hi:]
     )
@@ -81,8 +142,8 @@ def x_factorization(word: Sequence[int], x: int) -> Factorization:
 
 def interval_swap(word: Sequence[int], x: int) -> Perm:
     """Exchange the high runs flanking x (the classical swap)."""
-    f = x_factorization(word, x)
-    return f.prefix + f.right_high + (f.pivot,) + f.left_high + f.suffix
+    w = check_word(word)
+    return _swap(w, _check_letter(w, x))
 
 
 def minima_hop(word: Sequence[int], x: int) -> Perm:
@@ -98,17 +159,9 @@ def minima_hop(word: Sequence[int], x: int) -> Perm:
     """
     w = check_word(word)
     i = _check_letter(w, x)
-    kind = classify(w)[i]
-    if kind == DOUBLE_ASC and x in rlmin_values(w):
-        anchor = max(v for v in lrmin_values(w) if v < x)
-        rest = w[:i] + w[i + 1 :]
-        j = rest.index(anchor)
-        return rest[:j] + (x,) + rest[j:]
-    if kind == DOUBLE_DESC and x in lrmin_values(w):
-        anchor = max(v for v in rlmin_values(w) if v < x)
-        rest = w[:i] + w[i + 1 :]
-        j = rest.index(anchor)
-        return rest[: j + 1] + (x,) + rest[j + 1 :]
+    move = _move(w, i)
+    if move in (_HOP_LEFT, _HOP_RIGHT):
+        return _hop(w, i, move)
     return w
 
 
@@ -117,25 +170,19 @@ def toggle(word: Sequence[int], x: int) -> Perm:
     interval swap on non-minimum double ascents/descents, the minima hop on
     the minimum-classified ones."""
     w = check_word(word)
-    i = _check_letter(w, x)
-    kind = classify(w)[i]
-    if kind == DOUBLE_ASC:
-        if x in rlmin_values(w):
-            return minima_hop(w, x)
-        return interval_swap(w, x)
-    if kind == DOUBLE_DESC:
-        if x in lrmin_values(w):
-            return minima_hop(w, x)
-        return interval_swap(w, x)
-    return w
+    _check_letter(w, x)
+    return _toggle(w, x)
 
 
 def toggle_many(word: Sequence[int], letters: Iterable[int]) -> Perm:
     """Toggle a set of letters, in increasing letter order.  The toggles
     commute, so the order is a normalization, not a choice."""
     w = check_word(word)
-    for x in sorted(set(letters)):
-        w = toggle(w, x)
+    xs = list(letters)
+    for x in xs:
+        _check_letter(w, x)
+    for x in sorted(set(xs)):
+        w = _toggle(w, x)
     return w
 
 
@@ -166,13 +213,13 @@ def orbit(word: Sequence[int]) -> Orbit:
         nxt = []
         for u in frontier:
             for x in range(1, n + 1):
-                v = toggle(u, x)
+                v = _toggle(u, x)
                 if v not in seen:
                     seen.add(v)
                     nxt.append(v)
         frontier = nxt
     members = tuple(sorted(seen))
-    reps = [m for m in members if stats(m).double_desc == 0]
+    reps = [m for m in members if _stats(m).double_desc == 0]
     if len(reps) != 1:
         raise RepresentativeError(
             f"expected one double-descent-free member, found {len(reps)} in orbit of {w}"

@@ -23,9 +23,9 @@ from .errors import InvalidPermutationError, NotPrefixDecreasingError
 from .perms import (
     Perm,
     PermClass,
+    _is_prefix_decreasing,
     check_word,
     enumerate_class,
-    is_prefix_decreasing,
 )
 
 
@@ -81,7 +81,7 @@ def mirror(word: Sequence[int]) -> Perm:
     w = check_word(word)
     if not w:
         return w
-    if not is_prefix_decreasing(w):
+    if not _is_prefix_decreasing(w):
         raise NotPrefixDecreasingError(f"prefix before the value 1 must decrease: {w}")
     blocks = decompose(w).blocks
     # the first block is the decreasing prefix ending at 1

@@ -33,7 +33,7 @@ from math import comb
 from typing import Callable, NamedTuple
 
 from .errors import ValueOutOfRangeError
-from .perms import PermClass, StatProfile, _check_cap, enumerate_class, letters, stats
+from .perms import PermClass, StatProfile, _check_cap, _stats, enumerate_class, letters
 from .poly import MultiPoly, poly_sum
 
 
@@ -75,7 +75,7 @@ def profile_counts(tag: PermClass, n: int) -> tuple:
     """Multiplicity of each statistic profile over a class, as a sorted
     tuple of (StatProfile, count) pairs.  A size past the enumeration cap
     is rejected before any word is generated."""
-    return tuple(sorted(Counter(stats(w) for w in enumerate_class(tag, n)).items()))
+    return tuple(sorted(Counter(_stats(w) for w in enumerate_class(tag, n)).items()))
 
 
 def profile_sum(tag: PermClass, n: int, exponents) -> MultiPoly:

@@ -30,9 +30,9 @@ from .perms import (
     DOUBLE_ASC,
     DOUBLE_DESC,
     PEAK,
+    _is_prefix_decreasing,
     check_word,
     classify,
-    is_prefix_decreasing,
     lrmin_values,
     rlmin_values,
 )
@@ -157,7 +157,7 @@ def slot_labels(word: Sequence[int]) -> LabelWord:
     ('a',)
     """
     w = check_word(word)
-    if not is_prefix_decreasing(w):
+    if not _is_prefix_decreasing(w):
         raise NotPrefixDecreasingError(f"prefix before the value 1 must decrease: {w}")
     n = len(w)
     if n == 0:

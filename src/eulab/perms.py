@@ -9,6 +9,12 @@ valley, and the first and last letters are left/right minima respectively.
 letter is a right-to-left (resp. left-to-right) minimum; that split is what
 the interval-swap/minima-hop action and the rule-based derivative calculus
 are keyed on.
+
+Words are validated once, at the boundary: every public function that takes
+a word passes it through ``check_word``, which admits only a tuple of plain
+``int`` letters forming a permutation of 1..n.  The ``_``-prefixed kernels
+(``_stats``, ``_is_prefix_decreasing``) trust their caller to hand them such
+a tuple, e.g. the output of ``enumerate_class``, and validate nothing.
 """
 
 from __future__ import annotations
@@ -54,9 +60,10 @@ def _check_cap(n: int) -> None:
 
 def check_word(word: Sequence[int]) -> Perm:
     """Validate that ``word`` is a permutation of 1..n and return it as a
-    tuple."""
+    tuple.  Every letter must be a plain ``int``: a ``bool``, a ``float``
+    such as ``2.0`` or a string is rejected, so it cannot reach an output."""
     w = tuple(word)
-    if sorted(w) != list(range(1, len(w) + 1)):
+    if not set(map(type, w)) <= {int} or sorted(w) != list(range(1, len(w) + 1)):
         raise InvalidPermutationError(f"not a permutation of 1..{len(w)}: {w}")
     return w
 
@@ -176,50 +183,50 @@ def stats(word: Sequence[int]) -> StatProfile:
     >>> (p.lrmin, p.rlmin, p.lrmin_dd, p.rlmin_da) == (2, 2, 1, 1)
     True
     """
-    w = check_word(word)
+    return _stats(check_word(word))
+
+
+def _stats(w: Perm) -> StatProfile:
+    """``stats`` of a word already known to be a permutation tuple.  One
+    backward pass marks the right-to-left minima; one forward pass counts
+    everything else.  ``n + 1`` exceeds every letter, so it serves as the
+    +inf padding."""
     n = len(w)
-    des = asc = 0
-    for i in range(n - 1):
-        if w[i] > w[i + 1]:
-            des += 1
-        else:
-            asc += 1
-    lr = lrmin_values(w)
-    rl = rlmin_values(w)
-    peaks = valleys = 0
+    top = n + 1
+    is_rl = [False] * n
+    best = top
+    for i in range(n - 1, -1, -1):
+        if w[i] < best:
+            best = w[i]
+            is_rl[i] = True
+    des = peaks = valleys = lrmin = 0
     internal_da = internal_dd = rlmin_da = lrmin_dd = 0
-    for i, v in enumerate(w):
-        left = w[i - 1] if i else _INF
-        right = w[i + 1] if i + 1 < n else _INF
-        if left < v > right:
-            peaks += 1
-        elif left > v < right:
-            valleys += 1
-        elif left < v < right:
-            if v in rl:
-                rlmin_da += 1
-            else:
-                internal_da += 1
-        else:
-            if v in lr:
+    left = best = top
+    for v, right, rl in zip(w, w[1:] + (top,), is_rl):
+        lr = v < best
+        if lr:
+            best = v
+            lrmin += 1
+        if v > right:
+            des += 1
+            if left < v:
+                peaks += 1
+            elif lr:
                 lrmin_dd += 1
             else:
                 internal_dd += 1
-    return StatProfile(
-        n=n,
-        des=des,
-        asc=asc,
-        peaks=peaks,
-        valleys=valleys,
-        double_asc=internal_da + rlmin_da,
-        double_desc=internal_dd + lrmin_dd,
-        lrmin=len(lr),
-        rlmin=len(rl),
-        internal_da=internal_da,
-        internal_dd=internal_dd,
-        rlmin_da=rlmin_da,
-        lrmin_dd=lrmin_dd,
-    )
+        elif left > v:
+            valleys += 1
+        elif rl:
+            rlmin_da += 1
+        else:
+            internal_da += 1
+        left = v
+    asc = max(n - 1, 0) - des
+    rlmin = sum(is_rl)
+    double_asc, double_desc = internal_da + rlmin_da, internal_dd + lrmin_dd
+    return StatProfile(n, des, asc, peaks, valleys, double_asc, double_desc, lrmin, rlmin,
+                       internal_da, internal_dd, rlmin_da, lrmin_dd)
 
 
 def is_prefix_decreasing(word: Sequence[int]) -> bool:
@@ -233,7 +240,12 @@ def is_prefix_decreasing(word: Sequence[int]) -> bool:
     >>> is_prefix_decreasing((2, 3, 1))
     False
     """
-    w = tuple(word)
+    return _is_prefix_decreasing(check_word(word))
+
+
+def _is_prefix_decreasing(w: Perm) -> bool:
+    """``is_prefix_decreasing`` of a word already known to be a permutation
+    tuple."""
     if not w:
         return True
     k = w.index(1)
@@ -284,7 +296,7 @@ def enumerate_class(tag: PermClass, n: int) -> Iterator[Perm]:
     if tag is PermClass.SYM:
         return iter(base)
     if tag is PermClass.PRW:
-        return (w for w in base if is_prefix_decreasing(w))
+        return (w for w in base if _is_prefix_decreasing(w))
     if tag is PermClass.NDD_INTERIOR:
         return (w for w in base if _no_interior_double_descent_run(w))
     return (w for w in base if _is_down_up(w))

@@ -4,6 +4,8 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulab.action import (
     Factorization,
@@ -15,13 +17,16 @@ from eulab.action import (
     toggle_many,
     x_factorization,
 )
-from eulab.errors import CapExceededError, ValueOutOfRangeError
+from eulab.errors import CapExceededError, InvalidPermutationError, ValueOutOfRangeError
 from eulab.perms import (
     DOUBLE_ASC,
     DOUBLE_DESC,
     classify,
     enumerate_class,
+    is_prefix_decreasing,
+    lrmin_values,
     PermClass,
+    rlmin_values,
     stats,
 )
 
@@ -205,3 +210,109 @@ def test_toggle_preserves_peak_count_and_minima_total():
             t = stats(toggle(p, x))
             assert t.peaks == s.peaks
             assert t.lrmin + t.rlmin == s.lrmin + s.rlmin
+
+
+def _toggle_oracle(w, x):
+    # the multi-pass toggle: classify the whole word, test the letter
+    # against a minima value set, and hop next to the largest smaller member
+    # of the opposite set; otherwise swap the high runs around x
+    i = w.index(x)
+    kind = classify(w)[i]
+    if kind == DOUBLE_ASC and x in rlmin_values(w):
+        anchor = max(v for v in lrmin_values(w) if v < x)
+        rest = w[:i] + w[i + 1 :]
+        j = rest.index(anchor)
+        return rest[:j] + (x,) + rest[j:]
+    if kind == DOUBLE_DESC and x in lrmin_values(w):
+        anchor = max(v for v in rlmin_values(w) if v < x)
+        rest = w[:i] + w[i + 1 :]
+        j = rest.index(anchor)
+        return rest[: j + 1] + (x,) + rest[j + 1 :]
+    if kind in (DOUBLE_ASC, DOUBLE_DESC):
+        lo = i
+        while lo > 0 and w[lo - 1] > x:
+            lo -= 1
+        hi = i + 1
+        while hi < len(w) and w[hi] > x:
+            hi += 1
+        return w[:lo] + w[i + 1 : hi] + (x,) + w[lo:i] + w[hi:]
+    return w
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_toggle_kernel_matches_the_multi_pass_oracle(n):
+    for p in permutations(range(1, n + 1)):
+        for x in range(1, n + 1):
+            assert toggle(p, x) == _toggle_oracle(p, x), (p, x)
+
+
+def test_hop_and_swap_match_the_oracle_moves():
+    # the public moves share the kernel's helpers: each agrees with the
+    # toggle exactly where the toggle makes that move
+    for p in permutations(range(1, 7)):
+        kinds = classify(p)
+        lr, rl = lrmin_values(p), rlmin_values(p)
+        for x in range(1, 7):
+            kind = kinds[p.index(x)]
+            hops = (kind == DOUBLE_ASC and x in rl) or (kind == DOUBLE_DESC and x in lr)
+            want = _toggle_oracle(p, x)
+            assert minima_hop(p, x) == (want if hops else p), (p, x)
+            if kind in (DOUBLE_ASC, DOUBLE_DESC) and not hops:
+                assert interval_swap(p, x) == want, (p, x)
+
+
+@pytest.mark.parametrize("bad", [2.0, 1.0, True, False, "2", None, 0, 3])
+@pytest.mark.parametrize(
+    "move", [toggle, minima_hop, interval_swap, x_factorization, lambda w, x: toggle_many(w, [x])]
+)
+def test_letter_must_be_a_plain_int_in_range(move, bad):
+    with pytest.raises(ValueOutOfRangeError):
+        move((1, 2), bad)
+
+
+def test_toggle_many_checks_every_letter_before_deduplicating():
+    # 2.0 == 2, so a set would keep only one of them
+    with pytest.raises(ValueOutOfRangeError):
+        toggle_many((1, 2), [2, 2.0])
+    with pytest.raises(ValueOutOfRangeError):
+        toggle_many((1, 2), [2.0, 2])
+
+
+@pytest.mark.parametrize("bad", [(2.0, 1, 3), (True, 2), ("1",), (1, 2, 3.0)])
+def test_non_int_words_are_rejected(bad):
+    for fn in (orbit, lambda w: toggle(w, 1), lambda w: toggle_many(w, [])):
+        with pytest.raises(InvalidPermutationError):
+            fn(bad)
+
+
+# random words past the exhaustive range, and the decreasing-prefix words
+# among them: the letters before 1 sorted downwards
+long_words = st.integers(min_value=12, max_value=40).flatmap(
+    lambda n: st.permutations(range(1, n + 1))
+).map(tuple)
+long_prefix_decreasing = long_words.map(
+    lambda w: tuple(sorted(w[: w.index(1)], reverse=True)) + w[w.index(1) :]
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_words, st.data())
+def test_toggle_properties_on_long_words(w, data):
+    n = len(w)
+    x = data.draw(st.integers(min_value=1, max_value=n))
+    y = data.draw(st.integers(min_value=1, max_value=n).filter(lambda y: y != x))
+    v = toggle(w, x)
+    assert v == _toggle_oracle(w, x)
+    assert toggle(v, x) == w
+    assert toggle(toggle(w, x), y) == toggle(toggle(w, y), x)
+    s, t = stats(w), stats(v)
+    assert t.peaks == s.peaks
+    assert t.lrmin + t.rlmin == s.lrmin + s.rlmin
+
+
+@settings(max_examples=50, deadline=None)
+@given(long_prefix_decreasing)
+def test_toggles_keep_long_words_prefix_decreasing(w):
+    assert is_prefix_decreasing(w)
+    for x in range(1, len(w) + 1):
+        assert is_prefix_decreasing(toggle(w, x)), (w, x)

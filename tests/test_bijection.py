@@ -45,6 +45,9 @@ def test_mirror_requires_decreasing_prefix():
         mirror((2, 3, 1))
     with pytest.raises(InvalidPermutationError):
         mirror((2, 2, 1))
+    # 2.0 == 2, but a float letter would leak into the image
+    with pytest.raises(InvalidPermutationError):
+        mirror((2.0, 1, 3))
 
 
 def test_mirror_four_letter_table():

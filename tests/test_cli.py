@@ -263,9 +263,10 @@ def test_usage_error_exit_two(capsys):
 
 
 def test_invalid_word_exit_two(capsys):
-    code, _, err = run(capsys, "perm", "stats", "1 1 2")
-    assert code == 2
-    assert "INVALID_PERMUTATION" in err
+    for word in ("1 1 2", "2.0 1"):
+        code, _, err = run(capsys, "perm", "stats", word)
+        assert code == 2
+        assert "INVALID_PERMUTATION" in err
 
 
 def test_grammar_file_with_non_ascii_digit_exit_two(tmp_path, capsys):
@@ -313,7 +314,9 @@ def test_cap_rejected_before_any_word(capsys, monkeypatch):
         raise AssertionError("a word was generated past the cap")
 
     for module in (eulab.perms, eulab.enumerators, eulab.checks):
-        monkeypatch.setattr(module, "stats", no_words)
+        for name in ("stats", "_stats"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_words)
     monkeypatch.setenv("EULAB_MAX_N", "6")
     eulab.enumerators.profile_counts.cache_clear()
 

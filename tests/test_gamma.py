@@ -124,7 +124,7 @@ def test_routes_one_and_two_read_the_warm_profile_cache(monkeypatch):
         raise AssertionError("a word was generated with the profile cache warm")
 
     for module in (eulab.perms, eulab.enumerators, eulab.gamma):
-        for name in ("enumerate_class", "stats"):
+        for name in ("enumerate_class", "stats", "_stats"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, no_words)
     for route in (GammaRoute.ASC_NO_DA, GammaRoute.PEAKS_HALVED):

@@ -14,6 +14,8 @@ from eulab.perms import (
     PEAK,
     VALLEY,
     PermClass,
+    StatProfile,
+    _stats,
     check_word,
     class_size,
     classify,
@@ -27,6 +29,69 @@ from eulab.perms import (
     rlmin_values,
     stats,
 )
+
+
+def _stats_oracle(w):
+    # the multi-pass profile: descents, then both minima value sets, then a
+    # classify-style loop over the +inf-padded neighbours
+    n, inf = len(w), float("inf")
+    des = sum(1 for i in range(n - 1) if w[i] > w[i + 1])
+    lr, rl = lrmin_values(w), rlmin_values(w)
+    peaks = valleys = internal_da = internal_dd = rlmin_da = lrmin_dd = 0
+    for i, v in enumerate(w):
+        left = w[i - 1] if i else inf
+        right = w[i + 1] if i + 1 < n else inf
+        if left < v > right:
+            peaks += 1
+        elif left > v < right:
+            valleys += 1
+        elif left < v < right:
+            if v in rl:
+                rlmin_da += 1
+            else:
+                internal_da += 1
+        elif v in lr:
+            lrmin_dd += 1
+        else:
+            internal_dd += 1
+    return StatProfile(
+        n=n, des=des, asc=max(n - 1, 0) - des, peaks=peaks, valleys=valleys,
+        double_asc=internal_da + rlmin_da, double_desc=internal_dd + lrmin_dd,
+        lrmin=len(lr), rlmin=len(rl), internal_da=internal_da, internal_dd=internal_dd,
+        rlmin_da=rlmin_da, lrmin_dd=lrmin_dd,
+    )
+
+
+# random words past the exhaustive range
+long_words = st.integers(min_value=12, max_value=40).flatmap(
+    lambda n: st.permutations(range(1, n + 1))
+).map(tuple)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_one_pass_stats_match_the_multi_pass_oracle(n):
+    for p in permutations(range(1, n + 1)):
+        want = _stats_oracle(p)
+        assert _stats(p) == want, p
+        assert stats(p) == want, p
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_words)
+def test_one_pass_stats_match_the_oracle_on_long_words(w):
+    assert _stats(w) == stats(w) == _stats_oracle(w)
+
+
+@pytest.mark.parametrize(
+    "bad", [(2.0, 1.0), (2.0, 1), (1, 2.5), (True,), (2, True), ("1",), (1, "2"), (None,)]
+)
+def test_check_word_takes_plain_int_letters_only(bad):
+    with pytest.raises(InvalidPermutationError):
+        check_word(bad)
+    with pytest.raises(InvalidPermutationError):
+        stats(bad)
+    with pytest.raises(InvalidPermutationError):
+        is_prefix_decreasing(bad)
 
 
 def test_stats_213():
@@ -100,6 +165,10 @@ def test_is_prefix_decreasing():
     assert is_prefix_decreasing((3, 1, 2)) is True
     assert is_prefix_decreasing((2, 3, 1)) is False
     assert is_prefix_decreasing((1,)) is True
+    assert is_prefix_decreasing(()) is True
+    # a word without the value 1 is not a permutation, not a bare ValueError
+    with pytest.raises(InvalidPermutationError):
+        is_prefix_decreasing((2, 3))
     # equivalent criterion: the first ascent (if any) is at the value 1
     for p in permutations(range(1, 7)):
         asc_positions = [i for i in range(5) if p[i] < p[i + 1]]
