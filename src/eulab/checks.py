@@ -15,7 +15,8 @@ signature, one rule per parameter name:
 * ``klass`` sweeps ``CLASSES`` (outermost), each with the whole ``n`` range;
 * ``seed`` is not swept; it takes the seed of the sweep.
 
-``max_n``, when given, replaces ``hi``.
+``max_n``, when given, replaces ``hi``.  ``lo`` is also a floor: ``verify``
+rejects an ``n`` below it before the check runs.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from __future__ import annotations
 import inspect
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from math import comb
 from typing import Callable, Mapping
 
-from .action import orbit, toggle, toggle_many
+from .action import _toggle, orbit, toggle, toggle_many
 from .bijection import mirror
 from .enumerators import (
     KINDS,
@@ -55,8 +56,10 @@ from .perms import (
     PEAK,
     VALLEY,
     PermClass,
+    _classify,
+    _is_prefix_decreasing,
+    _stats,
     class_size,
-    classify,
     enumerate_class,
     format_perm,
     is_prefix_decreasing,
@@ -350,14 +353,21 @@ def _check_pip(klass: str, n: int) -> CheckReport:
     # (exponent map, peak factor, double-ascent factor) of each alphabet
     alphabets = ((_REFINED, u1 * u2, u3 + u4), (_DES_ASC, x * y, x + y))
 
-    def product(orb, pair: MultiPoly, linear: MultiPoly) -> MultiPoly:
-        rs = stats(orb.representative)
-        return pair**rs.peaks * linear**rs.double_asc * MultiPoly.monomial(1, {"al": rs.weight})
+    @cache  # orbits with equal (peaks, double_asc, weight) share one product
+    def product(alphabet: int, peaks: int, double_asc: int, weight: int) -> MultiPoly:
+        _, pair, linear = alphabets[alphabet]
+        return pair**peaks * linear**double_asc * MultiPoly.monomial(1, {"al": weight})
 
+    keys = []
     for orb in orbits:
-        for exponents, pair, linear in alphabets:
-            lhs = poly_sum(MultiPoly.monomial(1, exponents(stats(w))) for w in orb.members)
-            rhs = product(orb, pair, linear)
+        # orbit members are generated, hence valid: profile each one once
+        profiles = {w: _stats(w) for w in orb.members}
+        rs = profiles[orb.representative]
+        key = (rs.peaks, rs.double_asc, rs.weight)
+        keys.append(key)
+        for alphabet, (exponents, _, _) in enumerate(alphabets):
+            lhs = poly_sum(MultiPoly.monomial(1, exponents(s)) for s in profiles.values())
+            rhs = product(alphabet, *key)
             if lhs != rhs:
                 return _fail(
                     "pip",
@@ -366,7 +376,7 @@ def _check_pip(klass: str, n: int) -> CheckReport:
                     lhs=str(lhs),
                     rhs=str(rhs),
                 )
-    total = poly_sum(product(orb, x * y, x + y) for orb in orbits)
+    total = poly_sum(product(1, *key) for key in keys)
     enumerated = _class_enumerator(tag, n)
     if total != enumerated:
         return _fail("pip", params, orbit_total=str(total), enumerator=str(enumerated))
@@ -441,32 +451,35 @@ def _check_group_action(n: int, seed: int = 0) -> CheckReport:
     class, and orbits have size 2^(da+dd) with one double-descent-free
     member."""
     params = {"n": n}
+    # the words and their toggle images are generated, hence valid, so they
+    # go through the kernels; the one public toggle per (word, letter)
+    # keeps the validated entry point under test
     words = list(enumerate_class(PermClass.SYM, n))
     for w in words:
-        sw = stats(w)
-        kinds = classify(w)
+        sw = _stats(w)
+        kinds = _classify(w)
         rl, lr = rlmin_values(w), lrmin_values(w)
-        prefix_dec = is_prefix_decreasing(w)
+        prefix_dec = _is_prefix_decreasing(w)
         for x in range(1, n + 1):
             v = toggle(w, x)
-            if toggle(v, x) != w:
+            if _toggle(v, x) != w:
                 return _fail(
                     "group-action", params, word=format_perm(w), letter=x,
                     reason="not an involution",
                 )
-            sv = stats(v)
+            sv = _stats(v)
             if sv.peaks != sw.peaks or sv.lrmin + sv.rlmin != sw.lrmin + sw.rlmin:
                 return _fail(
                     "group-action", params, word=format_perm(w), letter=x,
                     reason="peaks or minima total not preserved",
                 )
-            if prefix_dec and not is_prefix_decreasing(v):
+            if prefix_dec and not _is_prefix_decreasing(v):
                 return _fail(
                     "group-action", params, word=format_perm(w), letter=x,
                     reason="left the decreasing-prefix class",
                 )
             kind = kinds[w.index(x)]
-            vkind = classify(v)[v.index(x)]
+            vkind = _classify(v)[v.index(x)]
             if kind in (PEAK, VALLEY):
                 ok = v == w
             elif kind == DOUBLE_ASC:
@@ -482,14 +495,14 @@ def _check_group_action(n: int, seed: int = 0) -> CheckReport:
         for w in words:
             for x in range(1, n + 1):
                 for y in range(x + 1, n + 1):
-                    if toggle(toggle(w, x), y) != toggle(toggle(w, y), x):
+                    if _toggle(_toggle(w, x), y) != _toggle(_toggle(w, y), x):
                         return _fail(
                             "group-action", params, word=format_perm(w),
                             letters=[x, y], reason="toggles do not commute",
                         )
     orbits, _ = _orbit_partition(PermClass.SYM, n)  # S_n is closed under toggles
     for orb in orbits:
-        rs = stats(orb.representative)
+        rs = _stats(orb.representative)
         if orb.size != 2**rs.double_asc:
             return _fail(
                 "group-action", params, representative=format_perm(orb.representative),
@@ -593,8 +606,8 @@ REGISTRY: dict = {
 def verify(name: str, **params) -> CheckReport:
     """Run one named check.  Mathematical mismatches come back as FAIL
     reports; unknown names, parameters that do not fit the check's
-    signature and classes outside ``CLASSES`` raise, and so does any other
-    error from the check body."""
+    signature, classes outside ``CLASSES`` and an ``n`` below the check's
+    ``lo`` raise, and so does any other error from the check body."""
     defn = REGISTRY.get(name)
     if defn is None:
         known = ", ".join(REGISTRY)
@@ -607,6 +620,8 @@ def verify(name: str, **params) -> CheckReport:
     if klass not in CLASSES:
         known = ", ".join(CLASSES)
         raise ValueOutOfRangeError(f"check {name!r} takes a class in ({known}), not {klass!r}")
+    if "n" in params and params["n"] < defn.lo:
+        raise ValueOutOfRangeError(f"check {name!r} takes n >= {defn.lo}, got n={params['n']}")
     try:
         return defn.run(**params)
     except _MATH_FAILURES as exc:

@@ -13,8 +13,13 @@ are keyed on.
 Words are validated once, at the boundary: every public function that takes
 a word passes it through ``check_word``, which admits only a tuple of plain
 ``int`` letters forming a permutation of 1..n.  The ``_``-prefixed kernels
-(``_stats``, ``_is_prefix_decreasing``) trust their caller to hand them such
-a tuple, e.g. the output of ``enumerate_class``, and validate nothing.
+(``_stats``, ``_classify``, ``_is_prefix_decreasing``) trust their caller to
+hand them such a tuple, e.g. the output of ``enumerate_class``, and validate
+nothing.
+
+``enumerate_class`` generates the decreasing-prefix words directly rather
+than filtering all n! permutations; the other classes are filters over the
+symmetric group.  Every class streams in lexicographic order.
 """
 
 from __future__ import annotations
@@ -157,17 +162,20 @@ def classify(word: Sequence[int]) -> tuple:
     >>> classify((2, 1, 3))
     ('double_desc', 'valley', 'double_asc')
     """
-    w = check_word(word)
-    n = len(w)
+    return _classify(check_word(word))
+
+
+def _classify(w: Perm) -> tuple:
+    """``classify`` of a word already known to be a permutation tuple;
+    ``n + 1`` serves as the +inf padding."""
+    top = len(w) + 1
     out = []
-    for i, v in enumerate(w):
-        left = w[i - 1] if i else _INF
-        right = w[i + 1] if i + 1 < n else _INF
+    for left, v, right in zip((top,) + w, w, w[1:] + (top,)):
         if left < v > right:
             out.append(PEAK)
         elif left > v < right:
             out.append(VALLEY)
-        elif left < v < right:
+        elif left < v:
             out.append(DOUBLE_ASC)
         else:
             out.append(DOUBLE_DESC)
@@ -282,6 +290,27 @@ def _is_down_up(w: Perm) -> bool:
     return all((w[i] > w[i + 1]) == (i % 2 == 0) for i in range(len(w) - 1))
 
 
+def _prefix_decreasing_words(n: int) -> Iterator[Perm]:
+    """The words on n letters whose prefix ending at 1 decreases, generated
+    rather than filtered, in lexicographic order: a decreasing run of
+    letters above 1, then 1, then every arrangement of the rest.  After a
+    run ending in ``top``, the next letter is 1 (the smallest choice, so it
+    comes first) or any unused letter in 1 < v < top, in increasing order."""
+
+    def grow(run: Perm, rest: Perm, top: int) -> Iterator[Perm]:
+        head = run + (1,)
+        for tail in itertools.permutations(rest):
+            yield head + tail
+        for i, v in enumerate(rest):
+            if v >= top:
+                break
+            yield from grow(run + (v,), rest[:i] + rest[i + 1 :], v)
+
+    if n == 0:
+        return iter([()])
+    return grow((), tuple(range(2, n + 1)), n + 1)
+
+
 def enumerate_class(tag: PermClass, n: int) -> Iterator[Perm]:
     """Stream the members of a class on n letters in lexicographic order.
 
@@ -292,11 +321,11 @@ def enumerate_class(tag: PermClass, n: int) -> Iterator[Perm]:
     low = 0 if tag is PermClass.SYM else 1
     if n < low:
         raise ValueOutOfRangeError(f"n={n} is too small for class {tag.value}")
+    if tag is PermClass.PRW:
+        return _prefix_decreasing_words(n)
     base = itertools.permutations(range(1, n + 1))
     if tag is PermClass.SYM:
         return iter(base)
-    if tag is PermClass.PRW:
-        return (w for w in base if _is_prefix_decreasing(w))
     if tag is PermClass.NDD_INTERIOR:
         return (w for w in base if _no_interior_double_descent_run(w))
     return (w for w in base if _is_down_up(w))

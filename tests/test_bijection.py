@@ -1,6 +1,8 @@
 """Block decomposition and the statistic-reversing involution."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulab.bijection import BlockDecomposition, decompose, mirror, pair_table
 from eulab.errors import InvalidPermutationError, NotPrefixDecreasingError
@@ -93,6 +95,27 @@ def test_mirror_preserves_minima_total(n):
     for w in enumerate_class(PermClass.PRW, n):
         s, t = stats(w), stats(mirror(w))
         assert s.lrmin + s.rlmin == t.lrmin + t.rlmin
+
+
+# random decreasing-prefix words past the exhaustive range: a random word
+# with the letters before 1 sorted downwards
+long_prefix_decreasing = (
+    st.integers(min_value=12, max_value=40)
+    .flatmap(lambda n: st.permutations(range(1, n + 1)))
+    .map(lambda w: tuple(sorted(w[: w.index(1)], reverse=True)) + tuple(w[w.index(1) :]))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_prefix_decreasing)
+def test_mirror_properties_on_long_words(w):
+    image = mirror(w)
+    assert is_prefix_decreasing(image)
+    assert mirror(image) == w
+    s, t = stats(w), stats(image)
+    assert (s.des, s.asc) == (t.asc, t.des)
+    assert (s.double_desc, s.double_asc) == (t.double_asc, t.double_desc)
+    assert s.lrmin + s.rlmin == t.lrmin + t.rlmin
 
 
 def test_mirror_equidistributes_joint_statistics():

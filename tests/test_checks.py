@@ -5,8 +5,10 @@ import json
 
 import pytest
 
+from eulab.action import _swap
 from eulab.checks import CheckDef, CheckReport, REGISTRY, verify, verify_all
 from eulab.errors import UnknownCheckError, ValueOutOfRangeError
+from eulab.perms import DOUBLE_ASC, DOUBLE_DESC, _classify, _stats
 from eulab.poly import parse_poly
 
 
@@ -98,6 +100,29 @@ def test_bad_params_rejected():
         verify("secant")
     with pytest.raises(ValueOutOfRangeError):
         verify("cgk-alpha", n=3)
+
+
+@pytest.mark.parametrize("name", [name for name, defn in REGISTRY.items() if "n" in defn.params])
+def test_n_below_the_floor_rejected(name):
+    classes = ["sym", "prw"] if "klass" in REGISTRY[name].params else [None]
+    for klass in classes:
+        params = {"n": 0} if klass is None else {"n": 0, "klass": klass}
+        with pytest.raises(ValueOutOfRangeError) as info:
+            verify(name, **params)
+        assert info.value.message == f"check {name!r} takes n >= 1, got n=0"
+
+
+def test_n_floor_checked_before_the_body():
+    ran = []
+    REGISTRY["floored"] = CheckDef(
+        name="floored", run=lambda n: ran.append(n), lo=3, hi=4, summary="floor"
+    )
+    try:
+        with pytest.raises(ValueOutOfRangeError):
+            verify("floored", n=2)
+        assert ran == []
+    finally:
+        del REGISTRY["floored"]
 
 
 @pytest.mark.parametrize(
@@ -229,3 +254,43 @@ def test_default_sweeps():
         {"n": 1, "seed": 5},
         {"n": 2, "seed": 5},
     ]
+
+
+# wrong toggles: no move at all, and the classical interval swap on every
+# double ascent and descent (an involution too, but without the minima hop)
+WRONG_MOVES = [
+    lambda w, x: w,
+    lambda w, x: _swap(w, w.index(x)) if _classify(w)[w.index(x)] in (DOUBLE_ASC, DOUBLE_DESC)
+    else w,
+]
+
+
+@pytest.mark.parametrize("wrong", WRONG_MOVES)
+@pytest.mark.parametrize("name", ["_toggle", "toggle"])
+def test_group_action_fails_on_a_wrong_toggle(monkeypatch, name, wrong):
+    import eulab.checks
+
+    monkeypatch.setattr(eulab.checks, name, wrong)
+    assert not verify("group-action", n=4).passed
+
+
+# wrong profiles, with the witness field of the part of pip that must catch
+# them: the reversed word's profile swaps double ascents and descents, which
+# breaks an orbit's product; one left-to-right minimum too many on every
+# word raises both sides of every orbit identity alike, and only the orbit
+# total can catch it
+WRONG_PROFILES = [
+    (lambda w: _stats(w[::-1]), "representative"),
+    (lambda w: _stats(w)._replace(lrmin=_stats(w).lrmin + 1), "orbit_total"),
+]
+
+
+@pytest.mark.parametrize("wrong, caught_by", WRONG_PROFILES)
+@pytest.mark.parametrize("klass", ["sym", "prw"])
+def test_pip_fails_on_a_wrong_profile(monkeypatch, klass, wrong, caught_by):
+    import eulab.checks
+
+    monkeypatch.setattr(eulab.checks, "_stats", wrong)
+    report = verify("pip", klass=klass, n=4)
+    assert not report.passed
+    assert caught_by in report.witness

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from eulab.checks import CheckReport
+from eulab.checks import REGISTRY, CheckReport
 from eulab.cli import main
 from eulab.enumerators import Enumerator, EnumeratorKind, build
 from eulab.perms import parse_perm
@@ -241,6 +241,16 @@ def test_verify_missing_or_unknown_parameter_exit_two(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "VALUE_OUT_OF_RANGE" in err
+
+
+@pytest.mark.parametrize(
+    "check", [name for name, defn in REGISTRY.items() if "n" in defn.params]
+)
+def test_verify_n_below_the_floor_exit_two(capsys, check):
+    # one message for every check, and no report printed, not even a PASS
+    code, out, err = run(capsys, "verify", check, "-n", "0")
+    assert (code, out) == (2, "")
+    assert err.strip() == f"error [VALUE_OUT_OF_RANGE]: check {check!r} takes n >= 1, got n=0"
 
 
 def test_verify_unknown_check(capsys):

@@ -15,6 +15,9 @@ from eulab.perms import (
     VALLEY,
     PermClass,
     StatProfile,
+    _classify,
+    _is_prefix_decreasing,
+    _prefix_decreasing_words,
     _stats,
     check_word,
     class_size,
@@ -129,6 +132,32 @@ def test_classify_worked_example():
     )
 
 
+def _classify_oracle(w):
+    # the float-padded classification that preceded the kernel
+    n, inf = len(w), float("inf")
+    out = []
+    for i, v in enumerate(w):
+        left = w[i - 1] if i else inf
+        right = w[i + 1] if i + 1 < n else inf
+        if left < v > right:
+            out.append(PEAK)
+        elif left > v < right:
+            out.append(VALLEY)
+        elif left < v < right:
+            out.append(DOUBLE_ASC)
+        else:
+            out.append(DOUBLE_DESC)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_classify_kernel_matches_the_oracle(n):
+    for p in permutations(range(1, n + 1)):
+        want = _classify_oracle(p)
+        assert _classify(p) == want, p
+        assert classify(p) == want, p
+
+
 def test_every_letter_classified_once():
     for p in permutations(range(1, 6)):
         kinds = classify(p)
@@ -222,6 +251,15 @@ def test_enumerate_interior_ndd():
     assert set(words) == set(permutations(range(1, 4))) - {(3, 2, 1)}
 
 
+@pytest.mark.parametrize("n", range(9))
+def test_prefix_decreasing_words_are_generated_in_filter_order(n):
+    # the filter over all n! words is the oracle: same words, same order
+    want = [w for w in permutations(range(1, n + 1)) if _is_prefix_decreasing(w)]
+    assert list(_prefix_decreasing_words(n)) == want
+    if n:
+        assert list(enumerate_class(PermClass.PRW, n)) == want
+
+
 def test_class_sizes():
     assert class_size(PermClass.PRW, 4) == 16
     assert class_size(PermClass.ALT_DOWN_UP, 4) == 5
@@ -229,7 +267,8 @@ def test_class_sizes():
 
 
 def test_prefix_decreasing_count_formula():
-    for n in range(1, 8):
+    # A000522(n) arrangements of an n-set
+    for n in range(9):
         count = class_size(PermClass.PRW, n + 1)
         assert count == 1 + sum(comb(n, m) * factorial(m) for m in range(1, n + 1))
 
