@@ -6,6 +6,11 @@ the first counterexample or the two mismatched polynomials.  Checks never
 abort the suite on a mathematical mismatch; resource-cap violations do
 propagate, since they are environmental rather than mathematical.
 
+A run function knows nothing of the report format: it returns its PASS
+witness (a dict, or ``None``) and signals a mismatch with
+``raise Mismatch(**witness)``.  ``verify`` validates the parameters, runs
+the function and builds the report from the arguments it ran with.
+
 Each registry entry is data: a name, a summary, a run function and a size
 range ``lo..hi``.  The parameter grid follows from the run function's own
 signature, one rule per parameter name:
@@ -53,8 +58,6 @@ from .grammar import builtin, derive, slot_labels
 from .perms import (
     DOUBLE_ASC,
     DOUBLE_DESC,
-    PEAK,
-    VALLEY,
     PermClass,
     _classify,
     _is_prefix_decreasing,
@@ -80,6 +83,15 @@ _MATH_FAILURES = (
 # exponent maps of the enumerator kinds, reused by the per-word sums below
 _DES_ASC = KINDS[EnumeratorKind.SE].exponents
 _REFINED = KINDS[EnumeratorKind.REFINED].exponents
+
+
+class Mismatch(Exception):
+    """A check's two routes disagree; the keyword arguments are the FAIL
+    witness.  ``verify`` turns it into a report."""
+
+    def __init__(self, **witness):
+        super().__init__(witness)
+        self.witness = witness
 
 
 @dataclass(frozen=True)
@@ -115,12 +127,12 @@ class CheckReport:
         return f"{self.verdict} {self.check}" + (f" {bits}" if bits else "")
 
 
-def _pass(check: str, params: dict, **witness) -> CheckReport:
-    return CheckReport(check, params, "PASS", witness or None)
-
-
-def _fail(check: str, params: dict, **witness) -> CheckReport:
-    return CheckReport(check, params, "FAIL", witness or None)
+def _agree(**sides: MultiPoly) -> None:
+    """Raise ``Mismatch`` with both named sides rendered unless they are
+    equal."""
+    first, second = sides.values()
+    if first != second:
+        raise Mismatch(**{name: str(side) for name, side in sides.items()})
 
 
 def _class_enumerator(klass: PermClass, n: int) -> MultiPoly:
@@ -132,54 +144,45 @@ def _class_enumerator(klass: PermClass, n: int) -> MultiPoly:
 # -- individual checks -------------------------------------------------------
 
 
-def _check_symmetry_gamma(n: int) -> CheckReport:
+def _check_symmetry_gamma(n: int) -> dict:
     """The two-variable enumerator is symmetric and its basis coefficients
     are nonnegative integers."""
-    params = {"n": n}
     value = build(EnumeratorKind.BSE, n).value
     if not value.is_symmetric_in("x", "y"):
-        return _fail("symmetry-gamma", params, polynomial=str(value))
+        raise Mismatch(polynomial=str(value))
     expansion = gamma_expand(value)
     for k, g in enumerate(expansion.gammas):
         if not all(c.denominator == 1 and c > 0 for _, c in g.terms()):
-            return _fail("symmetry-gamma", params, k=k, gamma=str(g))
-    return _pass("symmetry-gamma", params, gamma=[str(g) for g in expansion.gammas])
+            raise Mismatch(k=k, gamma=str(g))
+    return {"gamma": [str(g) for g in expansion.gammas]}
 
 
-def _check_prw_g(n: int) -> CheckReport:
+def _check_prw_g(n: int) -> dict:
     """The peeled coefficients match all three enumeration routes."""
-    params = {"n": n}
     want = gamma_expand(build(EnumeratorKind.BSE, n).value).gammas
     for route in GammaRoute:
         got = gamma_from_class(route, n)
         for k, (a, b) in enumerate(zip(want, got)):
             if a != b:
-                return _fail(
-                    "prw-g", params, route=route.name, k=k, expected=str(a), got=str(b)
-                )
-    return _pass("prw-g", params, gamma=[str(g) for g in want])
+                raise Mismatch(route=route.name, k=k, expected=str(a), got=str(b))
+    return {"gamma": [str(g) for g in want]}
 
 
-def _refined_in_basis(check: str, klass: PermClass, n: int) -> CheckReport:
+def _refined_in_basis(klass: PermClass, n: int) -> None:
     """Refined four-variable enumerator over a class equals its basis
     expansion, with the coefficients peeled from the class enumerator and
-    the degree one less than the word length.  The registry binds ``check``
-    and ``klass``: mainthm2 over decreasing-prefix words, ji-gam over S_n."""
-    params = {"n": n}
+    the degree one less than the word length.  The registry binds
+    ``klass``: mainthm2 over decreasing-prefix words, ji-gam over S_n."""
     lhs = build(EnumeratorKind.REFINED, n, klass=klass).value
     gammas = gamma_expand(_class_enumerator(klass, n)).gammas
     u1, u2, u3, u4 = (MultiPoly.var(v) for v in ("u1", "u2", "u3", "u4"))
-    rhs = basis_sum(gammas, u1 * u2, u3 + u4, letters(klass, n) - 1)
-    if lhs != rhs:
-        return _fail(check, params, lhs=str(lhs), rhs=str(rhs))
-    return _pass(check, params)
+    _agree(lhs=lhs, rhs=basis_sum(gammas, u1 * u2, u3 + u4, letters(klass, n) - 1))
 
 
-def _check_mainthm2_var(n: int) -> CheckReport:
+def _check_mainthm2_var(n: int) -> None:
     """The five-variable enumerator collapses to the three-variable one
     under u4 -> x+y-u3, u5 -> y+z-u3, u1 -> t, u2 -> x y / t, with u3 and t
     cancelling identically."""
-    params = {"n": n}
     x, y, z, t, u3 = (MultiPoly.var(v) for v in ("x", "y", "z", "t", "u3"))
     q = (
         build(EnumeratorKind.PTILDE, n)
@@ -190,45 +193,31 @@ def _check_mainthm2_var(n: int) -> CheckReport:
     )
     leftover = q.variables() & {"u3", "t"}
     if leftover:
-        return _fail("mainthm2-var", params, uncancelled=sorted(leftover), got=str(q))
-    want = build(EnumeratorKind.BSE_Z, n).value
-    if q != want:
-        return _fail("mainthm2-var", params, lhs=str(q), rhs=str(want))
-    return _pass("mainthm2-var", params)
+        raise Mismatch(uncancelled=sorted(leftover), got=str(q))
+    _agree(lhs=q, rhs=build(EnumeratorKind.BSE_Z, n).value)
 
 
-def _check_grammar31(n: int) -> CheckReport:
+def _check_grammar31(n: int) -> None:
     """n derivative steps of the two-variable rule set produce the marker
     times the three-variable enumerator."""
-    params = {"n": n}
     got = derive(builtin("two-variable"), "a", n)
-    want = MultiPoly.var("a") * build(EnumeratorKind.BSE_Z, n).value
-    if got != want:
-        return _fail("grammar-31", params, derived=str(got), enumerated=str(want))
-    return _pass("grammar-31", params)
+    _agree(derived=got, enumerated=MultiPoly.var("a") * build(EnumeratorKind.BSE_Z, n).value)
 
 
-def _check_grammar32(n: int) -> CheckReport:
+def _check_grammar32(n: int) -> None:
     """Five-variable rule set: derivative, enumerator, and the slot-label
     monomial sum agree."""
-    params = {"n": n}
     got = derive(builtin("five-variable"), "a", n)
     value = build(EnumeratorKind.PTILDE, n).value
-    want = MultiPoly.var("a") * value
-    if got != want:
-        return _fail("grammar-32", params, derived=str(got), enumerated=str(want))
+    _agree(derived=got, enumerated=MultiPoly.var("a") * value)
     words = enumerate_class(PermClass.PRW, letters(PermClass.PRW, n))
-    labeled = poly_sum(slot_labels(w).monomial() for w in words)
-    if labeled != value:
-        return _fail("grammar-32", params, labeled=str(labeled), enumerated=str(value))
-    return _pass("grammar-32", params)
+    _agree(labeled=poly_sum(slot_labels(w).monomial() for w in words), enumerated=value)
 
 
-def _check_des_pk(n: int) -> CheckReport:
+def _check_des_pk(n: int) -> None:
     """Peak/descent/ascent joint distribution in the peeled basis, with no
     square roots: des = peaks + double descents, asc = peaks + double
     ascents."""
-    params = {"n": n}
     lhs = profile_sum(
         PermClass.PRW,
         letters(PermClass.PRW, n),
@@ -236,19 +225,13 @@ def _check_des_pk(n: int) -> CheckReport:
     )
     gammas = gamma_expand(build(EnumeratorKind.BSE, n).value).gammas
     u, v, w = (MultiPoly.var(c) for c in ("u", "v", "w"))
-    rhs = basis_sum(gammas, u * v * w, v + w, n)
-    if lhs != rhs:
-        return _fail("des-pk", params, lhs=str(lhs), rhs=str(rhs))
-    return _pass("des-pk", params)
+    _agree(lhs=lhs, rhs=basis_sum(gammas, u * v * w, v + w, n))
 
 
-def _check_cgk_alpha(a: int, b: int) -> CheckReport:
+def _check_cgk_alpha(a: int, b: int) -> dict:
     """Binomial convolution of ascent-refined minima weights is symmetric
     in (a, b), summing from k = 1; the k = 0 convention term breaks the
     printed form when exactly one side is 1, which the report documents."""
-    params = {"a": a, "b": b}
-    if a < 1 or b < 1:
-        raise ValueOutOfRangeError(f"need a, b >= 1, got a={a}, b={b}")
     n = a + b
     al = MultiPoly.var("al")
 
@@ -258,24 +241,19 @@ def _check_cgk_alpha(a: int, b: int) -> CheckReport:
         )
 
     lhs, rhs = side(a), side(b)
-    if lhs != rhs:
-        return _fail("cgk-alpha", params, lhs=str(lhs), rhs=str(rhs))
+    _agree(lhs=lhs, rhs=rhs)
     at_x1 = build(EnumeratorKind.BSE, n).value.substitute("x", 1)
     for j, poly in ((a, lhs), (b, rhs)):
         coef = at_x1.coefficient({"y": j})
         if coef != poly:
-            return _fail(
-                "cgk-alpha", params, exponent=j, convolution=str(poly), coefficient=str(coef)
-            )
+            raise Mismatch(exponent=j, convolution=str(poly), coefficient=str(coef))
     extra = al**n
     as_lhs = lhs + (extra if a == 1 else 0)
     as_rhs = rhs + (extra if b == 1 else 0)
     as_printed_holds = as_lhs == as_rhs
     should_hold = (a == b) or (a > 1 and b > 1)
     if as_printed_holds != should_hold:
-        return _fail(
-            "cgk-alpha",
-            params,
+        raise Mismatch(
             note="k=0 convention behaved contrary to its documentation",
             as_printed_lhs=str(as_lhs),
             as_printed_rhs=str(as_rhs),
@@ -286,42 +264,27 @@ def _check_cgk_alpha(a: int, b: int) -> CheckReport:
             "with the k=0 term (empty-word weight 1) the sides differ by al^n; "
             "the identity is stated from k >= 1"
         )
-    return _pass("cgk-alpha", params, **witness)
+    return witness
 
 
-def _check_secant(n: int) -> CheckReport:
+def _check_secant(n: int) -> dict:
     """Evaluation at x = -1, y = 1: zero at odd n, alternating-word minima
     weights with sign at even n, and the half-weight link to the symmetric-
     group enumerator one size up (checked through n = 7)."""
-    params = {"n": n}
     at = build(EnumeratorKind.BSE, n).value.substitute("x", -1).substitute("y", 1)
-    if n % 2:
-        if not at.is_zero():
-            return _fail("secant", params, value=str(at), expected="0")
-    else:
-        alt = alternating_weight(n)
-        want = alt if (n // 2) % 2 == 0 else -alt
-        if at != want:
-            return _fail("secant", params, value=str(at), expected=str(want))
+    _agree(value=at, expected=0 if n % 2 else (-1) ** (n // 2) * alternating_weight(n))
     if n <= 7:
         bigger = build(EnumeratorKind.SE, n + 1).value.substitute("x", -1).substitute("y", 1)
-        if at != half_weight(bigger):
-            return _fail(
-                "secant", params, value=str(at), half_weight=str(half_weight(bigger))
-            )
-    if class_size(PermClass.ALT_DOWN_UP, n) != euler_number(n):
-        return _fail(
-            "secant",
-            params,
-            alternating=class_size(PermClass.ALT_DOWN_UP, n),
-            euler=euler_number(n),
-        )
-    return _pass("secant", params, value=str(at))
+        _agree(value=at, half_weight=half_weight(bigger))
+    alternating, euler = class_size(PermClass.ALT_DOWN_UP, n), euler_number(n)
+    if alternating != euler:
+        raise Mismatch(alternating=alternating, euler=euler)
+    return {"value": str(at)}
 
 
-def _orbit_partition(klass: PermClass, n: int):
-    """Orbits of the toggle action restricted to a class, or a FAIL payload
-    when the class is not closed under the action."""
+def _orbit_partition(klass: PermClass, n: int) -> list:
+    """Orbits of the toggle action restricted to a class; a class that is
+    not closed under the action is a mismatch."""
     m = letters(klass, n)
     words = list(enumerate_class(klass, m))
     member_set = set(words)
@@ -333,22 +296,19 @@ def _orbit_partition(klass: PermClass, n: int):
         orb = orbit(w)
         stray = set(orb.members) - member_set
         if stray:
-            return None, {"orbit_of": format_perm(w), "escapes_to": format_perm(min(stray))}
+            raise Mismatch(orbit_of=format_perm(w), escapes_to=format_perm(min(stray)))
         seen.update(orb.members)
         orbits.append(orb)
-    return orbits, None
+    return orbits
 
 
-def _check_pip(klass: str, n: int) -> CheckReport:
+def _check_pip(klass: str, n: int) -> dict:
     """Per-orbit product formula: each orbit's statistic sum collapses to a
     single product read off its double-descent-free member, in both the
     four-variable and the two-variable alphabets; the orbit totals recover
     the class enumerator."""
     tag = PermClass(klass)
-    params = {"klass": tag.value, "n": n}
-    orbits, escape = _orbit_partition(tag, n)
-    if escape is not None:
-        return _fail("pip", params, **escape)
+    orbits = _orbit_partition(tag, n)
     u1, u2, u3, u4, x, y = (MultiPoly.var(v) for v in ("u1", "u2", "u3", "u4", "x", "y"))
     # (exponent map, peak factor, double-ascent factor) of each alphabet
     alphabets = ((_REFINED, u1 * u2, u3 + u4), (_DES_ASC, x * y, x + y))
@@ -369,25 +329,18 @@ def _check_pip(klass: str, n: int) -> CheckReport:
             lhs = poly_sum(MultiPoly.monomial(1, exponents(s)) for s in profiles.values())
             rhs = product(alphabet, *key)
             if lhs != rhs:
-                return _fail(
-                    "pip",
-                    params,
-                    representative=format_perm(orb.representative),
-                    lhs=str(lhs),
-                    rhs=str(rhs),
+                raise Mismatch(
+                    representative=format_perm(orb.representative), lhs=str(lhs), rhs=str(rhs)
                 )
     total = poly_sum(product(1, *key) for key in keys)
-    enumerated = _class_enumerator(tag, n)
-    if total != enumerated:
-        return _fail("pip", params, orbit_total=str(total), enumerator=str(enumerated))
-    return _pass("pip", params, orbits=len(orbits))
+    _agree(orbit_total=total, enumerator=_class_enumerator(tag, n))
+    return {"orbits": len(orbits)}
 
 
-def _check_gamm(klass: str, n: int) -> CheckReport:
+def _check_gamm(klass: str, n: int) -> None:
     """The class enumerator equals the double-descent-free sum
     (xy)^des (x+y)^(deg - 2 des) al^weight, deg the word length minus 1."""
     tag = PermClass(klass)
-    params = {"klass": tag.value, "n": n}
     m = letters(tag, n)
     deg = m - 1
 
@@ -399,58 +352,53 @@ def _check_gamm(klass: str, n: int) -> CheckReport:
 
     linear = MultiPoly.var("x") + MultiPoly.var("y")
     acc = profile_sum(tag, m, ddfree).substitute("t", linear)
-    enumerated = _class_enumerator(tag, n)
-    if acc != enumerated:
-        return _fail("gamm", params, ddfree_sum=str(acc), enumerator=str(enumerated))
-    return _pass("gamm", params)
+    _agree(ddfree_sum=acc, enumerator=_class_enumerator(tag, n))
 
 
-def _check_bijection(n: int) -> CheckReport:
+# (image field, word field) pairs the mirror must match: descents and
+# ascents swap, double descents and double ascents swap, and the minima
+# total (``weight``) stays
+_MIRROR_SWAPS = (("des", "asc"), ("asc", "des"), ("double_asc", "double_desc"),
+                 ("double_desc", "double_asc"), ("weight", "weight"))
+
+
+def _check_bijection(n: int) -> None:
     """The mirror is an involution on decreasing-prefix words, swaps
     descents with ascents and double descents with double ascents, and
     preserves the minima total; the induced distribution is symmetric."""
-    params = {"n": n}
     for w in enumerate_class(PermClass.PRW, n):
         p = mirror(w)
         if not is_prefix_decreasing(p):
-            return _fail("bijection", params, word=format_perm(w), image=format_perm(p))
-        if mirror(p) != w:
-            return _fail(
-                "bijection",
-                params,
-                word=format_perm(w),
-                image=format_perm(p),
-                double_image=format_perm(mirror(p)),
-            )
-        sw, sp = stats(w), stats(p)
-        swapped = (sp.des, sp.asc, sp.double_asc, sp.double_desc) == (
-            sw.asc,
-            sw.des,
-            sw.double_desc,
-            sw.double_asc,
-        )
-        if not swapped:
-            return _fail(
-                "bijection", params, word=format_perm(w), image=format_perm(p),
-                reason="descent/ascent or double-descent/double-ascent swap failed",
-            )
-        if sp.lrmin + sp.rlmin != sw.lrmin + sw.rlmin:
-            return _fail(
-                "bijection", params, word=format_perm(w), image=format_perm(p),
-                reason="minima total changed",
-            )
+            reason = "image is not decreasing-prefix"
+        elif mirror(p) != w:
+            reason = "not an involution"
+        else:
+            sw, sp = stats(w), stats(p)
+            reason = next((f"{a} of the image is not {b} of the word" for a, b in _MIRROR_SWAPS
+                           if getattr(sp, a) != getattr(sw, b)), None)
+        if reason:
+            raise Mismatch(word=format_perm(w), image=format_perm(p), reason=reason)
     dist = profile_sum(PermClass.PRW, n, _DES_ASC)
     if not dist.is_symmetric_in("x", "y"):
-        return _fail("bijection", params, distribution=str(dist))
-    return _pass("bijection", params)
+        raise Mismatch(distribution=str(dist))
 
 
-def _check_group_action(n: int, seed: int = 0) -> CheckReport:
+# letter class -> (class of the image letter, minima function of the word,
+# minima function of the image): a toggled double ascent becomes a double
+# descent that is a left-to-right minimum of the image exactly when it was a
+# right-to-left minimum of the word, and the mirror case; a peak or a valley
+# is fixed
+_FLIPS = {
+    DOUBLE_ASC: (DOUBLE_DESC, rlmin_values, lrmin_values),
+    DOUBLE_DESC: (DOUBLE_ASC, lrmin_values, rlmin_values),
+}
+
+
+def _check_group_action(n: int, seed: int = 0) -> None:
     """Toggles are commuting involutions with the documented class flips,
     they preserve peak count, minima total, and the decreasing-prefix
     class, and orbits have size 2^(da+dd) with one double-descent-free
     member."""
-    params = {"n": n}
     # the words and their toggle images are generated, hence valid, so they
     # go through the kernels; the one public toggle per (word, letter)
     # keeps the validated entry point under test
@@ -458,55 +406,42 @@ def _check_group_action(n: int, seed: int = 0) -> CheckReport:
     for w in words:
         sw = _stats(w)
         kinds = _classify(w)
-        rl, lr = rlmin_values(w), lrmin_values(w)
         prefix_dec = _is_prefix_decreasing(w)
         for x in range(1, n + 1):
             v = toggle(w, x)
-            if _toggle(v, x) != w:
-                return _fail(
-                    "group-action", params, word=format_perm(w), letter=x,
-                    reason="not an involution",
-                )
             sv = _stats(v)
-            if sv.peaks != sw.peaks or sv.lrmin + sv.rlmin != sw.lrmin + sw.rlmin:
-                return _fail(
-                    "group-action", params, word=format_perm(w), letter=x,
-                    reason="peaks or minima total not preserved",
-                )
-            if prefix_dec and not _is_prefix_decreasing(v):
-                return _fail(
-                    "group-action", params, word=format_perm(w), letter=x,
-                    reason="left the decreasing-prefix class",
-                )
-            kind = kinds[w.index(x)]
-            vkind = _classify(v)[v.index(x)]
-            if kind in (PEAK, VALLEY):
-                ok = v == w
-            elif kind == DOUBLE_ASC:
-                ok = vkind == DOUBLE_DESC and (x in lrmin_values(v)) == (x in rl)
+            flip = _FLIPS.get(kinds[w.index(x)])
+            if flip is None:
+                flipped = v == w
             else:
-                ok = vkind == DOUBLE_ASC and (x in rlmin_values(v)) == (x in lr)
-            if not ok:
-                return _fail(
-                    "group-action", params, word=format_perm(w), letter=x,
-                    reason="letter class did not flip as documented",
+                image_kind, of_word, of_image = flip
+                flipped = _classify(v)[v.index(x)] == image_kind and (
+                    (x in of_image(v)) == (x in of_word(w))
                 )
+            if _toggle(v, x) != w:
+                reason = "not an involution"
+            elif sv.peaks != sw.peaks or sv.weight != sw.weight:
+                reason = "peaks or minima total not preserved"
+            elif prefix_dec and not _is_prefix_decreasing(v):
+                reason = "left the decreasing-prefix class"
+            elif not flipped:
+                reason = "letter class did not flip as documented"
+            else:
+                continue
+            raise Mismatch(word=format_perm(w), letter=x, reason=reason)
     if n <= 6:
         for w in words:
             for x in range(1, n + 1):
                 for y in range(x + 1, n + 1):
                     if _toggle(_toggle(w, x), y) != _toggle(_toggle(w, y), x):
-                        return _fail(
-                            "group-action", params, word=format_perm(w),
-                            letters=[x, y], reason="toggles do not commute",
+                        raise Mismatch(
+                            word=format_perm(w), letters=[x, y], reason="toggles do not commute"
                         )
-    orbits, _ = _orbit_partition(PermClass.SYM, n)  # S_n is closed under toggles
-    for orb in orbits:
-        rs = _stats(orb.representative)
-        if orb.size != 2**rs.double_asc:
-            return _fail(
-                "group-action", params, representative=format_perm(orb.representative),
-                size=orb.size, expected=2**rs.double_asc,
+    for orb in _orbit_partition(PermClass.SYM, n):  # S_n is closed under toggles
+        expected = 2 ** _stats(orb.representative).double_asc
+        if orb.size != expected:
+            raise Mismatch(
+                representative=format_perm(orb.representative), size=orb.size, expected=expected
             )
     rng = random.Random(seed)
     base = list(range(1, n + 1))
@@ -516,11 +451,9 @@ def _check_group_action(n: int, seed: int = 0) -> CheckReport:
         w = tuple(w)
         subset = [x for x in base if rng.random() < 0.5]
         if toggle_many(toggle_many(w, subset), subset) != w:
-            return _fail(
-                "group-action", params, word=format_perm(w), letters=subset,
-                reason="subset toggle is not an involution",
+            raise Mismatch(
+                word=format_perm(w), letters=subset, reason="subset toggle is not an involution"
             )
-    return _pass("group-action", params)
 
 
 # -- registry ----------------------------------------------------------------
@@ -533,7 +466,7 @@ class CheckDef:
     """One registry entry; see the module docstring for the grid rule."""
 
     name: str
-    run: Callable[..., CheckReport]
+    run: Callable[..., dict | None]
     lo: int
     hi: int
     summary: str
@@ -575,9 +508,9 @@ REGISTRY: dict = {
                  "two-variable enumerator: symmetry and nonnegative integer basis coefficients"),
         CheckDef("prw-g", _check_prw_g, 1, 8,
                  "peeled coefficients equal all three enumeration routes"),
-        CheckDef("mainthm2", partial(_refined_in_basis, "mainthm2", PermClass.PRW), 1, 8,
+        CheckDef("mainthm2", partial(_refined_in_basis, PermClass.PRW), 1, 8,
                  "refined enumerator over decreasing-prefix words in the peeled basis"),
-        CheckDef("ji-gam", partial(_refined_in_basis, "ji-gam", PermClass.SYM), 1, 8,
+        CheckDef("ji-gam", partial(_refined_in_basis, PermClass.SYM), 1, 8,
                  "refined enumerator over the symmetric group in the peeled basis"),
         CheckDef("mainthm2-var", _check_mainthm2_var, 1, 7,
                  "five-variable enumerator collapses to the three-variable one"),
@@ -604,28 +537,40 @@ REGISTRY: dict = {
 
 
 def verify(name: str, **params) -> CheckReport:
-    """Run one named check.  Mathematical mismatches come back as FAIL
-    reports; unknown names, parameters that do not fit the check's
-    signature, classes outside ``CLASSES`` and an ``n`` below the check's
-    ``lo`` raise, and so does any other error from the check body."""
+    """Run one named check; the report's params are the arguments it ran
+    with, in signature order.  Mathematical mismatches come back as FAIL
+    reports; unknown names, parameters that do not fit the signature or are
+    not plain ints, classes outside ``CLASSES``, an ``n`` below the check's
+    ``lo`` and an ``a`` or ``b`` below 1 raise, and so does any other error
+    from the check body."""
     defn = REGISTRY.get(name)
     if defn is None:
         known = ", ".join(REGISTRY)
         raise UnknownCheckError(f"no check named {name!r} (known: {known})")
     try:
-        inspect.signature(defn.run).bind(**params)
+        bound = inspect.signature(defn.run).bind(**params)
     except TypeError as exc:
         raise ValueOutOfRangeError(f"bad parameters for check {name!r}: {exc}") from None
-    klass = params.get("klass", CLASSES[0])
+    bound.apply_defaults()
+    args = dict(bound.arguments)
+    for key in ("n", "a", "b", "seed"):  # plain ints: a bool or a float is rejected
+        if key in args and type(args[key]) is not int:
+            raise ValueOutOfRangeError(f"check {name!r} takes an int {key}, got {args[key]!r}")
+    klass = args.get("klass", CLASSES[0])
     if klass not in CLASSES:
         known = ", ".join(CLASSES)
         raise ValueOutOfRangeError(f"check {name!r} takes a class in ({known}), not {klass!r}")
-    if "n" in params and params["n"] < defn.lo:
-        raise ValueOutOfRangeError(f"check {name!r} takes n >= {defn.lo}, got n={params['n']}")
+    if "n" in args and args["n"] < defn.lo:
+        raise ValueOutOfRangeError(f"check {name!r} takes n >= {defn.lo}, got n={args['n']}")
+    if min(args.get("a", 1), args.get("b", 1)) < 1:
+        raise ValueOutOfRangeError(f"need a, b >= 1, got a={args['a']}, b={args['b']}")
     try:
-        return defn.run(**params)
+        verdict, witness = "PASS", defn.run(**args)
+    except Mismatch as exc:
+        verdict, witness = "FAIL", exc.witness
     except _MATH_FAILURES as exc:
-        return CheckReport(name, params, "FAIL", {"error": exc.code, "message": exc.message})
+        verdict, witness = "FAIL", {"error": exc.code, "message": exc.message}
+    return CheckReport(name, args, verdict, witness or None)
 
 
 def verify_all(max_n: int | None = None, seed: int = 0) -> list:

@@ -30,9 +30,9 @@ from .perms import (
     DOUBLE_ASC,
     DOUBLE_DESC,
     PEAK,
+    _classify,
     _is_prefix_decreasing,
     check_word,
-    classify,
     lrmin_values,
     rlmin_values,
 )
@@ -162,7 +162,7 @@ def slot_labels(word: Sequence[int]) -> LabelWord:
     n = len(w)
     if n == 0:
         raise ValueOutOfRangeError("labeling needs at least one letter")
-    kinds = classify(w)
+    kinds = _classify(w)  # w is validated above
     k = w.index(1) + 1  # 1-based position of the value 1
     labels: list[str] = []
     for i in range(2, n + 1):  # slot i, between letters i-1 and i (1-based)

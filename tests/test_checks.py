@@ -1,11 +1,14 @@
 """Identity-verification registry and its reports."""
 
+import dataclasses
+import functools
 import hashlib
 import json
 
 import pytest
 
 from eulab.action import _swap
+from eulab.bijection import mirror
 from eulab.checks import CheckDef, CheckReport, REGISTRY, verify, verify_all
 from eulab.errors import UnknownCheckError, ValueOutOfRangeError
 from eulab.perms import DOUBLE_ASC, DOUBLE_DESC, _classify, _stats
@@ -110,6 +113,39 @@ def test_n_below_the_floor_rejected(name):
         with pytest.raises(ValueOutOfRangeError) as info:
             verify(name, **params)
         assert info.value.message == f"check {name!r} takes n >= 1, got n=0"
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("secant", {"n": "3"}),
+        ("secant", {"n": 2.0}),
+        ("secant", {"n": True}),
+        ("cgk-alpha", {"a": 1, "b": "2"}),
+        ("group-action", {"n": 3, "seed": None}),
+        ("cgk-alpha", {"a": 0, "b": 2}),
+    ],
+)
+def test_bad_parameter_values_rejected_before_the_body(monkeypatch, name, params):
+    # n, a, b and seed are plain ints, and a, b >= 1; verify checks them all
+    ran = []
+    defn = REGISTRY[name]
+
+    @functools.wraps(defn.run)  # keeps the signature that verify binds to
+    def spy(**kwargs):
+        ran.append(kwargs)
+
+    monkeypatch.setitem(REGISTRY, name, dataclasses.replace(defn, run=spy))
+    with pytest.raises(ValueOutOfRangeError):
+        verify(name, **params)
+    assert ran == []
+
+
+def test_report_params_are_the_arguments_the_check_ran_with():
+    assert verify("group-action", n=3, seed=4).params == {"n": 3, "seed": 4}
+    assert verify("group-action", n=3).line() == "PASS group-action n=3 seed=0"
+    # signature order, whatever the keyword order
+    assert verify("pip", n=3, klass="prw").line() == "PASS pip klass=prw n=3"
 
 
 def test_n_floor_checked_before_the_body():
@@ -294,3 +330,38 @@ def test_pip_fails_on_a_wrong_profile(monkeypatch, klass, wrong, caught_by):
     report = verify("pip", klass=klass, n=4)
     assert not report.passed
     assert caught_by in report.witness
+
+
+def _bumped(field):
+    # one more of ``field`` on the words below their mirror image: every
+    # mirrored pair with distinct words then breaks the swap-table row whose
+    # image or word side reads ``field`` (``lrmin`` stands for ``weight``)
+    def wrong(w):
+        s = _stats(w)
+        return s._replace(**{field: getattr(s, field) + (w < mirror(w))})
+
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "field, row",
+    [("des", "des"), ("asc", "asc"), ("double_asc", "double_asc"),
+     ("double_desc", "double_desc"), ("lrmin", "weight")],
+)
+def test_bijection_fails_on_a_broken_swap(monkeypatch, field, row):
+    import eulab.checks
+
+    monkeypatch.setattr(eulab.checks, "stats", _bumped(field))
+    report = verify("bijection", n=4)
+    assert not report.passed
+    assert "word" in report.witness
+    assert row in report.witness["reason"].split()
+
+
+def test_bijection_fails_on_the_identity_mirror(monkeypatch):
+    import eulab.checks
+
+    monkeypatch.setattr(eulab.checks, "mirror", lambda w: tuple(w))
+    report = verify("bijection", n=4)
+    assert not report.passed
+    assert "word" in report.witness

@@ -216,14 +216,17 @@ def test_verify_class_fan_out(capsys):
 def test_verify_seed_reaches_checks_that_take_one(capsys):
     from eulab.checks import CheckDef, REGISTRY
 
+    ran = []
+
     def seeded(n, seed):
-        return CheckReport("seeded", {"n": n, "seed": seed}, "PASS")
+        ran.append((n, seed))
 
     REGISTRY["seeded"] = CheckDef(name="seeded", summary="echo", run=seeded, lo=1, hi=1)
     try:
         code, out, _ = run(capsys, "verify", "seeded", "-n", "2", "--seed", "7")
         assert code == 0
         assert out.strip() == "PASS seeded n=2 seed=7"
+        assert ran == [(2, 7)]
     finally:
         del REGISTRY["seeded"]
 
@@ -340,12 +343,15 @@ def test_cap_rejected_before_any_word(capsys, monkeypatch):
 
 
 def test_verify_fail_exit_one(capsys):
-    from eulab.checks import CheckDef, CheckReport as CR, REGISTRY
+    from eulab.checks import CheckDef, Mismatch, REGISTRY
+
+    def always_fail(n):
+        raise Mismatch(detail="no")
 
     defn = CheckDef(
         name="always-fail",
         summary="fails",
-        run=lambda n: CR("always-fail", {"n": n}, "FAIL", {"detail": "no"}),
+        run=always_fail,
         lo=1,
         hi=1,
     )
