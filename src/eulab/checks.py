@@ -383,15 +383,11 @@ def _check_bijection(n: int) -> None:
         raise Mismatch(distribution=str(dist))
 
 
-# letter class -> (class of the image letter, minima function of the word,
-# minima function of the image): a toggled double ascent becomes a double
-# descent that is a left-to-right minimum of the image exactly when it was a
-# right-to-left minimum of the word, and the mirror case; a peak or a valley
-# is fixed
-_FLIPS = {
-    DOUBLE_ASC: (DOUBLE_DESC, rlmin_values, lrmin_values),
-    DOUBLE_DESC: (DOUBLE_ASC, lrmin_values, rlmin_values),
-}
+# letter class -> class of the image letter; a peak or a valley is fixed.
+# The toggled letter is a left-to-right minimum of the word where it is a
+# double descent exactly when it is a right-to-left minimum of the word
+# where it is a double ascent.
+_FLIPS = {DOUBLE_ASC: DOUBLE_DESC, DOUBLE_DESC: DOUBLE_ASC}
 
 
 def _check_group_action(n: int, seed: int = 0) -> None:
@@ -410,13 +406,13 @@ def _check_group_action(n: int, seed: int = 0) -> None:
         for x in range(1, n + 1):
             v = toggle(w, x)
             sv = _stats(v)
-            flip = _FLIPS.get(kinds[w.index(x)])
-            if flip is None:
+            image_kind = _FLIPS.get(kinds[w.index(x)])
+            if image_kind is None:
                 flipped = v == w
             else:
-                image_kind, of_word, of_image = flip
+                ascends, descends = (w, v) if image_kind == DOUBLE_DESC else (v, w)
                 flipped = _classify(v)[v.index(x)] == image_kind and (
-                    (x in of_image(v)) == (x in of_word(w))
+                    (x in lrmin_values(descends)) == (x in rlmin_values(ascends))
                 )
             if _toggle(v, x) != w:
                 reason = "not an involution"
@@ -536,6 +532,13 @@ REGISTRY: dict = {
 }
 
 
+def _require_ints(owner: str, **values) -> None:
+    """Plain ints only: a bool, a float or a string is rejected."""
+    for key, value in values.items():
+        if type(value) is not int:
+            raise ValueOutOfRangeError(f"{owner} takes an int {key}, got {value!r}")
+
+
 def verify(name: str, **params) -> CheckReport:
     """Run one named check; the report's params are the arguments it ran
     with, in signature order.  Mathematical mismatches come back as FAIL
@@ -553,9 +556,7 @@ def verify(name: str, **params) -> CheckReport:
         raise ValueOutOfRangeError(f"bad parameters for check {name!r}: {exc}") from None
     bound.apply_defaults()
     args = dict(bound.arguments)
-    for key in ("n", "a", "b", "seed"):  # plain ints: a bool or a float is rejected
-        if key in args and type(args[key]) is not int:
-            raise ValueOutOfRangeError(f"check {name!r} takes an int {key}, got {args[key]!r}")
+    _require_ints(f"check {name!r}", **{k: args[k] for k in ("n", "a", "b", "seed") if k in args})
     klass = args.get("klass", CLASSES[0])
     if klass not in CLASSES:
         known = ", ".join(CLASSES)
@@ -577,8 +578,9 @@ def verify_all(max_n: int | None = None, seed: int = 0) -> list:
     """Run every registered check over its default parameter sweep
     (bounded by ``max_n`` when given; ``seed`` reaches every check that
     takes one).  Returns one aggregated report per check, in registry
-    order.  A ``max_n`` that leaves some check no runs is rejected before
-    any check runs."""
+    order.  Arguments that are not ints (``max_n`` may be ``None``) and a
+    ``max_n`` that leaves some check no runs are rejected before any check runs."""
+    _require_ints("verify_all", **({} if max_n is None else {"max_n": max_n}), seed=seed)
     grids = {name: defn.sweep(max_n, seed) for name, defn in REGISTRY.items()}
     empty = [name for name, grid in grids.items() if not grid]
     if empty:

@@ -17,7 +17,7 @@ from .checks import CLASSES, REGISTRY, verify, verify_all
 from .enumerators import EnumeratorKind, build
 from .errors import CapExceededError, EulabError
 from .gamma import GammaRoute, gamma_expand, gamma_from_class
-from .grammar import builtin, derive, parse_grammar
+from .grammar import BUILTIN_SOURCES, builtin, derive, parse_grammar
 from .perms import format_perm, parse_perm, stats
 
 
@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gamma.add_argument("-n", type=int, required=True)
     p_gamma.add_argument(
         "--interp",
-        choices=("1", "2", "3", "expand"),
+        choices=(*(str(route.value) for route in GammaRoute), "expand"),
         default="expand",
         help="peeling (expand) or one of the three enumeration routes",
     )
@@ -192,9 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_derive = grammar_sub.add_parser("derive", help="apply the derivative repeatedly")
     src = p_derive.add_mutually_exclusive_group(required=True)
     src.add_argument("--file", help="rule-set file")
-    src.add_argument(
-        "--builtin", choices=("two-variable", "five-variable"), help="built-in rule set"
-    )
+    src.add_argument("--builtin", choices=BUILTIN_SOURCES, help="built-in rule set")
     p_derive.add_argument("--start", required=True, help="start polynomial, e.g. a or a*b")
     p_derive.add_argument("--steps", type=int, required=True)
     p_derive.add_argument("--json", action="store_true")

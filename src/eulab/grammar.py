@@ -81,7 +81,7 @@ def parse_grammar(source: str) -> Grammar:
     return Grammar(tuple(rules))
 
 
-_BUILTIN_SOURCES = {
+BUILTIN_SOURCES = {
     # descent/ascent enumerator with the decreasing-prefix marker z
     "two-variable": "a -> a*al*(z+y); x -> x*y; y -> x*y;",
     # peak (u1,u2), double-ascent (u3), double-descent (u4, u5) refinement
@@ -92,9 +92,9 @@ _BUILTIN_SOURCES = {
 def builtin(name: str) -> Grammar:
     """Return one of the built-in rule sets by name."""
     try:
-        return parse_grammar(_BUILTIN_SOURCES[name])
+        return parse_grammar(BUILTIN_SOURCES[name])
     except KeyError:
-        known = ", ".join(sorted(_BUILTIN_SOURCES))
+        known = ", ".join(sorted(BUILTIN_SOURCES))
         raise UnknownNameError(f"no built-in rule set {name!r} (known: {known})") from None
 
 

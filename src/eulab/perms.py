@@ -17,8 +17,8 @@ a word passes it through ``check_word``, which admits only a tuple of plain
 hand them such a tuple, e.g. the output of ``enumerate_class``, and validate
 nothing.
 
-``enumerate_class`` generates the decreasing-prefix words directly rather
-than filtering all n! permutations; the other classes are filters over the
+``enumerate_class`` generates every class from one table of rules: a prefix
+grows only by the letters its class allows, so no class is filtered from the
 symmetric group.  Every class streams in lexicographic order.
 """
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import os
 from enum import Enum
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CapExceededError, InvalidPermutationError, ValueOutOfRangeError
 
@@ -261,7 +261,7 @@ def _is_prefix_decreasing(w: Perm) -> bool:
 
 
 class PermClass(Enum):
-    """Enumerable families of words."""
+    """Enumerable families of words, each generated by its rule in ``_RULES``."""
 
     SYM = "sym"
     PRW = "prw"
@@ -269,66 +269,65 @@ class PermClass(Enum):
     ALT_DOWN_UP = "alt-down-up"
 
 
+class _Rule(NamedTuple):
+    """How a class grows its words: ``extra`` letters per size index;
+    ``allows(p, v)``, may the unused letter ``v`` follow the prefix ``p``;
+    ``free(p)``, may every arrangement of the remaining letters follow ``p``."""
+
+    extra: int
+    allows: Callable[[Perm, int], bool]
+    free: Callable[[Perm], bool] = lambda p: False
+
+
+_RULES = {
+    PermClass.SYM: _Rule(0, lambda p, v: True, lambda p: True),
+    # the prefix ending at 1 decreases; size index n means n+1 letters, so
+    # that the enumerator of index n has degree n in x and y
+    PermClass.PRW: _Rule(1, lambda p, v: not p or p[-1] > v, lambda p: p[-1:] == (1,)),
+    # no three consecutive letters decrease
+    PermClass.NDD_INTERIOR: _Rule(0, lambda p, v: len(p) < 2 or not p[-2] > p[-1] > v),
+    # descents at the odd 1-based positions, ascents at the even ones
+    PermClass.ALT_DOWN_UP: _Rule(0, lambda p, v: not p or (p[-1] > v) == (len(p) % 2 == 1)),
+}
+
+
 def letters(tag: PermClass, index: int) -> int:
-    """Word length behind size index ``index`` of a class.  Index n over
-    decreasing-prefix words means words on n+1 letters, so that the
-    enumerator of index n has degree n in x and y; every other class is
-    indexed by its word length.
+    """Word length behind size index ``index`` of a class.
 
     >>> letters(PermClass.PRW, 3), letters(PermClass.SYM, 3)
     (4, 3)
     """
-    return index + 1 if tag is PermClass.PRW else index
+    return index + _RULES[tag].extra
 
 
-def _no_interior_double_descent_run(w: Perm) -> bool:
-    # no 1-based index 1 < i < n with w[i-1] > w[i] > w[i+1]
-    return not any(w[i - 1] > w[i] > w[i + 1] for i in range(1, len(w) - 1))
-
-
-def _is_down_up(w: Perm) -> bool:
-    return all((w[i] > w[i + 1]) == (i % 2 == 0) for i in range(len(w) - 1))
-
-
-def _prefix_decreasing_words(n: int) -> Iterator[Perm]:
-    """The words on n letters whose prefix ending at 1 decreases, generated
-    rather than filtered, in lexicographic order: a decreasing run of
-    letters above 1, then 1, then every arrangement of the rest.  After a
-    run ending in ``top``, the next letter is 1 (the smallest choice, so it
-    comes first) or any unused letter in 1 < v < top, in increasing order."""
-
-    def grow(run: Perm, rest: Perm, top: int) -> Iterator[Perm]:
-        head = run + (1,)
-        for tail in itertools.permutations(rest):
-            yield head + tail
-        for i, v in enumerate(rest):
-            if v >= top:
-                break
-            yield from grow(run + (v,), rest[:i] + rest[i + 1 :], v)
-
-    if n == 0:
-        return iter([()])
-    return grow((), tuple(range(2, n + 1)), n + 1)
+def _runs(rule: _Rule, n: int) -> Iterator[Iterable[Perm]]:
+    """The class's words on n letters as consecutive runs, in lexicographic
+    order.  Prefixes grow depth first, each by its allowed letters in
+    increasing order; a free prefix yields every arrangement of the
+    remaining letters as one run, straight from ``itertools.permutations``."""
+    _, allows, free = rule
+    stack = [((), tuple(range(1, n + 1)))]
+    while stack:
+        prefix, rest = stack.pop()
+        if free(prefix):
+            tails = itertools.permutations(rest)
+            yield map(prefix.__add__, tails) if prefix else tails  # S_n: the bare stream
+        elif not rest:
+            yield (prefix,)
+        else:  # pushed from the largest letter down, so the smallest pops first
+            for i in range(len(rest) - 1, -1, -1):
+                if allows(prefix, rest[i]):
+                    stack.append((prefix + (rest[i],), rest[:i] + rest[i + 1 :]))
 
 
 def enumerate_class(tag: PermClass, n: int) -> Iterator[Perm]:
-    """Stream the members of a class on n letters in lexicographic order.
-
-    ``n`` must stay at or below the enumeration cap (see
-    ``enumeration_cap``).
-    """
+    """Stream the members of a class on n letters, at most the enumeration
+    cap (see ``enumeration_cap``), in lexicographic order.  On 0 letters
+    every class holds exactly the empty word."""
     _check_cap(n)
-    low = 0 if tag is PermClass.SYM else 1
-    if n < low:
+    if n < 0:
         raise ValueOutOfRangeError(f"n={n} is too small for class {tag.value}")
-    if tag is PermClass.PRW:
-        return _prefix_decreasing_words(n)
-    base = itertools.permutations(range(1, n + 1))
-    if tag is PermClass.SYM:
-        return iter(base)
-    if tag is PermClass.NDD_INTERIOR:
-        return (w for w in base if _no_interior_double_descent_run(w))
-    return (w for w in base if _is_down_up(w))
+    return itertools.chain.from_iterable(_runs(_RULES[tag], n))
 
 
 def class_size(tag: PermClass, n: int) -> int:

@@ -182,6 +182,19 @@ def test_max_n_leaving_a_check_no_runs_rejected(monkeypatch, max_n):
     assert "cgk-alpha" in info.value.message
 
 
+@pytest.mark.parametrize(
+    "kwargs", [{"max_n": 5.0}, {"max_n": "5"}, {"seed": True}, {"seed": None}]
+)
+def test_verify_all_arguments_rejected_before_any_check(monkeypatch, kwargs):
+    import eulab.checks
+
+    ran = []
+    monkeypatch.setattr(eulab.checks, "verify", lambda name, **params: ran.append(name))
+    with pytest.raises(ValueOutOfRangeError):
+        verify_all(**kwargs)
+    assert ran == []
+
+
 def test_smallest_max_n_runs_every_check():
     reports = verify_all(max_n=2)
     assert all(r.passed and r.witness["runs"] >= 1 for r in reports)
@@ -365,3 +378,19 @@ def test_bijection_fails_on_the_identity_mirror(monkeypatch):
     report = verify("bijection", n=4)
     assert not report.passed
     assert "word" in report.witness
+
+
+@pytest.mark.parametrize("side", ["lrmin_values", "rlmin_values"])
+def test_group_action_reads_the_minima_functions_at_call_time(monkeypatch, side):
+    import eulab.checks
+
+    calls = []
+    real = getattr(eulab.checks, side)
+    monkeypatch.setattr(eulab.checks, side, lambda w: calls.append(w) or real(w))
+    assert verify("group-action", n=4).passed
+    assert calls
+    # a wrong minima function is seen, and caught on a letter
+    monkeypatch.setattr(eulab.checks, side, lambda w: set())
+    report = verify("group-action", n=4)
+    assert not report.passed
+    assert "letter" in report.witness

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from eulab.checks import REGISTRY, CheckReport
-from eulab.cli import main
+from eulab.cli import build_parser, main
 from eulab.enumerators import Enumerator, EnumeratorKind, build
 from eulab.perms import parse_perm
 from eulab.poly import MultiPoly, parse_poly
@@ -133,6 +133,18 @@ def test_grammar_derive_builtin_json(capsys):
     assert got == parse_poly("a") * build(EnumeratorKind.PTILDE, 2).value
 
 
+def test_grammar_builtin_choices_come_from_the_rule_table(monkeypatch, capsys):
+    import eulab.grammar
+
+    monkeypatch.setitem(eulab.grammar.BUILTIN_SOURCES, "one-rule", "a -> a*b;")
+    args = build_parser().parse_args(
+        ["grammar", "derive", "--builtin", "one-rule", "--start", "a", "--steps", "1"]
+    )
+    assert args.builtin == "one-rule"
+    assert run(capsys, "grammar", "derive", "--builtin", "one-rule", "--start", "a",
+               "--steps", "1") == (0, "a*b\n", "")
+
+
 def test_grammar_derive_missing_file(tmp_path, capsys):
     code, _, err = run(
         capsys, "grammar", "derive", "--file", str(tmp_path / "nope.txt"),
@@ -158,6 +170,11 @@ def test_bijection_table(capsys):
         "3 1 2 <-> 2 1 3",
         "3 2 1 <-> 1 2 3",
     ]
+
+
+def test_bijection_table_on_no_letters(capsys):
+    # the empty word is the one decreasing-prefix word on 0 letters
+    assert run(capsys, "bijection", "table", "-n", "0") == (0, " <->  (fixed)\n", "")
 
 
 def test_bijection_table_json(capsys):

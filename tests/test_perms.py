@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulab.errors import CapExceededError, InvalidPermutationError
+from eulab.bijection import pair_table
+from eulab.enumerators import alternating_weight, euler_number
+from eulab.errors import CapExceededError, InvalidPermutationError, ValueOutOfRangeError
 from eulab.perms import (
     DOUBLE_ASC,
     DOUBLE_DESC,
@@ -17,7 +19,6 @@ from eulab.perms import (
     StatProfile,
     _classify,
     _is_prefix_decreasing,
-    _prefix_decreasing_words,
     _stats,
     check_word,
     class_size,
@@ -251,13 +252,53 @@ def test_enumerate_interior_ndd():
     assert set(words) == set(permutations(range(1, 4))) - {(3, 2, 1)}
 
 
+# each class's membership test over all n! words, written independently of
+# the generation rules: the oracle the generator must match word for word
+_CLASS_FILTERS = {
+    PermClass.SYM: lambda w: True,
+    PermClass.PRW: _is_prefix_decreasing,
+    # no 1-based index 1 < i < n with w[i-1] > w[i] > w[i+1]
+    PermClass.NDD_INTERIOR: lambda w: not any(
+        w[i - 1] > w[i] > w[i + 1] for i in range(1, len(w) - 1)
+    ),
+    PermClass.ALT_DOWN_UP: lambda w: all(
+        (w[i] > w[i + 1]) == (i % 2 == 0) for i in range(len(w) - 1)
+    ),
+}
+
+
+def _filtered(tag, n):
+    return [w for w in permutations(range(1, n + 1)) if _CLASS_FILTERS[tag](w)]
+
+
 @pytest.mark.parametrize("n", range(9))
 def test_prefix_decreasing_words_are_generated_in_filter_order(n):
     # the filter over all n! words is the oracle: same words, same order
-    want = [w for w in permutations(range(1, n + 1)) if _is_prefix_decreasing(w)]
-    assert list(_prefix_decreasing_words(n)) == want
-    if n:
-        assert list(enumerate_class(PermClass.PRW, n)) == want
+    assert list(enumerate_class(PermClass.PRW, n)) == _filtered(PermClass.PRW, n)
+
+
+@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("tag", [t for t in PermClass if t is not PermClass.PRW])
+def test_every_other_class_is_generated_in_filter_order(tag, n):
+    assert list(enumerate_class(tag, n)) == _filtered(tag, n)
+
+
+def test_alternating_words_are_counted_by_euler_numbers():
+    assert [class_size(PermClass.ALT_DOWN_UP, n) for n in range(11)] == [
+        euler_number(n) for n in range(11)
+    ]
+
+
+@pytest.mark.parametrize("tag", list(PermClass))
+def test_negative_sizes_rejected_for_every_class(tag):
+    # 0 letters hold the empty word (the filter tests above); below 0 is an error
+    with pytest.raises(ValueOutOfRangeError):
+        enumerate_class(tag, -1)
+
+
+def test_empty_word_reaches_the_callers():
+    assert alternating_weight(0) == 1  # E_0
+    assert pair_table(0) == [((), ())]
 
 
 def test_class_sizes():
