@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import inspect
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
 from math import comb
@@ -320,13 +321,15 @@ def _check_pip(klass: str, n: int) -> dict:
 
     keys = []
     for orb in orbits:
-        # orbit members are generated, hence valid: profile each one once
+        # orbit members are generated, hence valid: profile each one once,
+        # and build one monomial per distinct profile
         profiles = {w: _stats(w) for w in orb.members}
         rs = profiles[orb.representative]
         key = (rs.peaks, rs.double_asc, rs.weight)
         keys.append(key)
+        counts = Counter(profiles.values())
         for alphabet, (exponents, _, _) in enumerate(alphabets):
-            lhs = poly_sum(MultiPoly.monomial(1, exponents(s)) for s in profiles.values())
+            lhs = poly_sum(MultiPoly.monomial(c, exponents(s)) for s, c in counts.items())
             rhs = product(alphabet, *key)
             if lhs != rhs:
                 raise Mismatch(

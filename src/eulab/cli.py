@@ -14,11 +14,11 @@ import sys
 from .action import orbit, orbit_dot
 from .bijection import mirror, pair_table
 from .checks import CLASSES, REGISTRY, verify, verify_all
-from .enumerators import EnumeratorKind, build
+from .enumerators import KINDS, EnumeratorKind, build
 from .errors import CapExceededError, EulabError
 from .gamma import GammaRoute, gamma_expand, gamma_from_class
 from .grammar import BUILTIN_SOURCES, builtin, derive, parse_grammar
-from .perms import format_perm, parse_perm, stats
+from .perms import PermClass, format_perm, parse_perm, stats
 
 
 def _emit(payload) -> None:
@@ -57,7 +57,8 @@ def _cmd_perm(args) -> int:
 
 
 def _cmd_poly(args) -> int:
-    enum = build(EnumeratorKind(args.kind), args.n)
+    klass = getattr(args, "klass", None)
+    enum = build(EnumeratorKind(args.kind), args.n, klass and PermClass(klass))
     if args.json:
         _emit(enum.to_json())
     else:
@@ -167,14 +168,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_poly = sub.add_parser("poly", help="statistic-generating polynomials")
     poly_sub = p_poly.add_subparsers(dest="kind", required=True)
-    for kind, desc in (
-        ("bse", "descent/ascent enumerator over decreasing-prefix words"),
-        ("bse-z", "same, with the decreasing prefix marked by z"),
-        ("ptilde", "five-variable peak refinement"),
-        ("se", "descent/ascent enumerator over the symmetric group"),
-    ):
-        pk = poly_sub.add_parser(kind, help=desc)
+    for kind, spec in KINDS.items():
+        pk = poly_sub.add_parser(kind.value, help=spec.help)
         pk.add_argument("-n", type=int, required=True)
+        if len(spec.classes) > 1:
+            pk.add_argument(
+                "--class", dest="klass", choices=[c.value for c in spec.classes],
+                help=f"class to sum over (default {spec.classes[0].value})",
+            )
         pk.add_argument("--json", action="store_true")
 
     p_gamma = sub.add_parser("gamma", help="basis coefficients of the enumerator")

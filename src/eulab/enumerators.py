@@ -94,6 +94,7 @@ def profile_sum(tag: PermClass, n: int, exponents) -> MultiPoly:
 class KindSpec(NamedTuple):
     classes: tuple  # the classes a kind may run over, the default first
     exponents: Callable[[StatProfile], dict]
+    help: str  # one line, shown by ``eulab poly --help``
 
 
 def _des_asc(s: StatProfile) -> dict:
@@ -101,21 +102,30 @@ def _des_asc(s: StatProfile) -> dict:
 
 
 KINDS = {
-    EnumeratorKind.BSE: KindSpec((PermClass.PRW,), _des_asc),
+    EnumeratorKind.BSE: KindSpec(
+        (PermClass.PRW,), _des_asc,
+        "descent/ascent enumerator over decreasing-prefix words",
+    ),
     EnumeratorKind.BSE_Z: KindSpec(
         (PermClass.PRW,),
         lambda s: {"x": s.des - s.lrmin + 1, "y": s.asc, "z": s.lrmin - 1, "al": s.weight},
+        "same, with the decreasing prefix marked by z",
     ),
     EnumeratorKind.PTILDE: KindSpec(
         (PermClass.PRW,),
         lambda s: {"u1": s.peaks, "u2": s.peaks, "u3": s.double_asc, "u4": s.internal_dd,
                    "u5": s.lrmin_dd, "al": s.weight},
+        "five-variable peak refinement",
     ),
-    EnumeratorKind.SE: KindSpec((PermClass.SYM,), _des_asc),
+    EnumeratorKind.SE: KindSpec(
+        (PermClass.SYM,), _des_asc,
+        "descent/ascent enumerator over the symmetric group",
+    ),
     EnumeratorKind.REFINED: KindSpec(
         (PermClass.PRW, PermClass.SYM),
         lambda s: {"u1": s.peaks, "u2": s.peaks, "u3": s.double_asc, "u4": s.double_desc,
                    "al": s.weight},
+        "four-variable peak refinement over a chosen class",
     ),
 }
 

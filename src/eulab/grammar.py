@@ -36,7 +36,7 @@ from .perms import (
     lrmin_values,
     rlmin_values,
 )
-from .poly import ExprParser, MultiPoly, parse_poly, tokenize
+from .poly import ExprParser, MultiPoly, _check_steps, parse_poly, tokenize
 
 
 @dataclass(frozen=True)
@@ -105,18 +105,15 @@ def derivative(grammar: Grammar, p: MultiPoly) -> MultiPoly:
 
 def derive(grammar: Grammar, start: MultiPoly | str, steps: int) -> MultiPoly:
     """Apply the derivative ``steps`` times to ``start``, a polynomial or
-    its text form.
+    its text form; ``steps`` is checked before the text is parsed.
 
     >>> g = builtin("two-variable")
     >>> str(derive(g, "a", 1))
     'a*al*y + a*al*z'
     """
-    if steps < 0:
-        raise ValueOutOfRangeError(f"steps must be nonnegative, got {steps}")
+    _check_steps(steps)
     p = parse_poly(start) if isinstance(start, str) else start
-    for _ in range(steps):
-        p = derivative(grammar, p)
-    return p
+    return p.derivation(grammar.rule_map(), steps)
 
 
 # -- letter labeling --------------------------------------------------------

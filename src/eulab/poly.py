@@ -19,6 +19,14 @@ format and the coefficient type are decided here alone: other modules
 combine polynomials only with the operators, ``poly_sum`` and
 ``derivation``.
 
+``derivation(images, steps)`` computes D^steps for the derivation D that
+sends each ruled variable to its image, in one pass over packed monomials:
+each monomial is one ``int`` with a biased bit field per variable, and
+each term product is one integer addition.  The field width comes from an
+exponent bound that holds for every input, so no field overflows, and
+negative exponents pack like positive ones.  A rule-set derivative is
+this call.
+
 The text form uses ``+ - * ^``, integer and rational literals (``3``,
 ``1/2``), and parentheses.  ``parse_poly(str(p)) == p`` holds for every
 polynomial ``p``.
@@ -36,6 +44,7 @@ from .errors import (
     NotHomogeneousError,
     PolySyntaxError,
     UnboundVariableError,
+    ValueOutOfRangeError,
     ZeroAtNegativePowerError,
 )
 
@@ -53,18 +62,39 @@ def _mono(exps: Mapping[str, int]) -> Mono:
 
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
+    """The product of two monomials: a merge of their sorted pairs, adding
+    the exponents of a shared variable and dropping a zero sum."""
     if not a:
         return b
     if not b:
         return a
-    exps = dict(a)
-    for v, e in b:
-        ne = exps.get(v, 0) + e
-        if ne:
-            exps[v] = ne
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va < vb:
+            out.append(a[i])
+            i += 1
+        elif vb < va:
+            out.append(b[j])
+            j += 1
         else:
-            del exps[v]
-    return tuple(sorted(exps.items()))
+            if ea + eb:
+                out.append((va, ea + eb))
+            i += 1
+            j += 1
+    return (*out, *a[i:], *b[j:])
+
+
+def _check_steps(steps) -> None:
+    """The one rule for a count of derivation steps: a plain nonnegative
+    ``int`` (a bool, a float or a string is rejected)."""
+    if type(steps) is not int:
+        raise ValueOutOfRangeError(f"steps must be an int, got {steps!r}")
+    if steps < 0:
+        raise ValueOutOfRangeError(f"steps must be nonnegative, got {steps}")
 
 
 def _coef(c) -> Scalar:
@@ -322,30 +352,68 @@ class MultiPoly:
             pair for mono, coef in self._terms.items() for pair in replaced(mono, coef)
         ))
 
-    def derivation(self, images: Mapping[str, "MultiPoly"]) -> "MultiPoly":
-        """The derivation D with D(v) = ``images[v]`` for each variable with
-        an image and D(v) = 0 for every other variable, extended by the
-        Leibniz rule, also to negative powers:
-        D(c v^e rest) = c e v^(e-1) rest D(v), summed over the variables
-        of each term.
+    def derivation(self, images: Mapping[str, "MultiPoly"], steps: int = 1) -> "MultiPoly":
+        """D^steps of this polynomial, for the derivation D with D(v) =
+        ``images[v]`` for each variable with an image and D(v) = 0 for every
+        other variable, extended by the Leibniz rule, also to negative
+        powers: D(c v^e rest) = c e v^(e-1) rest D(v), summed over the
+        variables of each term.  ``steps`` is a plain nonnegative ``int``.
+
+        All steps run on packed monomials.  The variables are the sorted
+        union of those here and in the images, and each gets one bit field
+        of a single ``int`` key, holding its exponent plus a bias.  A rule
+        term becomes the key delta of its image monomial divided by its
+        head, so each term product is one integer addition; the keys are
+        unpacked to monomials once, at the end.  One step moves an exponent
+        by at most 1 + the largest image exponent, so no exponent ever
+        exceeds max|start exponent| + steps * (1 + max|image exponent|) in
+        size.  The field holds every value of that size, so no field can
+        overflow into its neighbour.  The bound is exact: x^-s under the
+        rule x -> x^-r reaches x^-(s + steps * (1 + r)).
 
         >>> str(parse_poly("x^2*y + y^-1").derivation({"y": parse_poly("x*y")}))
         'x^3*y - x*y^-1'
+        >>> str(parse_poly("x").derivation({"x": parse_poly("x^2")}, 3))
+        '6*x^4'
         """
+        _check_steps(steps)
+        if not steps:
+            return self
+        names = sorted(self.variables().union(*(p.variables() for p in images.values())))
+        start = max((abs(e) for m in self._terms for _, e in m), default=0)
+        reach = max((abs(e) for p in images.values() for m in p._terms for _, e in m), default=0)
+        width = (start + steps * (1 + reach)).bit_length() + 1
+        mask, bias = (1 << width) - 1, 1 << (width - 1)
+        shift = {v: i * width for i, v in enumerate(names)}
+        fields = tuple(shift.items())
+        origin = sum(bias << s for _, s in fields)
 
-        def products():
-            for mono, coef in self._terms.items():
-                for i, (v, e) in enumerate(mono):
-                    image = images.get(v)
-                    if image is None:
-                        continue
-                    lowered = ((v, e - 1),) if e != 1 else ()
-                    base = mono[:i] + lowered + mono[i + 1:]
-                    scaled = coef * e
-                    for m, c in image._terms.items():
-                        yield _mono_mul(base, m), scaled * c
+        def pack(mono: Mono) -> int:
+            return sum(e << shift[v] for v, e in mono)
 
-        return _wrap(_collect(products()))
+        def unpack(key: int) -> Mono:
+            return tuple((v, e) for v, s in fields if (e := ((key >> s) & mask) - bias))
+
+        # per ruled variable: its field's shift and (delta, coefficient) pairs
+        rules = [
+            (shift[v], [(pack(m) - (1 << shift[v]), c) for m, c in image._terms.items()])
+            for v, image in images.items()
+            if v in shift
+        ]
+        terms = {origin + pack(m): c for m, c in self._terms.items()}
+        for _ in range(steps):
+            acc: dict[int, Scalar] = {}
+            get = acc.get
+            for key, coef in terms.items():
+                for s, rule in rules:
+                    e = ((key >> s) & mask) - bias
+                    if e:
+                        scaled = coef * e
+                        for delta, c in rule:
+                            k = key + delta
+                            acc[k] = get(k, 0) + scaled * c
+            terms = {k: c for k, c in acc.items() if c}
+        return _wrap(_collect((unpack(key), coef) for key, coef in terms.items()))
 
     def eval_at(self, point: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a rational point binding every variable."""

@@ -7,7 +7,7 @@ import pytest
 from eulab.checks import REGISTRY, CheckReport
 from eulab.cli import build_parser, main
 from eulab.enumerators import Enumerator, EnumeratorKind, build
-from eulab.perms import parse_perm
+from eulab.perms import PermClass, parse_perm
 from eulab.poly import MultiPoly, parse_poly
 
 
@@ -67,11 +67,22 @@ def test_poly_commands(capsys):
 
 
 def test_poly_json_round_trip(capsys):
-    for kind in ("bse", "bse-z", "ptilde", "se"):
-        code, out, _ = run(capsys, "poly", kind, "-n", "2", "--json")
+    # one subcommand per kind in enumerators.KINDS
+    for kind in EnumeratorKind:
+        code, out, _ = run(capsys, "poly", kind.value, "-n", "2", "--json")
         assert code == 0
         e = Enumerator.from_json(json.loads(out))
-        assert e.value == build(EnumeratorKind(kind), 2).value
+        assert e.value == build(kind, 2).value
+
+
+def test_poly_class_option(capsys):
+    code, out, _ = run(capsys, "poly", "refined", "-n", "2", "--class", "sym")
+    assert code == 0
+    assert out.strip() == build(EnumeratorKind.REFINED, 2, PermClass.SYM).value.pretty()
+    # only a kind over more than one class takes --class
+    with pytest.raises(SystemExit) as info:
+        main(["poly", "bse", "-n", "2", "--class", "sym"])
+    assert info.value.code == 2
 
 
 def test_gamma_text(capsys):

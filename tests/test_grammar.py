@@ -12,6 +12,7 @@ from eulab.errors import (
     NotPrefixDecreasingError,
     PolySyntaxError,
     UnknownNameError,
+    ValueOutOfRangeError,
 )
 from eulab.grammar import builtin, derive, parse_grammar, slot_labels
 from eulab.perms import PermClass, enumerate_class
@@ -120,10 +121,26 @@ def test_derivative_at_all_ones_counts_arrangements(name):
     # |PRW_(n+1)| = A000522(n) = sum_j n!/j!, with no enumeration
     g = builtin(name)
     p = parse_poly("a")
-    for n in range(15):
+    for n in range(21):
         want = sum(math.factorial(n) // math.factorial(j) for j in range(n + 1))
-        assert p.eval_at(dict.fromkeys(p.variables(), 1)) == want, n
+        assert sum(c for _, c in p.terms()) == want, n  # the value at all ones
         p = derive(g, p, 1)
+
+
+@pytest.mark.parametrize("steps, message", [
+    (True, "steps must be an int, got True"),
+    (2.0, "steps must be an int, got 2.0"),
+    ("2", "steps must be an int, got '2'"),
+    (-1, "steps must be nonnegative, got -1"),
+])
+@pytest.mark.parametrize("apply", [
+    lambda g, steps: derive(g, "a", steps),
+    lambda g, steps: parse_poly("a").derivation(g.rule_map(), steps),
+], ids=["derive", "derivation"])
+def test_steps_must_be_a_nonnegative_int(apply, steps, message):
+    with pytest.raises(ValueOutOfRangeError) as info:
+        apply(builtin("two-variable"), steps)
+    assert info.value.message == message
 
 
 def test_string_start_is_parsed():

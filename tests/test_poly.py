@@ -12,7 +12,7 @@ from eulab.errors import (
     UnboundVariableError,
     ZeroAtNegativePowerError,
 )
-from eulab.poly import MultiPoly, parse_poly, poly_sum
+from eulab.poly import MultiPoly, _mono_mul, parse_poly, poly_sum
 
 
 def test_constructors():
@@ -314,8 +314,59 @@ def laurent_polys(draw):
 @given(
     laurent_polys(),
     st.dictionaries(st.sampled_from("xyzw"), laurent_polys(), max_size=4),
+    st.integers(min_value=0, max_value=4),
 )
-def test_derivation_matches_per_term_leibniz(p, images):
-    got = p.derivation(images)
-    assert got == _leibniz_oracle(p, images)
+def test_derivation_matches_per_term_leibniz(p, images, steps):
+    want = p
+    for _ in range(steps):
+        want = _leibniz_oracle(want, images)
+    got = p.derivation(images, steps)
+    assert got == want
     assert _stored_cleanly(got)
+
+
+def test_derivation_at_the_field_width_edge():
+    # the exponent bound 60 + 7 * (1 + 9) = 130 is attained: x's rule
+    # applied seven times takes x^-60 to x^-130, past the -128 that a field
+    # one bit narrower would hold
+    p = parse_poly("x^-60*y^60")
+    images = {"x": parse_poly("x^-9*y^9"), "y": parse_poly("x^9*y^-9")}
+    want = p
+    for _ in range(7):
+        want = _leibniz_oracle(want, images)
+    got = p.derivation(images, 7)
+    assert got == want
+    assert (("x", -130), ("y", 123)) in dict(got.terms())
+
+
+def _dict_and_sort_product(a: tuple, b: tuple) -> tuple:
+    # the monomial product as a dict of exponents, sorted again
+    exps = dict(a)
+    for v, e in b:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted((v, e) for v, e in exps.items() if e))
+
+
+_monos = st.dictionaries(
+    st.sampled_from(["a", "al", "u1", "u2", "x", "y"]),
+    st.integers(min_value=-2, max_value=2).filter(bool),
+).map(lambda exps: tuple(sorted(exps.items())))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_monos, _monos)
+def test_mono_mul_merge_matches_dict_and_sort(a, b):
+    assert _mono_mul(a, b) == _dict_and_sort_product(a, b)
+
+
+@pytest.mark.parametrize("a, b, want", [
+    ((("x", 1),), (("x", -1),), ()),  # cancellation to the empty monomial
+    ((("x", 1), ("y", 2)), (("x", -1), ("y", -2)), ()),
+    ((("a", 1),), (("b", 2),), (("a", 1), ("b", 2))),  # disjoint
+    ((("b", 2),), (("a", 1),), (("a", 1), ("b", 2))),
+    ((("a", 1), ("c", 3)), (("b", 2), ("d", 4)), (("a", 1), ("b", 2), ("c", 3), ("d", 4))),
+    ((("a", 1), ("b", 2)), (("a", 3), ("b", -2)), (("a", 4),)),  # equal variables
+    ((), (("x", 1),), (("x", 1),)),
+])
+def test_mono_mul_edges(a, b, want):
+    assert _mono_mul(a, b) == want == _dict_and_sort_product(a, b)

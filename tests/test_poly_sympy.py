@@ -81,9 +81,16 @@ def test_substitute_matches_sympy(pair_p, pair_q, var, c):
 
 
 @settings(max_examples=40, deadline=None)
-@given(laurent, st.dictionaries(st.sampled_from("xyz"), laurent, max_size=3))
-def test_derivation_matches_sympy(pair, images):
-    p, sp = pair
-    got = p.derivation({v: image for v, (image, _) in images.items()})
-    want = sympy.Add(*(sympy.diff(sp, SYMBOLS[v]) * si for v, (_, si) in images.items()))
-    assert_same(got, sympy.expand(want))
+@given(
+    laurent,
+    st.dictionaries(st.sampled_from("xyz"), laurent, max_size=3),
+    st.integers(min_value=1, max_value=3),
+)
+def test_derivation_matches_sympy(pair, images, steps):
+    p, want = pair
+    got = p.derivation({v: image for v, (image, _) in images.items()}, steps)
+    for _ in range(steps):
+        want = sympy.expand(sympy.Add(
+            *(sympy.diff(want, SYMBOLS[v]) * si for v, (_, si) in images.items())
+        ))
+    assert_same(got, want)
