@@ -9,7 +9,7 @@ by brute-force enumeration at small sizes.
 """
 
 from .action import Factorization, Orbit, interval_swap, minima_hop, orbit, toggle, toggle_many
-from .bijection import BlockDecomposition, decompose, mirror, pair_table
+from .bijection import mirror, pair_table
 from .checks import REGISTRY, CheckReport, verify, verify_all
 from .enumerators import (
     Enumerator,
@@ -36,7 +36,6 @@ from .poly import MultiPoly, parse_poly
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockDecomposition",
     "CheckReport",
     "Enumerator",
     "EnumeratorKind",
@@ -54,7 +53,6 @@ __all__ = [
     "build",
     "builtin",
     "classify",
-    "decompose",
     "derive",
     "enumerate_class",
     "euler_number",

@@ -15,7 +15,7 @@ from .action import orbit, orbit_dot
 from .bijection import mirror, pair_table
 from .checks import CLASSES, REGISTRY, verify, verify_all
 from .enumerators import KINDS, EnumeratorKind, build
-from .errors import CapExceededError, EulabError
+from .errors import CapExceededError, EulabError, ValueOutOfRangeError
 from .gamma import GammaRoute, gamma_expand, gamma_from_class
 from .grammar import BUILTIN_SOURCES, builtin, derive, parse_grammar
 from .perms import PermClass, format_perm, parse_perm, stats
@@ -118,7 +118,15 @@ def _cmd_bijection(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.check == "all":
+    sweep = args.check == "all"
+    # -n, -a, -b and --class set one check's parameters; --max-n bounds the sweep
+    flags = {"-n": args.n, "-a": args.a, "-b": args.b, "--class": args.klass,
+             "--max-n": args.max_n}
+    stray = [f for f, value in flags.items() if value is not None and (f == "--max-n") != sweep]
+    if stray:
+        target = "'all'" if sweep else f"check {args.check!r}"
+        raise ValueOutOfRangeError(f"{target} does not take {', '.join(stray)}")
+    if sweep:
         reports = verify_all(max_n=args.max_n, seed=args.seed)
         if args.json:
             _emit([r.to_json() for r in reports])

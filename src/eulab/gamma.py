@@ -32,10 +32,6 @@ class GammaExpansion:
     y: str
     gammas: tuple  # tuple[MultiPoly, ...]
 
-    def reconstruct(self) -> MultiPoly:
-        vx, vy = MultiPoly.var(self.x), MultiPoly.var(self.y)
-        return basis_sum(self.gammas, vx * vy, vx + vy, self.n)
-
 
 def basis_sum(gammas, pair: MultiPoly, linear: MultiPoly, degree: int) -> MultiPoly:
     """The sum of ``gammas[k] * pair^k * linear^(degree - 2k)``: the basis

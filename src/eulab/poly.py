@@ -34,7 +34,6 @@ polynomial ``p``.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
@@ -279,13 +278,6 @@ class MultiPoly:
             if all(dict(mono).get(v, 0) == e for v, e in want.items())
         ))
 
-    def degree_in(self, var: str) -> int:
-        """Largest exponent of ``var`` over all terms (0 if absent)."""
-        return max((dict(mono).get(var, 0) for mono in self._terms), default=0)
-
-    def total_degree(self) -> int:
-        return max((sum(e for _, e in mono) for mono in self._terms), default=0)
-
     def homogeneous_degree_in(self, variables: Sequence[str]) -> int:
         """Common total degree of every term restricted to ``variables``.
 
@@ -302,20 +294,16 @@ class MultiPoly:
             )
         return degrees.pop()
 
-    def is_homogeneous_in(self, variables: Sequence[str]) -> bool:
-        try:
-            self.homogeneous_degree_in(variables)
-            return True
-        except NotHomogeneousError:
-            return False
-
     def rename(self, names: Mapping[str, str]) -> "MultiPoly":
         """Simultaneously rename variables, merging exponents if two names
         map to the same target."""
 
         def renamed(mono: Mono) -> Mono:
-            # the product of the renamed factors merges equal targets
-            return functools.reduce(_mono_mul, (((names.get(v, v), e),) for v, e in mono), ())
+            exps: dict[str, int] = {}
+            for v, e in mono:
+                target = names.get(v, v)
+                exps[target] = exps.get(target, 0) + e
+            return _mono(exps)
 
         return _wrap(_collect((renamed(mono), coef) for mono, coef in self._terms.items()))
 
@@ -416,20 +404,28 @@ class MultiPoly:
         return _wrap(_collect((unpack(key), coef) for key, coef in terms.items()))
 
     def eval_at(self, point: Mapping[str, Scalar]) -> Fraction:
-        """Exact value at a rational point binding every variable."""
+        """Exact value at a rational point binding every variable.  Each
+        value is an ``int`` or a ``Fraction``; a float or a string is a
+        ``TypeError``, as it is for the constructors."""
+        values = {}
+        for v in sorted(self.variables()):
+            if v not in point:
+                raise UnboundVariableError(f"no value for variable {v!r}")
+            values[v] = _coef(point[v])
+        powers: dict[tuple[str, int], Scalar] = {}
         total = 0
         for mono, coef in self._terms.items():
-            val = coef
             for v, e in mono:
-                if v not in point:
-                    raise UnboundVariableError(f"no value for variable {v!r}")
-                x = Fraction(point[v])
-                if x == 0 and e < 0:
-                    raise ZeroAtNegativePowerError(
-                        f"variable {v!r} is 0 at exponent {e}"
-                    )
-                val *= x**e
-            total += val
+                x = powers.get((v, e))
+                if x is None:
+                    x = values[v]
+                    if e < 0:
+                        if x == 0:
+                            raise ZeroAtNegativePowerError(f"variable {v!r} is 0 at exponent {e}")
+                        x = Fraction(x)  # an int at a negative power is a float
+                    x = powers[v, e] = x**e
+                coef *= x
+            total += coef
         return Fraction(total)
 
     # -- rendering ---------------------------------------------------------

@@ -1,12 +1,99 @@
 """Block decomposition and the statistic-reversing involution."""
 
+from dataclasses import dataclass
+from typing import Sequence
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulab.bijection import BlockDecomposition, decompose, mirror, pair_table
+from eulab.bijection import mirror, pair_table
 from eulab.errors import InvalidPermutationError, NotPrefixDecreasingError
-from eulab.perms import PermClass, enumerate_class, is_prefix_decreasing, stats
+from eulab.perms import (
+    Perm,
+    PermClass,
+    _is_prefix_decreasing,
+    check_word,
+    enumerate_class,
+    is_prefix_decreasing,
+    stats,
+)
+
+# -- the oracle: the involution built through two block decompositions ------
+
+
+@dataclass(frozen=True)
+class BlockDecomposition:
+    """Word sectioned after every right-to-left minimum."""
+
+    blocks: tuple  # tuple[Perm, ...]
+
+    def finals(self) -> tuple:
+        return tuple(b[-1] for b in self.blocks)
+
+    def isolated(self) -> tuple:
+        """Values sitting in singleton blocks."""
+        return tuple(b[0] for b in self.blocks if len(b) == 1)
+
+    def word(self) -> Perm:
+        return tuple(v for b in self.blocks for v in b)
+
+
+def decompose(word: Sequence[int]) -> BlockDecomposition:
+    """Cut after each right-to-left minimum.  Letters need only be
+    distinct, so the involution can section its intermediate words.
+
+    >>> decompose((5, 4, 1, 2, 7, 3, 6, 10, 9, 8)).blocks
+    ((5, 4, 1), (2,), (7, 3), (6,), (10, 9, 8))
+    """
+    w = tuple(word)
+    if len(set(w)) != len(w):
+        raise InvalidPermutationError(f"letters must be distinct: {w}")
+    blocks = []
+    start = 0
+    # position i ends a block when w[i] is smaller than everything after it
+    suffix_min = [0] * (len(w) + 1)
+    suffix_min[len(w)] = max(w, default=0) + 1
+    for i in range(len(w) - 1, -1, -1):
+        suffix_min[i] = min(w[i], suffix_min[i + 1])
+    for i, v in enumerate(w):
+        if v < suffix_min[i + 1]:
+            blocks.append(w[start : i + 1])
+            start = i + 1
+    return BlockDecomposition(tuple(blocks))
+
+
+def mirror_by_blocks(word: Sequence[int]) -> Perm:
+    """The involution.  Requires the prefix ending at 1 to decrease.
+
+    Reverse the non-final letters of every non-singleton block after the
+    one holding 1; pull out the isolated (singleton-block) minima except 1
+    and the prefix letters before 1; stack the former in decreasing order
+    directly before 1; re-seed the latter as new singleton blocks at the
+    positions their values force.
+    """
+    w = check_word(word)
+    if not w:
+        return w
+    if not _is_prefix_decreasing(w):
+        raise NotPrefixDecreasingError(f"prefix before the value 1 must decrease: {w}")
+    blocks = decompose(w).blocks
+    # the first block is the decreasing prefix ending at 1
+    flipped = [blocks[0]]
+    for b in blocks[1:]:
+        flipped.append(b if len(b) == 1 else b[-2::-1] + (b[-1],))
+    pulled_isolated = {b[0] for b in blocks[1:] if len(b) == 1}
+    pulled_prefix = set(blocks[0][:-1])  # the left-to-right minima above 1
+    kept = tuple(
+        v for b in flipped for v in b if v not in pulled_isolated and v not in pulled_prefix
+    )
+    # kept starts at 1; stack the isolated values decreasingly before it
+    work = tuple(sorted(pulled_isolated, reverse=True)) + kept
+    out_blocks = list(decompose(work).blocks)
+    for v in sorted(pulled_prefix):
+        idx = sum(1 for b in out_blocks if b[-1] < v)
+        out_blocks.insert(idx, (v,))
+    return tuple(x for b in out_blocks for x in b)
 
 
 def test_decompose_worked_example():
@@ -34,6 +121,12 @@ def test_decompose_block_finals_increase():
     for p in enumerate_class(PermClass.SYM, 6):
         finals = decompose(p).finals()
         assert list(finals) == sorted(finals)
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_mirror_matches_the_block_oracle(n):
+    for w in enumerate_class(PermClass.PRW, n):
+        assert mirror(w) == mirror_by_blocks(w), w
 
 
 def test_mirror_worked_example():
@@ -100,7 +193,7 @@ def test_mirror_preserves_minima_total(n):
 # random decreasing-prefix words past the exhaustive range: a random word
 # with the letters before 1 sorted downwards
 long_prefix_decreasing = (
-    st.integers(min_value=12, max_value=40)
+    st.integers(min_value=12, max_value=60)
     .flatmap(lambda n: st.permutations(range(1, n + 1)))
     .map(lambda w: tuple(sorted(w[: w.index(1)], reverse=True)) + tuple(w[w.index(1) :]))
 )
@@ -110,6 +203,7 @@ long_prefix_decreasing = (
 @given(long_prefix_decreasing)
 def test_mirror_properties_on_long_words(w):
     image = mirror(w)
+    assert image == mirror_by_blocks(w)
     assert is_prefix_decreasing(image)
     assert mirror(image) == w
     s, t = stats(w), stats(image)

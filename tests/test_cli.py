@@ -266,6 +266,12 @@ def test_verify_seed_reaches_checks_that_take_one(capsys):
         ("verify", "secant", "-n", "3", "-a", "2"),
         ("verify", "secant", "-n", "3", "--class", "sym"),
         ("verify", "cgk-alpha", "-n", "3"),
+        # flags that the sweep does not take, and --max-n that a single check does not
+        ("verify", "all", "-n", "3"),
+        ("verify", "all", "-a", "2"),
+        ("verify", "all", "-b", "2"),
+        ("verify", "all", "--class", "sym"),
+        ("verify", "secant", "-n", "3", "--max-n", "9"),
     ],
 )
 def test_verify_missing_or_unknown_parameter_exit_two(capsys, argv):

@@ -97,7 +97,6 @@ def test_two_variable_symmetry_and_homogeneity():
     for n in range(1, 7):
         p = build(EnumeratorKind.BSE, n).value
         assert p.is_symmetric_in("x", "y")
-        assert p.is_homogeneous_in(["x", "y"])
         assert p.homogeneous_degree_in(["x", "y"]) == n
 
 

@@ -1,13 +1,15 @@
 """Exact multivariate Laurent polynomial arithmetic."""
 
+import functools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulab.errors import (
     NegativePowerOfNonMonomialError,
+    NotHomogeneousError,
     PolySyntaxError,
     UnboundVariableError,
     ZeroAtNegativePowerError,
@@ -80,12 +82,12 @@ def test_coefficient_pattern():
 
 def test_degrees():
     p = parse_poly("x^2*y + x*y")
-    assert p.degree_in("x") == 2
-    assert p.degree_in("z") == 0
-    assert p.total_degree() == 3
-    assert p.is_homogeneous_in(["x"]) is False
-    assert parse_poly("x^2*y + x*y^2").is_homogeneous_in(["x", "y"])
+    with pytest.raises(NotHomogeneousError):
+        p.homogeneous_degree_in(["x"])
+    assert p.homogeneous_degree_in(["z"]) == 0
+    assert parse_poly("x^2*y + x^2").homogeneous_degree_in(["x"]) == 2
     assert parse_poly("x^2*y + x*y^2").homogeneous_degree_in(["x", "y"]) == 3
+    assert MultiPoly.zero().homogeneous_degree_in(["x"]) == 0
 
 
 def test_symmetry_queries():
@@ -123,6 +125,15 @@ def test_eval_at():
         parse_poly("x*y").eval_at({"x": 1})
     with pytest.raises(ZeroAtNegativePowerError):
         parse_poly("x^-1").eval_at({"x": 0})
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, "1/3", "2", None])
+def test_eval_at_rejects_inexact_values(bad):
+    # as the constructors do: a float or a string would give an inexact value
+    with pytest.raises(TypeError):
+        parse_poly("x^2 + 1").eval_at({"x": bad})
+    with pytest.raises(TypeError):
+        parse_poly("x^-1*y").eval_at({"x": 2, "y": bad})
 
 
 def test_text_round_trip_examples():
@@ -370,3 +381,28 @@ def test_mono_mul_merge_matches_dict_and_sort(a, b):
 ])
 def test_mono_mul_edges(a, b, want):
     assert _mono_mul(a, b) == want == _dict_and_sort_product(a, b)
+
+
+def _rename_by_fold(p: MultiPoly, names: dict) -> MultiPoly:
+    # each renamed monomial as the product of its renamed one-pair factors
+    return poly_sum(
+        MultiPoly({functools.reduce(_mono_mul, (((names.get(v, v), e),) for v, e in m), ()): c})
+        for m, c in p.terms()
+    )
+
+
+_laurent_polys = st.dictionaries(
+    _monos, st.integers(min_value=-3, max_value=3).filter(bool), max_size=5
+).map(MultiPoly)
+_renames = st.dictionaries(
+    st.sampled_from(["a", "al", "u1", "u2", "x", "y"]), st.sampled_from(["a", "w", "x", "y"])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_laurent_polys, _renames)
+# targets that collide, exponents that cancel to zero, terms that merge or cancel
+@example(parse_poly("x^2*y^-2*u1 + 3*x*y^-1"), {"y": "x", "u1": "a"})
+@example(parse_poly("x - y + u1*u2^-1"), {"y": "x", "u2": "u1"})
+def test_rename_matches_the_fold(p, names):
+    assert p.rename(names) == _rename_by_fold(p, names)
