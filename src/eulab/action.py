@@ -17,6 +17,11 @@ Toggling distinct letters commutes, every toggle is an involution, and each
 orbit contains exactly one word free of double descents; the verification
 registry checks all of that exhaustively at small sizes.
 
+One engine finds orbits: ``_components`` splits a toggle table (each word
+mapped to its images under the letters 1..n) into orbits.  ``orbit`` fills
+the table of one word's closure; ``pip`` and ``group-action`` fill one per
+class, so they compute each (word, letter) toggle once.
+
 Inputs are validated once, at the boundary: the public functions check the
 word with ``perms.check_word`` and the letter with ``_check_letter``.  The
 ``_``-prefixed kernels (``_toggle`` and the move helpers it shares with the
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import RepresentativeError, ValueOutOfRangeError
-from .perms import Perm, _check_cap, _stats, check_word, format_perm
+from .perms import Perm, _check_cap, check_word, format_perm
 
 
 @dataclass(frozen=True)
@@ -198,8 +203,43 @@ class Orbit:
         return len(self.members)
 
 
+def _has_double_descent(w: Perm) -> bool:
+    """Whether some letter has a larger letter on each side (+inf padding, as
+    in ``_move``): a scan of its own, apart from the statistic profiles."""
+    top = len(w) + 1
+    return any(l > v > r for l, v, r in zip((top,) + w, w, w[1:]))
+
+
+def _components(table: dict) -> tuple:
+    """The connected components of a toggle table as orbits, in order of first
+    word, and ``None``; at an image outside the table, the orbits before its
+    component and (the component's first word, the image)."""
+    seen: set = set()
+    orbits = []
+    for w in table:
+        if w in seen:
+            continue
+        seen.add(w)
+        members = [w]
+        for u in members:  # breadth first: the loop reaches what it appends
+            for v in table[u]:
+                if v not in seen:
+                    if v not in table:
+                        return orbits, (w, v)
+                    seen.add(v)
+                    members.append(v)
+        members.sort()
+        reps = [m for m in members if not _has_double_descent(m)]
+        if len(reps) != 1:
+            raise RepresentativeError(
+                f"expected one double-descent-free member, found {len(reps)} in orbit of {w}"
+            )
+        orbits.append(Orbit(members=tuple(members), representative=reps[0]))
+    return orbits, None
+
+
 def orbit(word: Sequence[int]) -> Orbit:
-    """Breadth-first closure of ``word`` under every letter toggle.
+    """Closure of ``word`` under every letter toggle.
 
     >>> orbit((2, 1, 3)).members
     ((1, 2, 3), (2, 1, 3), (3, 1, 2), (3, 2, 1))
@@ -207,24 +247,13 @@ def orbit(word: Sequence[int]) -> Orbit:
     w = check_word(word)
     n = len(w)
     _check_cap(n)
-    seen = {w}
-    frontier = [w]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for x in range(1, n + 1):
-                v = _toggle(u, x)
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    members = tuple(sorted(seen))
-    reps = [m for m in members if _stats(m).double_desc == 0]
-    if len(reps) != 1:
-        raise RepresentativeError(
-            f"expected one double-descent-free member, found {len(reps)} in orbit of {w}"
-        )
-    return Orbit(members=members, representative=reps[0])
+    table, todo = {}, [w]
+    while todo:
+        u = todo.pop()
+        if u not in table:
+            table[u] = images = tuple(_toggle(u, x) for x in range(1, n + 1))
+            todo.extend(images)
+    return _components(table)[0][0]
 
 
 def orbit_dot(orb: Orbit) -> str:

@@ -20,7 +20,7 @@ letters with the block finals.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import NotPrefixDecreasingError
 from .perms import Perm, PermClass, _is_prefix_decreasing, check_word, enumerate_class
@@ -65,7 +65,12 @@ def mirror(word: Sequence[int]) -> Perm:
     return tuple(out)
 
 
+def mirror_pairs(n: int) -> Iterator[tuple[Perm, Perm]]:
+    """Stream the (word, mirror(word)) pairs over the decreasing-prefix words
+    on n letters in lexicographic order; the call checks the cap and n."""
+    return ((w, mirror(w)) for w in enumerate_class(PermClass.PRW, n))
+
+
 def pair_table(n: int) -> list:
-    """All (word, mirror(word)) pairs over the decreasing-prefix words on n
-    letters, in lexicographic order of the first component."""
-    return [(w, mirror(w)) for w in enumerate_class(PermClass.PRW, n)]
+    """All the pairs of ``mirror_pairs(n)``, as a list."""
+    return list(mirror_pairs(n))

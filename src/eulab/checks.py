@@ -30,11 +30,11 @@ import inspect
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from math import comb
 from typing import Callable, Mapping
 
-from .action import _toggle, orbit, toggle, toggle_many
+from .action import _components, _toggle, orbit, toggle, toggle_many
 from .bijection import mirror
 from .enumerators import (
     KINDS,
@@ -72,7 +72,7 @@ from .perms import (
     rlmin_values,
     stats,
 )
-from .poly import MultiPoly, poly_sum
+from .poly import MultiPoly, monomial_sum, poly_sum
 
 _MATH_FAILURES = (
     NonzeroResidualError,
@@ -283,23 +283,23 @@ def _check_secant(n: int) -> dict:
     return {"value": str(at)}
 
 
-def _orbit_partition(klass: PermClass, n: int) -> list:
-    """Orbits of the toggle action restricted to a class; a class that is
-    not closed under the action is a mismatch."""
-    m = letters(klass, n)
-    words = list(enumerate_class(klass, m))
-    member_set = set(words)
-    seen: set = set()
-    orbits = []
-    for w in words:
-        if w in seen:
-            continue
-        orb = orbit(w)
-        stray = set(orb.members) - member_set
-        if stray:
-            raise Mismatch(orbit_of=format_perm(w), escapes_to=format_perm(min(stray)))
-        seen.update(orb.members)
-        orbits.append(orb)
+def _toggle_table(words: list, m: int) -> dict:
+    """Each word mapped to the tuple of its images under the letters 1..m;
+    an image that is a word of the list is that word's object, not a copy."""
+    own = {w: w for w in words}
+    return {w: tuple([own.get(v, v) for v in [_toggle(w, x) for x in range(1, m + 1)]])
+            for w in words}
+
+
+def _orbits(table: dict) -> list:
+    """The orbits of a class's toggle table.  A class not closed under the
+    action is a mismatch: the least member outside the class of the public
+    ``orbit`` of the escaping orbit's first word, else the table's image."""
+    orbits, escape = _components(table)
+    if escape:
+        w, image = escape
+        stray = set(orbit(w).members) - table.keys() or {image}
+        raise Mismatch(orbit_of=format_perm(w), escapes_to=format_perm(min(stray)))
     return orbits
 
 
@@ -309,7 +309,8 @@ def _check_pip(klass: str, n: int) -> dict:
     four-variable and the two-variable alphabets; the orbit totals recover
     the class enumerator."""
     tag = PermClass(klass)
-    orbits = _orbit_partition(tag, n)
+    m = letters(tag, n)
+    orbits = _orbits(_toggle_table(list(enumerate_class(tag, m)), m))
     u1, u2, u3, u4, x, y = (MultiPoly.var(v) for v in ("u1", "u2", "u3", "u4", "x", "y"))
     # (exponent map, peak factor, double-ascent factor) of each alphabet
     alphabets = ((_REFINED, u1 * u2, u3 + u4), (_DES_ASC, x * y, x + y))
@@ -322,14 +323,14 @@ def _check_pip(klass: str, n: int) -> dict:
     keys = []
     for orb in orbits:
         # orbit members are generated, hence valid: profile each one once,
-        # and build one monomial per distinct profile
+        # and sum one monomial per distinct profile
         profiles = {w: _stats(w) for w in orb.members}
         rs = profiles[orb.representative]
         key = (rs.peaks, rs.double_asc, rs.weight)
         keys.append(key)
         counts = Counter(profiles.values())
         for alphabet, (exponents, _, _) in enumerate(alphabets):
-            lhs = poly_sum(MultiPoly.monomial(c, exponents(s)) for s, c in counts.items())
+            lhs = monomial_sum((c, exponents(s)) for s, c in counts.items())
             rhs = product(alphabet, *key)
             if lhs != rhs:
                 raise Mismatch(
@@ -398,30 +399,33 @@ def _check_group_action(n: int, seed: int = 0) -> None:
     they preserve peak count, minima total, and the decreasing-prefix
     class, and orbits have size 2^(da+dd) with one double-descent-free
     member."""
-    # the words and their toggle images are generated, hence valid, so they
-    # go through the kernels; the one public toggle per (word, letter)
-    # keeps the validated entry point under test
+    # generated words are valid: each goes through the kernels and the minima
+    # functions once, and the one public toggle per (word, letter) keeps the
+    # validated entry point under test
     words = list(enumerate_class(PermClass.SYM, n))
+    table = _toggle_table(words, n)
+    profile, kinds, prefix_dec = ({w: fact(w) for w in words} for fact in (
+        _stats, _classify, _is_prefix_decreasing))
+    # the minima kept as tuples, which take a third of a small set's memory
+    lrmin, rlmin = ({w: tuple(fact(w)) for w in words} for fact in (lrmin_values, rlmin_values))
     for w in words:
-        sw = _stats(w)
-        kinds = _classify(w)
-        prefix_dec = _is_prefix_decreasing(w)
+        sw = profile[w]
         for x in range(1, n + 1):
             v = toggle(w, x)
-            sv = _stats(v)
-            image_kind = _FLIPS.get(kinds[w.index(x)])
+            sv = profile[v]
+            image_kind = _FLIPS.get(kinds[w][w.index(x)])
             if image_kind is None:
                 flipped = v == w
             else:
                 ascends, descends = (w, v) if image_kind == DOUBLE_DESC else (v, w)
-                flipped = _classify(v)[v.index(x)] == image_kind and (
-                    (x in lrmin_values(descends)) == (x in rlmin_values(ascends))
+                flipped = kinds[v][v.index(x)] == image_kind and (
+                    (x in lrmin[descends]) == (x in rlmin[ascends])
                 )
-            if _toggle(v, x) != w:
+            if table[v][x - 1] != w:
                 reason = "not an involution"
             elif sv.peaks != sw.peaks or sv.weight != sw.weight:
                 reason = "peaks or minima total not preserved"
-            elif prefix_dec and not _is_prefix_decreasing(v):
+            elif prefix_dec[w] and not prefix_dec[v]:
                 reason = "left the decreasing-prefix class"
             elif not flipped:
                 reason = "letter class did not flip as documented"
@@ -429,15 +433,15 @@ def _check_group_action(n: int, seed: int = 0) -> None:
                 continue
             raise Mismatch(word=format_perm(w), letter=x, reason=reason)
     if n <= 6:
-        for w in words:
+        for w, images in table.items():
             for x in range(1, n + 1):
                 for y in range(x + 1, n + 1):
-                    if _toggle(_toggle(w, x), y) != _toggle(_toggle(w, y), x):
+                    if table[images[x - 1]][y - 1] != table[images[y - 1]][x - 1]:
                         raise Mismatch(
                             word=format_perm(w), letters=[x, y], reason="toggles do not commute"
                         )
-    for orb in _orbit_partition(PermClass.SYM, n):  # S_n is closed under toggles
-        expected = 2 ** _stats(orb.representative).double_asc
+    for orb in _orbits(table):
+        expected = 2 ** profile[orb.representative].double_asc
         if orb.size != expected:
             raise Mismatch(
                 representative=format_perm(orb.representative), size=orb.size, expected=expected
@@ -470,10 +474,15 @@ class CheckDef:
     hi: int
     summary: str
 
+    @cached_property
+    def signature(self) -> inspect.Signature:
+        """The run function's signature, read once per entry."""
+        return inspect.signature(self.run)
+
     @property
     def params(self) -> tuple:
         """Parameter names of the run function, in signature order."""
-        return tuple(inspect.signature(self.run).parameters)
+        return tuple(self.signature.parameters)
 
     def sweep(self, max_n: int | None = None, seed: int = 0) -> list:
         """Parameter dicts of the default sweep, in run order."""
@@ -554,7 +563,7 @@ def verify(name: str, **params) -> CheckReport:
         known = ", ".join(REGISTRY)
         raise UnknownCheckError(f"no check named {name!r} (known: {known})")
     try:
-        bound = inspect.signature(defn.run).bind(**params)
+        bound = defn.signature.bind(**params)
     except TypeError as exc:
         raise ValueOutOfRangeError(f"bad parameters for check {name!r}: {exc}") from None
     bound.apply_defaults()

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .action import orbit, orbit_dot
-from .bijection import mirror, pair_table
+from .bijection import mirror, mirror_pairs
 from .checks import CLASSES, REGISTRY, verify, verify_all
 from .enumerators import KINDS, EnumeratorKind, build
 from .errors import CapExceededError, EulabError, ValueOutOfRangeError
@@ -102,7 +102,7 @@ def _cmd_bijection(args) -> int:
         else:
             print(format_perm(image))
         return 0
-    pairs = pair_table(args.n)
+    pairs = mirror_pairs(args.n)  # streamed: the text form prints as it goes
     if args.json:
         _emit(
             {
@@ -117,17 +117,22 @@ def _cmd_bijection(args) -> int:
     return 0
 
 
+# each flag of ``eulab verify`` -> the parameter it sets (its argparse dest)
+_VERIFY_FLAGS = {"-n": "n", "-a": "a", "-b": "b", "--class": "klass", "--seed": "seed",
+                 "--max-n": "max_n"}
+
+
 def _cmd_verify(args) -> int:
     sweep = args.check == "all"
-    # -n, -a, -b and --class set one check's parameters; --max-n bounds the sweep
-    flags = {"-n": args.n, "-a": args.a, "-b": args.b, "--class": args.klass,
-             "--max-n": args.max_n}
-    stray = [f for f, value in flags.items() if value is not None and (f == "--max-n") != sweep]
+    # 'all' takes --max-n and --seed; one check takes the flags of its parameters
+    takes = ("max_n", "seed") if sweep else REGISTRY[args.check].params
+    params = {p: getattr(args, p) for p in _VERIFY_FLAGS.values() if getattr(args, p) is not None}
+    stray = [f for f, p in _VERIFY_FLAGS.items() if p in params and p not in takes]
     if stray:
         target = "'all'" if sweep else f"check {args.check!r}"
         raise ValueOutOfRangeError(f"{target} does not take {', '.join(stray)}")
     if sweep:
-        reports = verify_all(max_n=args.max_n, seed=args.seed)
+        reports = verify_all(**params)
         if args.json:
             _emit([r.to_json() for r in reports])
         else:
@@ -135,13 +140,8 @@ def _cmd_verify(args) -> int:
                 print(f"{r.verdict} {r.check} ({r.params.get('sweep', '')})")
         return 0 if all(r.passed for r in reports) else 1
 
-    defn = REGISTRY[args.check]
-    given = (("n", args.n), ("a", args.a), ("b", args.b), ("klass", args.klass))
-    params = {k: v for k, v in given if v is not None}
-    if "seed" in defn.params:
-        params["seed"] = args.seed
     # a check that takes a class runs over every class when none is named
-    fan_out = "klass" in defn.params and args.klass is None
+    fan_out = "klass" in takes and args.klass is None
     runs = [{"klass": c, **params} for c in CLASSES] if fan_out else [params]
     reports = [verify(args.check, **p) for p in runs]
     if args.json:
@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--class", dest="klass", choices=CLASSES, help="class for checks that take one"
     )
     p_verify.add_argument("--max-n", type=int, help="sweep bound for 'all'")
-    p_verify.add_argument("--seed", type=int, default=0, help="seed for sampled properties")
+    p_verify.add_argument("--seed", type=int, help="seed for sampled properties (default 0)")
     p_verify.add_argument("--json", action="store_true")
 
     return parser

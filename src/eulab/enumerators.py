@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 
 from .errors import ValueOutOfRangeError
 from .perms import PermClass, StatProfile, _check_cap, _stats, enumerate_class, letters
-from .poly import MultiPoly, poly_sum
+from .poly import MultiPoly, monomial_sum
 
 
 class EnumeratorKind(Enum):
@@ -87,8 +87,8 @@ def profile_sum(tag: PermClass, n: int, exponents) -> MultiPoly:
     cached profile table skips enumeration: a lower cap set after the table
     was filled still applies."""
     _check_cap(n)
-    maps = ((exponents(s), c) for s, c in profile_counts(tag, n))
-    return poly_sum(MultiPoly.monomial(c, exps) for exps, c in maps if exps is not None)
+    maps = ((c, exponents(s)) for s, c in profile_counts(tag, n))
+    return monomial_sum((c, exps) for c, exps in maps if exps is not None)
 
 
 class KindSpec(NamedTuple):

@@ -12,12 +12,12 @@ the calculus here ever needs.
 Every polynomial is built by one private accumulator, ``_collect``: it sums
 the coefficients of equal monomials, drops zero sums and turns an integral
 ``Fraction`` back into an ``int``.  The public constructors
-(``MultiPoly(mapping)``, ``monomial``, ``const``) accept only ``int`` and
-``Fraction`` coefficients, through ``_coef``.  So integer polynomials, such as
-every rule-set derivative, run on ``int`` arithmetic, and the monomial
-format and the coefficient type are decided here alone: other modules
-combine polynomials only with the operators, ``poly_sum`` and
-``derivation``.
+(``MultiPoly(mapping)``, ``monomial``, ``const``, ``monomial_sum``) accept
+only ``int`` and ``Fraction`` coefficients, through ``_coef``.  So integer
+polynomials, such as every rule-set derivative, run on ``int`` arithmetic,
+and the monomial format and the coefficient type are decided here alone:
+other modules combine polynomials only with the operators, ``poly_sum``,
+``monomial_sum`` (of ``(coef, exponent map)`` pairs) and ``derivation``.
 
 ``derivation(images, steps)`` computes D^steps for the derivation D that
 sends each ruled variable to its image, in one pass over packed monomials:
@@ -160,7 +160,7 @@ class MultiPoly:
 
     @classmethod
     def monomial(cls, coef: Scalar, exps: Mapping[str, int]) -> "MultiPoly":
-        return cls({_mono(exps): coef})
+        return monomial_sum(((coef, exps),))
 
     # -- basic protocol ----------------------------------------------------
 
@@ -683,3 +683,8 @@ def parse_poly(text: str) -> MultiPoly:
 def poly_sum(items: Iterable[MultiPoly]) -> MultiPoly:
     """Sum many polynomials without quadratic rebuilding."""
     return _wrap(_collect(pair for p in items for pair in p._terms.items()))
+
+
+def monomial_sum(terms: Iterable[tuple[Scalar, Mapping[str, int]]]) -> MultiPoly:
+    """Sum of ``coef * monomial(exps)`` over ``(coef, exps)`` pairs, in one pass."""
+    return _wrap(_collect((_mono(exps), _coef(coef)) for coef, exps in terms))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from eulab.action import (
     Factorization,
+    Orbit,
     interval_swap,
     minima_hop,
     orbit,
@@ -185,6 +186,43 @@ def test_orbits_partition_the_symmetric_group():
             seen[key] = o.members
     total = sum(len(m) for m in seen.values())
     assert total == 120
+
+
+def _orbit_oracle(w):
+    # the level-order closure under the public toggle, with the
+    # representative read off the statistic profiles
+    seen, frontier = {w}, [w]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for x in range(1, len(w) + 1):
+                v = toggle(u, x)
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    members = tuple(sorted(seen))
+    reps = [m for m in members if stats(m).double_desc == 0]
+    assert len(reps) == 1
+    return Orbit(members=members, representative=reps[0])
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_orbit_matches_the_level_order_oracle(n):
+    # one oracle closure per orbit, compared with the orbit of every member
+    want = {}
+    for p in permutations(range(1, n + 1)):
+        if p not in want:
+            o = _orbit_oracle(p)
+            want.update(dict.fromkeys(o.members, o))
+        assert orbit(p) == want[p], p
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=8, max_value=10).flatmap(
+    lambda n: st.permutations(range(1, n + 1))).map(tuple))
+def test_orbit_matches_the_oracle_on_longer_words(w):
+    assert orbit(w) == _orbit_oracle(w)
 
 
 def test_orbit_respects_cap():

@@ -7,8 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulab.bijection import mirror, pair_table
-from eulab.errors import InvalidPermutationError, NotPrefixDecreasingError
+from eulab.bijection import mirror, mirror_pairs, pair_table
+from eulab.errors import (
+    CapExceededError,
+    InvalidPermutationError,
+    NotPrefixDecreasingError,
+    ValueOutOfRangeError,
+)
 from eulab.perms import (
     Perm,
     PermClass,
@@ -232,3 +237,18 @@ def test_pair_table_order_and_fixed_points():
     assert [w for w, _ in table] == sorted(w for w, _ in table)
     fixed = [w for w, img in table if w == img]
     assert fixed == [(1, 3, 2)]
+
+
+def test_mirror_pairs_stream_the_table():
+    pairs = mirror_pairs(4)
+    assert iter(pairs) is pairs  # an iterator, not a list
+    assert list(pairs) == pair_table(4)
+    assert pair_table(0) == [((), ())]
+
+
+def test_mirror_pairs_check_the_cap_and_size_on_the_call(monkeypatch):
+    monkeypatch.setenv("EULAB_MAX_N", "5")
+    with pytest.raises(CapExceededError):
+        mirror_pairs(6)
+    with pytest.raises(ValueOutOfRangeError):
+        mirror_pairs(-1)

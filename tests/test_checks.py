@@ -320,7 +320,98 @@ def test_group_action_fails_on_a_wrong_toggle(monkeypatch, name, wrong):
     import eulab.checks
 
     monkeypatch.setattr(eulab.checks, name, wrong)
-    assert not verify("group-action", n=4).passed
+    report = verify("group-action", n=4)
+    assert not report.passed
+    assert "letter" in report.witness
+
+
+@pytest.mark.parametrize("wrong", WRONG_MOVES)
+@pytest.mark.parametrize("klass", ["sym", "prw"])
+def test_pip_fails_on_a_wrong_toggle(monkeypatch, klass, wrong):
+    # pip's orbits come from the same toggle table: a wrong move leaves an
+    # orbit without exactly one double-descent-free member
+    import eulab.checks
+
+    monkeypatch.setattr(eulab.checks, "_toggle", wrong)
+    report = verify("pip", klass=klass, n=4)
+    assert not report.passed
+    assert report.witness["error"] == "ORBIT_REPRESENTATIVE_NOT_UNIQUE"
+
+
+def _escaping(word, letter, image):
+    # the real toggle, except that ``letter`` sends ``word`` to ``image``,
+    # a word outside the decreasing-prefix class that every letter fixes
+    import eulab.action
+
+    real = eulab.action._toggle
+
+    def wrong(w, x):
+        if w == image:
+            return w
+        return image if (w, x) == (word, letter) else real(w, x)
+
+    return wrong
+
+
+# the escaping orbit is named by its first word in enumeration order, and
+# the stray by the least word outside the class in that word's public orbit
+ESCAPES = [
+    # the image has a double descent, so the orbit keeps one representative
+    ((2, 1, 3, 4, 5), 3, (2, 4, 3, 1, 5),
+     {"escapes_to": "2 4 3 1 5", "orbit_of": "1 2 3 4 5"}),
+    # the image has none: the closure has two representatives, reported first
+    ((1, 2, 3, 4, 5), 5, (2, 3, 1, 4, 5),
+     {"error": "ORBIT_REPRESENTATIVE_NOT_UNIQUE",
+      "message": "expected one double-descent-free member, found 2 in orbit of (1, 2, 3, 4, 5)"}),
+]
+
+
+@pytest.mark.parametrize("word, letter, image, witness", ESCAPES)
+def test_pip_reports_an_orbit_that_leaves_the_class(monkeypatch, word, letter, image, witness):
+    import eulab.action
+    import eulab.checks
+
+    wrong = _escaping(word, letter, image)
+    monkeypatch.setattr(eulab.checks, "_toggle", wrong)
+    monkeypatch.setattr(eulab.action, "_toggle", wrong)
+    report = verify("pip", klass="prw", n=4)
+    assert report.to_json() == {
+        "check": "pip", "params": {"klass": "prw", "n": 4}, "verdict": "FAIL", "witness": witness,
+    }
+
+
+def test_pip_names_the_table_escape_when_the_public_orbit_stays_inside(monkeypatch):
+    import eulab.checks
+
+    word, letter, image, witness = ESCAPES[0]
+    monkeypatch.setattr(eulab.checks, "_toggle", _escaping(word, letter, image))
+    assert verify("pip", klass="prw", n=4).witness == witness
+
+
+def test_a_blind_double_descent_scan_fails_pip_and_group_action(monkeypatch):
+    # every member then looks free of double descents, so no orbit of more
+    # than one word has a unique representative
+    import eulab.action
+
+    monkeypatch.setattr(eulab.action, "_has_double_descent", lambda w: False)
+    for report in (verify("group-action", n=4), verify("pip", klass="sym", n=4),
+                   verify("pip", klass="prw", n=4)):
+        assert not report.passed
+        assert report.witness["error"] == "ORBIT_REPRESENTATIVE_NOT_UNIQUE"
+
+
+def test_a_check_signature_is_read_once(monkeypatch):
+    import inspect
+
+    calls = []
+    real = inspect.signature
+    monkeypatch.setattr(inspect, "signature", lambda fn: calls.append(fn) or real(fn))
+    defn = dataclasses.replace(REGISTRY["group-action"])
+    assert defn.params == ("n", "seed")
+    defn.sweep(3)
+    defn.describe()
+    defn.signature.bind(n=2)
+    assert len(calls) == 1
 
 
 # wrong profiles, with the witness field of the part of pip that must catch

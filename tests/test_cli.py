@@ -188,6 +188,27 @@ def test_bijection_table_on_no_letters(capsys):
     assert run(capsys, "bijection", "table", "-n", "0") == (0, " <->  (fixed)\n", "")
 
 
+def test_bijection_table_prints_each_pair_as_it_is_generated(capsys, monkeypatch):
+    import eulab.cli
+    from eulab.bijection import mirror_pairs
+
+    printed = []  # stdout so far, read each time the next pair is asked for
+
+    def watched(n):
+        for pair in mirror_pairs(n):
+            printed.append(capsys.readouterr().out)
+            yield pair
+
+    monkeypatch.setattr(eulab.cli, "mirror_pairs", watched)
+    code, last, _ = run(capsys, "bijection", "table", "-n", "3")
+    assert code == 0
+    assert printed[:2] == ["", "1 2 3 <-> 3 2 1\n"]
+    assert "".join(printed) + last == (
+        "1 2 3 <-> 3 2 1\n1 3 2 <-> 1 3 2 (fixed)\n2 1 3 <-> 3 1 2\n"
+        "3 1 2 <-> 2 1 3\n3 2 1 <-> 1 2 3\n"
+    )
+
+
 def test_bijection_table_json(capsys):
     code, out, _ = run(capsys, "bijection", "table", "-n", "3", "--json")
     payload = json.loads(out)
@@ -265,6 +286,7 @@ def test_verify_seed_reaches_checks_that_take_one(capsys):
         ("verify", "secant"),
         ("verify", "secant", "-n", "3", "-a", "2"),
         ("verify", "secant", "-n", "3", "--class", "sym"),
+        ("verify", "secant", "-n", "3", "--seed", "5"),
         ("verify", "cgk-alpha", "-n", "3"),
         # flags that the sweep does not take, and --max-n that a single check does not
         ("verify", "all", "-n", "3"),
@@ -278,6 +300,29 @@ def test_verify_missing_or_unknown_parameter_exit_two(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "VALUE_OUT_OF_RANGE" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (("verify", "secant", "-n", "3", "--class", "sym"), "--class"),
+        (("verify", "secant", "-n", "3", "--seed", "5"), "--seed"),
+        (("verify", "cgk-alpha", "-a", "2", "-b", "1", "-n", "3", "--seed", "1"), "-n, --seed"),
+        (("verify", "all", "-a", "2", "--class", "sym"), "-a, --class"),
+    ],
+)
+def test_verify_names_a_stray_flag_as_typed(capsys, argv, flags):
+    # rejected before any check runs, so nothing is printed on stdout
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    target = "'all'" if argv[1] == "all" else f"check {argv[1]!r}"
+    assert err.strip() == f"error [VALUE_OUT_OF_RANGE]: {target} does not take {flags}"
+
+
+def test_verify_seed_defaults_to_zero_on_checks_that_take_one(capsys):
+    assert run(capsys, "verify", "group-action", "-n", "3") == (
+        0, "PASS group-action n=3 seed=0\n", ""
+    )
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from eulab.errors import (
     UnboundVariableError,
     ZeroAtNegativePowerError,
 )
-from eulab.poly import MultiPoly, _mono_mul, parse_poly, poly_sum
+from eulab.poly import MultiPoly, _mono_mul, monomial_sum, parse_poly, poly_sum
 
 
 def test_constructors():
@@ -287,6 +287,42 @@ def test_every_operation_stores_only_nonzero_fractions(p, q, c):
     # cancellations leave the empty map, not zero coefficients
     for zero in ((x - y).rename({"y": "x"}), MultiPoly.from_json(repeated), p - p, p * 0):
         assert zero.is_zero() and len(zero) == 0
+
+
+# (coef, exponent map) pairs: zero coefficients and zero exponents, and
+# repeated monomials, so that terms cancel and fractions sum to integers
+_monomial_terms = st.lists(
+    st.tuples(
+        st.one_of(st.just(0), _coef),
+        st.dictionaries(st.sampled_from("xy"), st.integers(min_value=-1, max_value=2),
+                        max_size=2),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_monomial_terms)
+@example([(Fraction(1, 3), {"x": 1}), (Fraction(2, 3), {"x": 1})])  # sums to an int
+@example([(2, {"x": 1, "y": 0}), (-2, {"x": 1})])  # cancels to the zero polynomial
+def test_monomial_sum_matches_a_sum_of_monomials(terms):
+    got = monomial_sum(terms)
+    assert got == poly_sum(MultiPoly.monomial(c, exps) for c, exps in terms)
+    assert _stored_cleanly(got)
+
+
+def test_monomial_sum_edges():
+    assert monomial_sum([]) == MultiPoly.zero()
+    assert monomial_sum([(0, {"x": 1})]).is_zero()
+    third = Fraction(1, 3)
+    assert [(c, type(c)) for _, c in monomial_sum([(third, {"x": 1})] * 3).terms()] == [(1, int)]
+    assert monomial_sum(iter([(1, {"x": 1}), (2, {"y": 1})])) == parse_poly("x + 2*y")
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1", None])
+def test_monomial_sum_rejects_inexact_coefficients(bad):
+    with pytest.raises(TypeError):
+        monomial_sum([(1, {"x": 1}), (bad, {"y": 1})])
 
 
 def test_integral_results_are_stored_as_ints():
