@@ -260,18 +260,26 @@ def orbit_dot(orb: Orbit) -> str:
     """Render an orbit as an undirected DOT graph, edges labeled by the
     toggled letter."""
     n = len(orb.representative)
+    # an Orbit can be built by hand: each member is validated once, as the
+    # public toggle would validate it, and then toggled by the kernel
+    names = {}
     lines = ["graph orbit {", "  node [shape=box];"]
     for m in orb.members:
-        style = " [style=bold]" if m == orb.representative else ""
-        lines.append(f'  "{format_perm(m)}"{style};')
+        w = check_word(m)
+        if n:
+            _check_letter(w, n)
+        names[w] = format_perm(w)
+        style = " [style=bold]" if w == orb.representative else ""
+        lines.append(f'  "{names[w]}"{style};')
     edges = set()
-    for m in orb.members:
+    for w in list(names):
         for x in range(1, n + 1):
-            v = toggle(m, x)
-            if v != m:
-                a, b = sorted((m, v))
-                edges.add((a, b, x))
+            v = _toggle(w, x)
+            if v != w:
+                if v not in names:  # a hand-built orbit need not be closed
+                    names[v] = format_perm(v)
+                edges.add((min(w, v), max(w, v), x))
     for a, b, x in sorted(edges):
-        lines.append(f'  "{format_perm(a)}" -- "{format_perm(b)}" [label="{x}"];')
+        lines.append(f'  "{names[a]}" -- "{names[b]}" [label="{x}"];')
     lines.append("}")
     return "\n".join(lines)

@@ -70,7 +70,6 @@ from .perms import (
     letters,
     lrmin_values,
     rlmin_values,
-    stats,
 )
 from .poly import MultiPoly, monomial_sum, poly_sum
 
@@ -377,7 +376,8 @@ def _check_bijection(n: int) -> None:
         elif mirror(p) != w:
             reason = "not an involution"
         else:
-            sw, sp = stats(w), stats(p)
+            # w was generated and p validated by is_prefix_decreasing
+            sw, sp = _stats(w), _stats(p)
             reason = next((f"{a} of the image is not {b} of the word" for a, b in _MIRROR_SWAPS
                            if getattr(sp, a) != getattr(sw, b)), None)
         if reason:

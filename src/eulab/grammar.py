@@ -98,11 +98,6 @@ def builtin(name: str) -> Grammar:
         raise UnknownNameError(f"no built-in rule set {name!r} (known: {known})") from None
 
 
-def derivative(grammar: Grammar, p: MultiPoly) -> MultiPoly:
-    """One application of the rule-set derivative."""
-    return p.derivation(grammar.rule_map())
-
-
 def derive(grammar: Grammar, start: MultiPoly | str, steps: int) -> MultiPoly:
     """Apply the derivative ``steps`` times to ``start``, a polynomial or
     its text form; ``steps`` is checked before the text is parsed.

@@ -28,13 +28,15 @@ negative exponents pack like positive ones.  A rule-set derivative is
 this call.
 
 The text form uses ``+ - * ^``, integer and rational literals (``3``,
-``1/2``), and parentheses.  ``parse_poly(str(p)) == p`` holds for every
-polynomial ``p``.
+``1/2``), and parentheses.  One token table, a regular expression with a
+group per token kind, lexes it, and ``PRETTY_NAMES`` inverted gives its
+input aliases: ``parse_poly(str(p)) == p == parse_poly(p.pretty())``.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
@@ -51,7 +53,7 @@ Mono = tuple  # tuple[tuple[str, int], ...], sorted by variable, exponents nonze
 Scalar = Union[int, Fraction]
 
 # Display name overrides used by pretty().  "al" is the ASCII spelling of the
-# weight variable; the parser accepts both spellings.
+# weight variable; the lexer accepts both spellings.
 PRETTY_NAMES = {"al": "α"}
 
 
@@ -498,73 +500,40 @@ class Token(NamedTuple):
     column: int
 
 
-# ASCII only: ``str.isdigit`` is also true for "²" and "٣"
-_DIGITS = frozenset("0123456789")
+# One group per token kind; ASCII only, as ``\d`` also matches "²" and "٣".
+_ALIASES = {shown: name for name, shown in PRETTY_NAMES.items()}
+_TOKEN = re.compile(
+    r"(?P<NL>\n)|(?P<SKIP>[ \t\r]+|#[^\n]*)|(?P<NUM>[0-9]+(?:/[0-9]+)?)"
+    r"|(?P<IDENT>" + "|".join([r"[A-Za-z][A-Za-z0-9_]*", *map(re.escape, _ALIASES)]) + ")"
+    r"|(?P<OP>->|[-+*^();])"
+)
 
 
 def tokenize(text: str) -> list[Token]:
     """Lex a polynomial or rule-set source.  ``#`` starts a comment running
-    to end of line.  The Greek spelling of the weight variable is accepted
-    as an alias for ``al``."""
+    to end of line.  A display name, such as ``α`` for the weight variable
+    ``al``, is accepted as an alias."""
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _DIGITS:
-            start = i
-            while i < n and text[i] in _DIGITS:
-                i += 1
-            num = int(text[start:i])
-            den = 1
-            if i < n and text[i] == "/" and i + 1 < n and text[i + 1] in _DIGITS:
-                i += 1
-                dstart = i
-                while i < n and text[i] in _DIGITS:
-                    i += 1
-                den = int(text[dstart:i])
-                if den == 0:
-                    raise PolySyntaxError("zero denominator", line, col)
-            tokens.append(Token("NUM", Fraction(num, den), line, col))
-            col += i - start
-            continue
-        if ch.isalpha() and (ch.isascii() or ch == "α"):
-            start = i
-            if ch == "α":
-                i += 1
-                name = "al"
-            else:
-                while i < n and (text[i].isascii() and (text[i].isalnum() or text[i] == "_")):
-                    i += 1
-                name = text[start:i]
-            tokens.append(Token("IDENT", name, line, col))
-            col += i - start
-            continue
-        if text.startswith("->", i):
-            tokens.append(Token("OP", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "+-*^();":
-            tokens.append(Token("OP", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise PolySyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", None, line, col))
+    pos, line, line_start = 0, 1, 0
+    while True:
+        column = pos - line_start + 1
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            break
+        kind, value, pos = m.lastgroup, m.group(), m.end()
+        if kind == "NL":
+            line, line_start = line + 1, pos
+        elif kind == "NUM":
+            num, _, den = value.partition("/")
+            den = int(den or 1)
+            if not den:
+                raise PolySyntaxError("zero denominator", line, column)
+            tokens.append(Token(kind, Fraction(int(num), den), line, column))
+        elif kind != "SKIP":
+            tokens.append(Token(kind, _ALIASES.get(value, value), line, column))
+    if pos < len(text):
+        raise PolySyntaxError(f"unexpected character {text[pos]!r}", line, column)
+    tokens.append(Token("EOF", None, line, column))
     return tokens
 
 

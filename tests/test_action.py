@@ -24,6 +24,7 @@ from eulab.perms import (
     DOUBLE_DESC,
     classify,
     enumerate_class,
+    format_perm,
     is_prefix_decreasing,
     lrmin_values,
     PermClass,
@@ -239,6 +240,52 @@ def test_orbit_dot_output():
     assert '"1 2 3" -- "2 1 3" [label="2"]' in dot
     # undirected edges appear once
     assert dot.count('"2 1 3"') == 3  # node line + two edge lines
+
+
+def _orbit_dot_oracle(orb):
+    # every toggle through the public toggle, both ends of every edge
+    # formatted before deduplicating
+    n = len(orb.representative)
+    lines = ["graph orbit {", "  node [shape=box];"]
+    for m in orb.members:
+        style = " [style=bold]" if m == orb.representative else ""
+        lines.append(f'  "{format_perm(m)}"{style};')
+    edges = set()
+    for m in orb.members:
+        for x in range(1, n + 1):
+            v = toggle(m, x)
+            if v != m:
+                a, b = sorted((m, v))
+                edges.add((a, b, x))
+    for a, b, x in sorted(edges):
+        lines.append(f'  "{format_perm(a)}" -- "{format_perm(b)}" [label="{x}"];')
+    lines.append("}")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_orbit_dot_matches_the_public_toggle_oracle(n):
+    done = set()
+    for p in permutations(range(1, n + 1)):
+        if p not in done:
+            o = orbit(p)
+            done.update(o.members)
+            assert orbit_dot(o) == _orbit_dot_oracle(o), p
+
+
+def test_orbit_dot_validates_a_hand_built_orbit():
+    good = orbit((2, 1, 3))
+    for bad in ((1, 1, 3), (0, 1, 2), (1, 2.0, 3)):
+        o = Orbit(members=good.members + (bad,), representative=good.representative)
+        with pytest.raises(InvalidPermutationError):
+            orbit_dot(o)
+    # a member shorter than the representative has no letter 3 to toggle
+    o = Orbit(members=((1, 2),) + good.members, representative=good.representative)
+    with pytest.raises(ValueOutOfRangeError):
+        orbit_dot(o)
+    # a hand-built orbit need not be closed: its edges leave it
+    o = Orbit(members=((2, 1, 3),), representative=(2, 1, 3))
+    assert orbit_dot(o) == _orbit_dot_oracle(o)
 
 
 def test_toggle_preserves_peak_count_and_minima_total():

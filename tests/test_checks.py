@@ -455,7 +455,7 @@ def _bumped(field):
 def test_bijection_fails_on_a_broken_swap(monkeypatch, field, row):
     import eulab.checks
 
-    monkeypatch.setattr(eulab.checks, "stats", _bumped(field))
+    monkeypatch.setattr(eulab.checks, "_stats", _bumped(field))
     report = verify("bijection", n=4)
     assert not report.passed
     assert "word" in report.witness
