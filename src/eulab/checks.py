@@ -30,6 +30,7 @@ import inspect
 import random
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache, cached_property, partial
 from math import comb
 from typing import Callable, Mapping
@@ -42,7 +43,6 @@ from .enumerators import (
     alternating_weight,
     build,
     euler_number,
-    half_weight,
     profile_sum,
     stirling_eulerian,
 )
@@ -184,12 +184,8 @@ def _check_mainthm2_var(n: int) -> None:
     under u4 -> x+y-u3, u5 -> y+z-u3, u1 -> t, u2 -> x y / t, with u3 and t
     cancelling identically."""
     x, y, z, t, u3 = (MultiPoly.var(v) for v in ("x", "y", "z", "t", "u3"))
-    q = (
-        build(EnumeratorKind.PTILDE, n)
-        .value.substitute("u4", x + y - u3)
-        .substitute("u5", y + z - u3)
-        .substitute("u1", t)
-        .substitute("u2", x * y * t**-1)
+    q = build(EnumeratorKind.PTILDE, n).value.substitute(
+        {"u4": x + y - u3, "u5": y + z - u3, "u1": t, "u2": x * y * t**-1}
     )
     leftover = q.variables() & {"u3", "t"}
     if leftover:
@@ -242,7 +238,7 @@ def _check_cgk_alpha(a: int, b: int) -> dict:
 
     lhs, rhs = side(a), side(b)
     _agree(lhs=lhs, rhs=rhs)
-    at_x1 = build(EnumeratorKind.BSE, n).value.substitute("x", 1)
+    at_x1 = build(EnumeratorKind.BSE, n).value.substitute({"x": 1})
     for j, poly in ((a, lhs), (b, rhs)):
         coef = at_x1.coefficient({"y": j})
         if coef != poly:
@@ -271,11 +267,11 @@ def _check_secant(n: int) -> dict:
     """Evaluation at x = -1, y = 1: zero at odd n, alternating-word minima
     weights with sign at even n, and the half-weight link to the symmetric-
     group enumerator one size up (checked through n = 7)."""
-    at = build(EnumeratorKind.BSE, n).value.substitute("x", -1).substitute("y", 1)
+    at = build(EnumeratorKind.BSE, n).value.substitute({"x": -1, "y": 1})
     _agree(value=at, expected=0 if n % 2 else (-1) ** (n // 2) * alternating_weight(n))
     if n <= 7:
-        bigger = build(EnumeratorKind.SE, n + 1).value.substitute("x", -1).substitute("y", 1)
-        _agree(value=at, half_weight=half_weight(bigger))
+        half = {"x": -1, "y": 1, "al": MultiPoly.var("al") * Fraction(1, 2)}
+        _agree(value=at, half_weight=build(EnumeratorKind.SE, n + 1).value.substitute(half))
     alternating, euler = class_size(PermClass.ALT_DOWN_UP, n), euler_number(n)
     if alternating != euler:
         raise Mismatch(alternating=alternating, euler=euler)
@@ -354,7 +350,7 @@ def _check_gamm(klass: str, n: int) -> None:
         return {"x": s.des, "y": s.des, "t": deg - 2 * s.des, "al": s.weight}
 
     linear = MultiPoly.var("x") + MultiPoly.var("y")
-    acc = profile_sum(tag, m, ddfree).substitute("t", linear)
+    acc = profile_sum(tag, m, ddfree).substitute({"t": linear})
     _agree(ddfree_sum=acc, enumerator=_class_enumerator(tag, n))
 
 

@@ -102,14 +102,15 @@ def _cmd_bijection(args) -> int:
         else:
             print(format_perm(image))
         return 0
-    pairs = mirror_pairs(args.n)  # streamed: the text form prints as it goes
-    if args.json:
-        _emit(
-            {
-                "n": args.n,
-                "pairs": [[format_perm(w), format_perm(p)] for w, p in pairs],
-            }
-        )
+    pairs = mirror_pairs(args.n)  # streamed: both forms print as they go
+    if args.json:  # the ``_emit`` layout, written pair by pair
+        write, sep = sys.stdout.write, "\n"
+        write(f'{{\n  "n": {args.n},\n  "pairs": [')
+        for w, p in pairs:
+            a, b = json.dumps(format_perm(w)), json.dumps(format_perm(p))
+            write(f"{sep}    [\n      {a},\n      {b}\n    ]")
+            sep = ",\n"
+        write("]\n}\n" if sep == "\n" else "\n  ]\n}\n")
     else:
         for w, p in pairs:
             tail = " (fixed)" if w == p else ""

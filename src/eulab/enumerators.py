@@ -28,7 +28,6 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import comb
 from typing import Callable, NamedTuple
 
@@ -189,8 +188,3 @@ def euler_number(n: int) -> int:
     total = sum(comb(m, k) * euler_number(k) * euler_number(m - k) for k in range(m + 1))
     assert total % 2 == 0
     return total // 2
-
-
-def half_weight(p: MultiPoly) -> MultiPoly:
-    """Substitute al -> al/2."""
-    return p.substitute("al", MultiPoly.monomial(Fraction(1, 2), {"al": 1}))

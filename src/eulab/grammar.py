@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -89,8 +90,10 @@ BUILTIN_SOURCES = {
 }
 
 
+@cache
 def builtin(name: str) -> Grammar:
-    """Return one of the built-in rule sets by name."""
+    """Return one of the built-in rule sets by name, parsed once per process
+    (a ``Grammar`` is immutable, so callers share it)."""
     try:
         return parse_grammar(BUILTIN_SOURCES[name])
     except KeyError:

@@ -19,6 +19,10 @@ and the monomial format and the coefficient type are decided here alone:
 other modules combine polynomials only with the operators, ``poly_sum``,
 ``monomial_sum`` (of ``(coef, exponent map)`` pairs) and ``derivation``.
 
+``substitute(values)`` replaces every variable of one map by its image
+simultaneously, so ``{x: y, y: x}`` swaps x and y; ``eval_at`` is the
+constant term of one such call.
+
 ``derivation(images, steps)`` computes D^steps for the derivation D that
 sends each ruled variable to its image, in one pass over packed monomials:
 each monomial is one ``int`` with a biased bit field per variable, and
@@ -312,31 +316,35 @@ class MultiPoly:
     def is_symmetric_in(self, a: str, b: str) -> bool:
         return self == self.rename({a: b, b: a})
 
-    def substitute(self, var: str, value: "MultiPoly | Scalar") -> "MultiPoly":
-        """Replace ``var`` by a polynomial.  A negative exponent of ``var``
-        requires the replacement to be a nonzero monomial.
+    def substitute(self, values: Mapping[str, "MultiPoly | Scalar"]) -> "MultiPoly":
+        """Replace every variable of ``values`` by its image, all at once: no
+        image is substituted into again.  A negative exponent of a variable
+        requires its image to be a nonzero monomial.
 
-        >>> str(parse_poly("x^2 + x*y").substitute("x", parse_poly("y+1")))
+        >>> str(parse_poly("x^2 + x*y").substitute({"x": parse_poly("y+1")}))
         '2*y^2 + 3*y + 1'
+        >>> str(parse_poly("x^2*y").substitute({"x": parse_poly("y"), "y": parse_poly("x")}))
+        'x*y^2'
         """
-        q = self._coerce(value)
-        if q is None:
-            raise TypeError(f"cannot substitute {type(value).__name__}")
-        powers: dict[int, MultiPoly] = {}
+        images = {v: self._coerce(q) for v, q in values.items()}
+        for v, q in images.items():
+            if q is None:
+                raise TypeError(f"cannot substitute {type(values[v]).__name__}")
+        powers: dict[tuple[str, int], list] = {}
 
-        def qpow(e: int) -> MultiPoly:
-            if e not in powers:
-                if e < 0 and q.is_zero():
-                    raise ZeroAtNegativePowerError(
-                        f"substituting 0 for {var!r} at exponent {e}"
-                    )
-                powers[e] = q**e
-            return powers[e]
+        def power(v: str, e: int) -> list:
+            if (v, e) not in powers:
+                if e < 0 and images[v].is_zero():
+                    raise ZeroAtNegativePowerError(f"substituting 0 for {v!r} at exponent {e}")
+                powers[v, e] = list((images[v] ** e)._terms.items())
+            return powers[v, e]
 
-        def replaced(mono: Mono, coef: Scalar):
-            e = dict(mono).get(var, 0)
-            rest = tuple((v, x) for v, x in mono if v != var)
-            return ((_mono_mul(rest, m), coef * c) for m, c in qpow(e)._terms.items())
+        def replaced(mono: Mono, coef: Scalar) -> list:
+            pairs = [(tuple(ve for ve in mono if ve[0] not in images), coef)]
+            for v, e in mono:
+                if v in images:
+                    pairs = [(_mono_mul(m, pm), c * pc) for m, c in pairs for pm, pc in power(v, e)]
+            return pairs
 
         return _wrap(_collect(
             pair for mono, coef in self._terms.items() for pair in replaced(mono, coef)
@@ -406,29 +414,16 @@ class MultiPoly:
         return _wrap(_collect((unpack(key), coef) for key, coef in terms.items()))
 
     def eval_at(self, point: Mapping[str, Scalar]) -> Fraction:
-        """Exact value at a rational point binding every variable.  Each
-        value is an ``int`` or a ``Fraction``; a float or a string is a
-        ``TypeError``, as it is for the constructors."""
+        """Exact value at a rational point binding every variable: the
+        constant term of one substitution.  Each value is an ``int`` or a
+        ``Fraction``; a float or a string is a ``TypeError``, as it is for
+        the constructors."""
         values = {}
         for v in sorted(self.variables()):
             if v not in point:
                 raise UnboundVariableError(f"no value for variable {v!r}")
             values[v] = _coef(point[v])
-        powers: dict[tuple[str, int], Scalar] = {}
-        total = 0
-        for mono, coef in self._terms.items():
-            for v, e in mono:
-                x = powers.get((v, e))
-                if x is None:
-                    x = values[v]
-                    if e < 0:
-                        if x == 0:
-                            raise ZeroAtNegativePowerError(f"variable {v!r} is 0 at exponent {e}")
-                        x = Fraction(x)  # an int at a negative power is a float
-                    x = powers[v, e] = x**e
-                coef *= x
-            total += coef
-        return Fraction(total)
+        return Fraction(self.substitute(values)._terms.get((), 0))
 
     # -- rendering ---------------------------------------------------------
 

@@ -218,6 +218,17 @@ def test_bijection_table_json(capsys):
     assert len(pairs) == 5
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_bijection_table_json_is_the_emitted_payload(capsys, n):
+    # written pair by pair, in the layout of json.dumps(payload, indent=2)
+    from eulab.bijection import pair_table
+    from eulab.perms import format_perm
+
+    payload = {"n": n, "pairs": [[format_perm(w), format_perm(p)] for w, p in pair_table(n)]}
+    assert run(capsys, "bijection", "table", "-n", str(n), "--json") == (
+        0, json.dumps(payload, indent=2) + "\n", "")
+
+
 def test_verify_single_check(capsys):
     code, out, _ = run(capsys, "verify", "secant", "-n", "3")
     assert code == 0

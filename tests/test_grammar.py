@@ -14,7 +14,7 @@ from eulab.errors import (
     UnknownNameError,
     ValueOutOfRangeError,
 )
-from eulab.grammar import builtin, derive, parse_grammar, slot_labels
+from eulab.grammar import BUILTIN_SOURCES, builtin, derive, parse_grammar, slot_labels
 from eulab.perms import PermClass, enumerate_class
 from eulab.poly import MultiPoly, parse_poly, poly_sum
 
@@ -66,6 +66,15 @@ def test_builtin_names():
     assert "u5" not in gt.rule_map()
     with pytest.raises(UnknownNameError):
         builtin("Gx")
+
+
+def test_builtin_parses_each_rule_set_once():
+    assert builtin("five-variable") is builtin("five-variable")
+    assert builtin("two-variable") == parse_grammar(BUILTIN_SOURCES["two-variable"])
+    # an unknown name is not cached: it raises every time
+    for _ in range(2):
+        with pytest.raises(UnknownNameError):
+            builtin("Gx")
 
 
 def test_derivative_basics():

@@ -112,19 +112,58 @@ def test_rename_merges_exponents():
 
 def test_substitute_examples():
     p = parse_poly("al^2*(x+y)^2 + al*x*y")
-    assert p.substitute("al", 1) == parse_poly("(x+y)^2 + x*y")
+    assert p.substitute({"al": 1}) == parse_poly("(x+y)^2 + x*y")
     assert parse_poly("-2*al").substitute(
-        "al", parse_poly("1/2 * al")
+        {"al": parse_poly("1/2 * al")}
     ) == parse_poly("-al")
-    forced = parse_poly("u1*u2").substitute("u2", parse_poly("x*y*t^-1"))
-    assert forced.substitute("u1", parse_poly("t")) == parse_poly("x*y")
+    forced = parse_poly("u1*u2").substitute({"u2": parse_poly("x*y*t^-1")})
+    assert forced.substitute({"u1": parse_poly("t")}) == parse_poly("x*y")
 
 
 def test_substitute_identity_and_constants():
     p = parse_poly("x^2*y + 3*x - 1/2")
-    assert p.substitute("x", MultiPoly.var("x")) == p
-    v = p.substitute("x", 2).substitute("y", Fraction(1, 3))
+    assert p.substitute({"x": MultiPoly.var("x")}) == p
+    v = p.substitute({"x": 2}).substitute({"y": Fraction(1, 3)})
     assert v == MultiPoly.const(p.eval_at({"x": 2, "y": Fraction(1, 3)}))
+
+
+def test_substitute_is_simultaneous():
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    p = parse_poly("x^2*y + x^-1*y^3")
+    # no chain of one-variable maps swaps: it would merge x and y
+    assert p.substitute({"x": y, "y": x}) == p.rename({"x": "y", "y": "x"})
+    assert p.substitute({"x": y}).substitute({"y": x}) == parse_poly("x^3 + x^2")
+    assert p.substitute({}) == p
+    # each image is taken as given: its x is not replaced by y
+    q = parse_poly("x^2*y + x*y^3")
+    assert q.substitute({"x": x + y, "y": x}) == parse_poly("(x+y)^2*x + (x+y)*x^3")
+
+
+def test_substitute_negative_exponents():
+    p = parse_poly("x^-2*y + x")
+    assert p.substitute({"x": parse_poly("2*t"), "y": 3}) == parse_poly("3/4*t^-2 + 2*t")
+    with pytest.raises(ZeroAtNegativePowerError, match="substituting 0 for 'x' at exponent -2"):
+        p.substitute({"x": 0})
+    with pytest.raises(ZeroAtNegativePowerError, match="substituting 0 for 'x' at exponent -1"):
+        parse_poly("x^-1").eval_at({"x": 0})
+    with pytest.raises(NegativePowerOfNonMonomialError):
+        p.substitute({"x": parse_poly("t + 1")})
+    # a zero image at a positive exponent is plain zero
+    assert p.substitute({"y": 0}) == parse_poly("x")
+
+
+@pytest.mark.parametrize("bad", [0.5, "1", None])
+def test_substitute_rejects_inexact_images(bad):
+    # checked before any term is touched, also for a variable the
+    # polynomial does not hold and on the zero polynomial
+    for p, values in (
+        (parse_poly("x + y"), {"x": bad}),
+        (parse_poly("x + y"), {"x": 1, "y": bad}),
+        (parse_poly("x"), {"y": bad}),
+        (MultiPoly.zero(), {"x": bad}),
+    ):
+        with pytest.raises(TypeError):
+            p.substitute(values)
 
 
 def test_eval_at():
@@ -367,8 +406,30 @@ def test_pretty_round_trips_random(p):
 @settings(max_examples=40, deadline=None)
 @given(small_polys(), st.integers(min_value=-3, max_value=3))
 def test_substitute_constant_matches_eval(p, c):
-    q = p.substitute("x", c).substitute("y", c).substitute("z", c)
+    q = p.substitute({"x": c, "y": c, "z": c})
     assert q == MultiPoly.const(p.eval_at({v: c for v in p.variables()} or {}))
+
+
+@st.composite
+def _disjoint_maps(draw):
+    """A map from some of x, y, z to images that hold none of its variables."""
+    domain = sorted(draw(st.sets(st.sampled_from("xyz"), max_size=3)))
+    free = [v for v in "xyzu" if v not in domain]
+    return {v: draw(small_polys(names=free)) for v in domain}
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys(), _disjoint_maps())
+def test_a_disjoint_map_is_the_chain_of_its_one_variable_maps(p, images):
+    chained = functools.reduce(lambda q, item: q.substitute(dict([item])), images.items(), p)
+    assert p.substitute(images) == chained
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_polys())
+def test_swap_map_is_the_swap_rename(p):
+    swap = {"x": MultiPoly.var("y"), "y": MultiPoly.var("x")}
+    assert p.substitute(swap) == p.rename({"x": "y", "y": "x"})
 
 
 def _canonical(c) -> bool:
@@ -403,7 +464,7 @@ def test_every_operation_stores_only_nonzero_fractions(p, q, c):
         MultiPoly.monomial(c or 1, {"x": 1, "y": 2}) ** -2,
         p.coefficient({"x": 1}), p.coefficient({"x": 0, "y": 1}),
         p.rename({"y": "x"}), p.rename({"x": "y", "y": "x"}),
-        p.substitute("x", q), p.substitute("y", c),
+        p.substitute({"x": q}), p.substitute({"y": c}), p.substitute({"x": q, "y": c}),
         MultiPoly.from_json(p.to_json()), poly_sum(r for r in (p, q, -p)),
         MultiPoly({(): c}), MultiPoly.monomial(c, {"x": 0}), MultiPoly.const(c),
         p.derivation({"x": q, "y": MultiPoly.const(c)}),

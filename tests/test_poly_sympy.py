@@ -73,11 +73,19 @@ def test_powers_match_sympy(pair, k, coef, exps):
 
 
 @settings(max_examples=40, deadline=None)
-@given(polys, laurent, st.sampled_from("xyz"), st.integers(min_value=-3, max_value=3))
-def test_substitute_matches_sympy(pair_p, pair_q, var, c):
-    (p, sp), (q, sq) = pair_p, pair_q
-    assert_same(p.substitute(var, q), sympy.expand(sp.subs(SYMBOLS[var], sq)))
-    assert_same(p.substitute(var, c), sympy.expand(sp.subs(SYMBOLS[var], c)))
+@given(
+    polys,
+    st.dictionaries(st.sampled_from("xyz"), laurent, max_size=3),
+    st.dictionaries(st.sampled_from("xyz"), st.integers(min_value=-3, max_value=3), max_size=3),
+)
+def test_substitute_matches_sympy(pair_p, images, consts):
+    # sympy substitutes simultaneously only when asked to
+    p, sp = pair_p
+    got = p.substitute({v: image for v, (image, _) in images.items()})
+    want = sp.subs({SYMBOLS[v]: si for v, (_, si) in images.items()}, simultaneous=True)
+    assert_same(got, sympy.expand(want))
+    want = sp.subs({SYMBOLS[v]: c for v, c in consts.items()}, simultaneous=True)
+    assert_same(p.substitute(consts), sympy.expand(want))
 
 
 @settings(max_examples=40, deadline=None)
