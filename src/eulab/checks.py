@@ -29,13 +29,13 @@ from __future__ import annotations
 import inspect
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from math import comb
 from typing import Callable, Mapping
 
-from .action import _components, _toggle, orbit, toggle, toggle_many
+from .action import _components, _toggle, orbit, toggle_many
 from .bijection import mirror
 from .enumerators import (
     KINDS,
@@ -62,6 +62,7 @@ from .perms import (
     PermClass,
     _classify,
     _is_prefix_decreasing,
+    _require_ints,
     _stats,
     class_size,
     enumerate_class,
@@ -80,9 +81,18 @@ _MATH_FAILURES = (
     RepresentativeError,
 )
 
-# exponent maps of the enumerator kinds, reused by the per-word sums below
+# the exponent maps of the enumerator kinds, reused by the per-word sums
+# below, and (exponent map, peak factor, double-ascent factor) of each basis
+# alphabet.  Peaks, descents and ascents need no square roots: des = peaks +
+# double descents and asc = peaks + double ascents, so a word weighs
+# (u v w)^peaks v^dd w^da.
 _DES_ASC = KINDS[EnumeratorKind.SE].exponents
 _REFINED = KINDS[EnumeratorKind.REFINED].exponents
+_u1, _u2, _u3, _u4, _x, _y, _u, _v, _w = map(MultiPoly.var, "u1 u2 u3 u4 x y u v w".split())
+_REFINED_BASIS = (_REFINED, _u1 * _u2, _u3 + _u4)
+_DES_ASC_BASIS = (_DES_ASC, _x * _y, _x + _y)
+_PEAK_BASIS = (lambda s: {"u": s.peaks, "v": s.des, "w": s.asc, "al": s.weight},
+               _u * _v * _w, _v + _w)
 
 
 class Mismatch(Exception):
@@ -106,12 +116,7 @@ class CheckReport:
         return self.verdict == "PASS"
 
     def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "params": dict(self.params),
-            "verdict": self.verdict,
-            "witness": dict(self.witness) if self.witness is not None else None,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "CheckReport":
@@ -168,15 +173,14 @@ def _check_prw_g(n: int) -> dict:
     return {"gamma": [str(g) for g in want]}
 
 
-def _refined_in_basis(klass: PermClass, n: int) -> None:
-    """Refined four-variable enumerator over a class equals its basis
-    expansion, with the coefficients peeled from the class enumerator and
-    the degree one less than the word length.  The registry binds
-    ``klass``: mainthm2 over decreasing-prefix words, ji-gam over S_n."""
-    lhs = build(EnumeratorKind.REFINED, n, klass=klass).value
+def _in_basis(klass: PermClass, exponents, pair: MultiPoly, linear: MultiPoly, n: int) -> None:
+    """A class's sum under ``exponents`` equals its expansion in the basis
+    of ``pair`` and ``linear``, with the coefficients peeled from the class
+    enumerator and the degree one less than the word length.  The registry
+    binds all but ``n`` (see the basis alphabets above)."""
+    m = letters(klass, n)
     gammas = gamma_expand(_class_enumerator(klass, n)).gammas
-    u1, u2, u3, u4 = (MultiPoly.var(v) for v in ("u1", "u2", "u3", "u4"))
-    _agree(lhs=lhs, rhs=basis_sum(gammas, u1 * u2, u3 + u4, letters(klass, n) - 1))
+    _agree(lhs=profile_sum(klass, m, exponents), rhs=basis_sum(gammas, pair, linear, m - 1))
 
 
 def _check_mainthm2_var(n: int) -> None:
@@ -208,20 +212,6 @@ def _check_grammar32(n: int) -> None:
     _agree(derived=got, enumerated=MultiPoly.var("a") * value)
     words = enumerate_class(PermClass.PRW, letters(PermClass.PRW, n))
     _agree(labeled=poly_sum(slot_labels(w).monomial() for w in words), enumerated=value)
-
-
-def _check_des_pk(n: int) -> None:
-    """Peak/descent/ascent joint distribution in the peeled basis, with no
-    square roots: des = peaks + double descents, asc = peaks + double
-    ascents."""
-    lhs = profile_sum(
-        PermClass.PRW,
-        letters(PermClass.PRW, n),
-        lambda s: {"u": s.peaks, "v": s.des, "w": s.asc, "al": s.weight},
-    )
-    gammas = gamma_expand(build(EnumeratorKind.BSE, n).value).gammas
-    u, v, w = (MultiPoly.var(c) for c in ("u", "v", "w"))
-    _agree(lhs=lhs, rhs=basis_sum(gammas, u * v * w, v + w, n))
 
 
 def _check_cgk_alpha(a: int, b: int) -> dict:
@@ -306,9 +296,7 @@ def _check_pip(klass: str, n: int) -> dict:
     tag = PermClass(klass)
     m = letters(tag, n)
     orbits = _orbits(_toggle_table(list(enumerate_class(tag, m)), m))
-    u1, u2, u3, u4, x, y = (MultiPoly.var(v) for v in ("u1", "u2", "u3", "u4", "x", "y"))
-    # (exponent map, peak factor, double-ascent factor) of each alphabet
-    alphabets = ((_REFINED, u1 * u2, u3 + u4), (_DES_ASC, x * y, x + y))
+    alphabets = (_REFINED_BASIS, _DES_ASC_BASIS)
 
     @cache  # orbits with equal (peaks, double_asc, weight) share one product
     def product(alphabet: int, peaks: int, double_asc: int, weight: int) -> MultiPoly:
@@ -349,8 +337,7 @@ def _check_gamm(klass: str, n: int) -> None:
             return None
         return {"x": s.des, "y": s.des, "t": deg - 2 * s.des, "al": s.weight}
 
-    linear = MultiPoly.var("x") + MultiPoly.var("y")
-    acc = profile_sum(tag, m, ddfree).substitute({"t": linear})
+    acc = profile_sum(tag, m, ddfree).substitute({"t": _x + _y})
     _agree(ddfree_sum=acc, enumerator=_class_enumerator(tag, n))
 
 
@@ -396,18 +383,16 @@ def _check_group_action(n: int, seed: int = 0) -> None:
     class, and orbits have size 2^(da+dd) with one double-descent-free
     member."""
     # generated words are valid: each goes through the kernels and the minima
-    # functions once, and the one public toggle per (word, letter) keeps the
-    # validated entry point under test
+    # functions once, and every toggle is read from the class's table
     words = list(enumerate_class(PermClass.SYM, n))
     table = _toggle_table(words, n)
     profile, kinds, prefix_dec = ({w: fact(w) for w in words} for fact in (
         _stats, _classify, _is_prefix_decreasing))
     # the minima kept as tuples, which take a third of a small set's memory
     lrmin, rlmin = ({w: tuple(fact(w)) for w in words} for fact in (lrmin_values, rlmin_values))
-    for w in words:
+    for w, images in table.items():
         sw = profile[w]
-        for x in range(1, n + 1):
-            v = toggle(w, x)
+        for x, v in enumerate(images, start=1):
             sv = profile[v]
             image_kind = _FLIPS.get(kinds[w][w.index(x)])
             if image_kind is None:
@@ -428,14 +413,13 @@ def _check_group_action(n: int, seed: int = 0) -> None:
             else:
                 continue
             raise Mismatch(word=format_perm(w), letter=x, reason=reason)
-    if n <= 6:
-        for w, images in table.items():
-            for x in range(1, n + 1):
-                for y in range(x + 1, n + 1):
-                    if table[images[x - 1]][y - 1] != table[images[y - 1]][x - 1]:
-                        raise Mismatch(
-                            word=format_perm(w), letters=[x, y], reason="toggles do not commute"
-                        )
+    for w, images in table.items():
+        for x in range(1, n + 1):
+            for y in range(x + 1, n + 1):
+                if table[images[x - 1]][y - 1] != table[images[y - 1]][x - 1]:
+                    raise Mismatch(
+                        word=format_perm(w), letters=[x, y], reason="toggles do not commute"
+                    )
     for orb in _orbits(table):
         expected = 2 ** profile[orb.representative].double_asc
         if orb.size != expected:
@@ -512,9 +496,9 @@ REGISTRY: dict = {
                  "two-variable enumerator: symmetry and nonnegative integer basis coefficients"),
         CheckDef("prw-g", _check_prw_g, 1, 8,
                  "peeled coefficients equal all three enumeration routes"),
-        CheckDef("mainthm2", partial(_refined_in_basis, PermClass.PRW), 1, 8,
+        CheckDef("mainthm2", partial(_in_basis, PermClass.PRW, *_REFINED_BASIS), 1, 8,
                  "refined enumerator over decreasing-prefix words in the peeled basis"),
-        CheckDef("ji-gam", partial(_refined_in_basis, PermClass.SYM), 1, 8,
+        CheckDef("ji-gam", partial(_in_basis, PermClass.SYM, *_REFINED_BASIS), 1, 8,
                  "refined enumerator over the symmetric group in the peeled basis"),
         CheckDef("mainthm2-var", _check_mainthm2_var, 1, 7,
                  "five-variable enumerator collapses to the three-variable one"),
@@ -522,7 +506,7 @@ REGISTRY: dict = {
                  "two-variable rule-set derivative equals the marked enumerator"),
         CheckDef("grammar-32", _check_grammar32, 1, 7,
                  "five-variable rule-set derivative, enumerator, and slot labels agree"),
-        CheckDef("des-pk", _check_des_pk, 1, 8,
+        CheckDef("des-pk", partial(_in_basis, PermClass.PRW, *_PEAK_BASIS), 1, 8,
                  "peak/descent/ascent joint distribution in the peeled basis"),
         CheckDef("cgk-alpha", _check_cgk_alpha, 2, 8,
                  "binomial convolution of ascent-refined minima weights is symmetric"),
@@ -538,13 +522,6 @@ REGISTRY: dict = {
                  "toggles: involution, commutation, class flips, orbit structure"),
     )
 }
-
-
-def _require_ints(owner: str, **values) -> None:
-    """Plain ints only: a bool, a float or a string is rejected."""
-    for key, value in values.items():
-        if type(value) is not int:
-            raise ValueOutOfRangeError(f"{owner} takes an int {key}, got {value!r}")
 
 
 def verify(name: str, **params) -> CheckReport:

@@ -32,7 +32,8 @@ from math import comb
 from typing import Callable, NamedTuple
 
 from .errors import ValueOutOfRangeError
-from .perms import PermClass, StatProfile, _check_cap, _stats, enumerate_class, letters
+from .perms import (PermClass, StatProfile, _check_cap, _require_ints, _stats, enumerate_class,
+                    letters)
 from .poly import MultiPoly, monomial_sum
 
 
@@ -69,11 +70,12 @@ class Enumerator:
         )
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def profile_counts(tag: PermClass, n: int) -> tuple:
     """Multiplicity of each statistic profile over a class, as a sorted
-    tuple of (StatProfile, count) pairs.  A size past the enumeration cap
-    is rejected before any word is generated."""
+    tuple of (StatProfile, count) pairs.  A size past the enumeration cap,
+    or not a plain int, is rejected before any word is generated; the cache
+    is typed, so ``2.0`` never reads the table of ``2``."""
     return tuple(sorted(Counter(_stats(w) for w in enumerate_class(tag, n)).items()))
 
 
@@ -139,6 +141,7 @@ def build(kind: EnumeratorKind, index: int, klass: PermClass | None = None) -> E
     'al*y + al*z'
     """
     kind = EnumeratorKind(kind)
+    _require_ints("build", index=index)
     spec = KINDS[kind]
     if klass is None:
         tag = spec.classes[0]
@@ -180,6 +183,7 @@ def euler_number(n: int) -> int:
     >>> [euler_number(i) for i in range(9)]
     [1, 1, 1, 2, 5, 16, 61, 272, 1385]
     """
+    _require_ints("euler_number", n=n)
     if n < 0:
         raise ValueOutOfRangeError(f"need n >= 0, got {n}")
     if n <= 1:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .enumerators import profile_sum
 from .errors import NonzeroResidualError, NotSymmetricError, ValueOutOfRangeError
-from .perms import PermClass, letters
+from .perms import PermClass, _require_ints, letters
 from .poly import MultiPoly, poly_sum
 
 
@@ -101,8 +101,9 @@ def gamma_from_class(route: GammaRoute, n: int) -> list:
     '3*al^2 + 2*al'
     """
     route = GammaRoute(route)
-    if n < 1:
-        raise ValueOutOfRangeError(f"n must be at least 1, got {n}")
+    _require_ints("gamma_from_class", n=n)
+    if n < 0:
+        raise ValueOutOfRangeError(f"n must be at least 0, got {n}")
     tag, exponents = _ROUTES[route]
     marked = profile_sum(tag, letters(tag, n), exponents)
     gammas = [marked.coefficient({"k": k}) for k in range(n // 2 + 1)]

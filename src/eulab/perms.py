@@ -55,9 +55,17 @@ def enumeration_cap() -> int:
     return cap
 
 
+def _require_ints(owner: str, **values) -> None:
+    """Plain ints only: a bool, a float or a string is rejected."""
+    for key, value in values.items():
+        if type(value) is not int:
+            raise ValueOutOfRangeError(f"{owner} takes an int {key}, got {value!r}")
+
+
 def _check_cap(n: int) -> None:
-    """Reject words on ``n`` letters past the enumeration cap.  Every path
-    that enumerates calls this before it generates or reads any word."""
+    """Reject an ``n`` that is not a plain int or is past the enumeration
+    cap.  Every path that enumerates calls this before it reads any word."""
+    _require_ints("enumeration", n=n)
     cap = enumeration_cap()
     if n > cap:
         raise CapExceededError(f"{n} letters exceed the enumeration cap {cap} ({_CAP_ENV})")

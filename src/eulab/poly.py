@@ -181,6 +181,8 @@ class MultiPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        if self._terms.keys() <= {()}:  # a constant hashes as the value it equals
+            return hash(self._terms.get((), 0))
         return hash(frozenset(self._terms.items()))
 
     def __bool__(self) -> bool:
@@ -479,9 +481,16 @@ class MultiPoly:
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "MultiPoly":
+        """The inverse of ``to_json``: each coefficient a ``"num/den"``
+        string or a plain ``int``, each exponent a plain ``int``.  Anything
+        else, such as a float, is a ``TypeError``, as it is for ``_coef``."""
+        terms = [(item["coef"], item["exp"]) for item in payload["terms"]]
+        for coef, exps in terms:
+            exact = type(coef) is int or type(coef) is str and re.fullmatch("-?[0-9]+/[0-9]+", coef)
+            if not exact or any(type(e) is not int for e in exps.values()):
+                raise TypeError(f"not a term that to_json writes: coef {coef!r}, exp {exps!r}")
         return _wrap(_collect(
-            (_mono({str(v): int(e) for v, e in item["exp"].items()}), Fraction(item["coef"]))
-            for item in payload["terms"]
+            (_mono({str(v): e for v, e in exps.items()}), Fraction(coef)) for coef, exps in terms
         ))
 
 

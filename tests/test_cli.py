@@ -102,6 +102,11 @@ def test_gamma_interps_match(capsys, interp):
     assert "gamma[2] = 3*α^2 + 2*α" in out
 
 
+@pytest.mark.parametrize("interp", ["expand", "1", "2", "3"])
+def test_gamma_at_n_zero(capsys, interp):
+    assert run(capsys, "gamma", "-n", "0", "--interp", interp) == (0, "gamma[0] = 1\n", "")
+
+
 def test_gamma_json(capsys):
     code, out, _ = run(capsys, "gamma", "-n", "2", "--json")
     payload = json.loads(out)

@@ -11,9 +11,11 @@ from eulab.enumerators import (
     alternating_weight,
     build,
     euler_number,
+    profile_counts,
     stirling_eulerian,
 )
 from eulab.errors import CapExceededError, ValueOutOfRangeError
+from eulab.gamma import GammaRoute, gamma_from_class
 from eulab.perms import PermClass, stats
 from eulab.poly import MultiPoly, parse_poly
 
@@ -74,6 +76,29 @@ def test_build_rejects_bad_index():
     with pytest.raises(ValueOutOfRangeError):
         build(EnumeratorKind.REFINED, 0, klass=PermClass.SYM)
     assert build(EnumeratorKind.BSE, 0).value == MultiPoly.one()
+
+
+@pytest.mark.parametrize("size", [2.0, True])
+def test_a_size_that_is_not_an_int_is_rejected_cold_and_warm(size):
+    # 2.0 and True equal 2 and 1, so a cache keyed by the size would serve
+    # them once the int size has been built
+    calls = [
+        lambda: build(EnumeratorKind.BSE, size),
+        lambda: profile_counts(PermClass.PRW, size),
+        lambda: euler_number(size),
+        lambda: gamma_from_class(GammaRoute.ASC_NO_DA, size),
+    ]
+    for warm in (False, True):
+        if warm:
+            build(EnumeratorKind.BSE, int(size))
+            profile_counts(PermClass.PRW, int(size))
+            euler_number(int(size))
+        else:
+            profile_counts.cache_clear()
+            euler_number.cache_clear()
+        for call in calls:
+            with pytest.raises(ValueOutOfRangeError, match="takes an int"):
+                call()
 
 
 def test_build_respects_cap(monkeypatch):

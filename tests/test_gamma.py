@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 
 from eulab.enumerators import EnumeratorKind, build
-from eulab.errors import NotHomogeneousError, NotSymmetricError
+from eulab.errors import NotHomogeneousError, NotSymmetricError, ValueOutOfRangeError
 from eulab.gamma import GammaRoute, basis_sum, gamma_expand, gamma_from_class
 from eulab.perms import stats
 from eulab.poly import MultiPoly, parse_poly
@@ -101,6 +101,14 @@ def test_expansion_coefficients_nonnegative_integers(n):
         for _, coef in g.terms():
             assert coef.denominator == 1
             assert coef >= 0
+
+
+def test_every_route_gives_one_at_n_zero():
+    assert gamma_expand(build(EnumeratorKind.BSE, 0).value).gammas == (MultiPoly.one(),)
+    for route in GammaRoute:
+        assert gamma_from_class(route, 0) == [MultiPoly.one()]
+    with pytest.raises(ValueOutOfRangeError, match="at least 0, got -1"):
+        gamma_from_class(GammaRoute.ASC_NO_DA, -1)
 
 
 def test_halving_route_uses_exact_fractions():

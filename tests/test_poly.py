@@ -215,6 +215,32 @@ def test_json_round_trip():
     assert all(set(t) == {"exp", "coef"} for t in payload["terms"])
     assert MultiPoly.from_json(payload) == p
     assert MultiPoly.from_json(MultiPoly.zero().to_json()) == MultiPoly.zero()
+    # a plain int coefficient is exact too
+    assert MultiPoly.from_json({"terms": [{"exp": {"x": 2}, "coef": -3}]}) == parse_poly("-3*x^2")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"exp": {"x": 1}, "coef": 0.1},  # a float coefficient
+        {"exp": {"x": 1}, "coef": "0.1"},  # a decimal string
+        {"exp": {"x": 1}, "coef": True},
+        {"exp": {"x": 1.5}, "coef": "1/1"},
+        {"exp": {"x": "2"}, "coef": "1/1"},
+        {"exp": {"x": True}, "coef": "1/1"},
+    ],
+)
+def test_from_json_takes_only_what_to_json_writes(bad):
+    with pytest.raises(TypeError):
+        MultiPoly.from_json({"terms": [bad]})
+
+
+def test_a_constant_hashes_as_its_value():
+    for value in (2, 0, Fraction(-1, 2)):
+        assert len({MultiPoly.const(value), value}) == 1
+    assert hash(MultiPoly.zero()) == hash(0)
+    x = MultiPoly.var("x")
+    assert hash(x + 1 - x) == hash(1)
 
 
 def test_syntax_errors_have_position():
