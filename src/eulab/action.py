@@ -17,10 +17,11 @@ Toggling distinct letters commutes, every toggle is an involution, and each
 orbit contains exactly one word free of double descents; the verification
 registry checks all of that exhaustively at small sizes.
 
-One engine finds orbits: ``_components`` splits a toggle table (each word
-mapped to its images under the letters 1..n) into orbits.  ``orbit`` fills
-the table of one word's closure; ``pip`` and ``group-action`` fill one per
-class, so they compute each (word, letter) toggle once.
+One engine finds orbits: ``_walk`` maps each member of one word's orbit to
+its images under the letters 1..n, and ``_representative`` finds the orbit's
+one double-descent-free member.  ``orbit`` runs them on any word; ``pip`` and
+``group-action`` from each double-descent-free word of a class, one orbit
+at a time.
 
 Inputs are validated once, at the boundary: the public functions check the
 word with ``perms.check_word`` and the letter with ``_check_letter``.  The
@@ -110,10 +111,9 @@ def _hop(w: Perm, i: int, move: str) -> Perm:
     anchor's position: just before the anchor going left, just after it
     going right."""
     x = w[i]
-    if move == _HOP_LEFT:
-        j = next(j for j in range(i) if w[j] < x)
-    else:
-        j = next(j for j in range(len(w) - 1, i, -1) if w[j] < x)
+    j, step = (0, 1) if move == _HOP_LEFT else (len(w) - 1, -1)
+    while w[j] > x:  # x has a smaller neighbour on the side the scan starts from
+        j += step
     rest = w[:i] + w[i + 1 :]
     return rest[:j] + (x,) + rest[j:]
 
@@ -205,37 +205,39 @@ class Orbit:
 
 def _has_double_descent(w: Perm) -> bool:
     """Whether some letter has a larger letter on each side (+inf padding, as
-    in ``_move``): a scan of its own, apart from the statistic profiles."""
-    top = len(w) + 1
-    return any(l > v > r for l, v, r in zip((top,) + w, w, w[1:]))
+    in ``_move``): the first letter when it descends, or one between two
+    descents.  A scan of its own, apart from the statistic profiles."""
+    if len(w) > 1 and w[0] > w[1]:
+        return True
+    for i in range(1, len(w) - 1):
+        if w[i - 1] > w[i] > w[i + 1]:
+            return True
+    return False
 
 
-def _components(table: dict) -> tuple:
-    """The connected components of a toggle table as orbits, in order of first
-    word, and ``None``; at an image outside the table, the orbits before its
-    component and (the component's first word, the image)."""
-    seen: set = set()
-    orbits = []
-    for w in table:
-        if w in seen:
-            continue
-        seen.add(w)
-        members = [w]
-        for u in members:  # breadth first: the loop reaches what it appends
-            for v in table[u]:
-                if v not in seen:
-                    if v not in table:
-                        return orbits, (w, v)
-                    seen.add(v)
-                    members.append(v)
-        members.sort()
-        reps = [m for m in members if not _has_double_descent(m)]
-        if len(reps) != 1:
-            raise RepresentativeError(
-                f"expected one double-descent-free member, found {len(reps)} in orbit of {w}"
-            )
-        orbits.append(Orbit(members=tuple(members), representative=reps[0]))
-    return orbits, None
+def _walk(w: Perm) -> dict:
+    """The toggle table of w's orbit: each member, w first, mapped to the
+    tuple of its images under the letters 1..n.  The only code that builds
+    a toggle table."""
+    xs = range(1, len(w) + 1)
+    table, todo = {}, [w]
+    while todo:
+        u = todo.pop()
+        if u not in table:
+            table[u] = images = tuple([_toggle(u, x) for x in xs])
+            todo.extend(images)
+    return table
+
+
+def _representative(table: dict, w: Perm) -> Perm:
+    """The one double-descent-free member of the orbit table walked from w;
+    any other count raises ``RepresentativeError``."""
+    reps = [m for m in table if not _has_double_descent(m)]
+    if len(reps) != 1:
+        raise RepresentativeError(
+            f"expected one double-descent-free member, found {len(reps)} in orbit of {w}"
+        )
+    return reps[0]
 
 
 def orbit(word: Sequence[int]) -> Orbit:
@@ -245,15 +247,9 @@ def orbit(word: Sequence[int]) -> Orbit:
     ((1, 2, 3), (2, 1, 3), (3, 1, 2), (3, 2, 1))
     """
     w = check_word(word)
-    n = len(w)
-    _check_cap(n)
-    table, todo = {}, [w]
-    while todo:
-        u = todo.pop()
-        if u not in table:
-            table[u] = images = tuple(_toggle(u, x) for x in range(1, n + 1))
-            todo.extend(images)
-    return _components(table)[0][0]
+    _check_cap(len(w))
+    table = _walk(w)
+    return Orbit(members=tuple(sorted(table)), representative=_representative(table, w))
 
 
 def orbit_dot(orb: Orbit) -> str:

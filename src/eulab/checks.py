@@ -33,9 +33,9 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache, cached_property, partial
 from math import comb
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
-from .action import _components, _toggle, orbit, toggle_many
+from .action import _has_double_descent, _representative, _walk, toggle_many
 from .bijection import mirror
 from .enumerators import (
     KINDS,
@@ -61,6 +61,7 @@ from .perms import (
     DOUBLE_DESC,
     PermClass,
     _classify,
+    _in_class,
     _is_prefix_decreasing,
     _require_ints,
     _stats,
@@ -268,24 +269,18 @@ def _check_secant(n: int) -> dict:
     return {"value": str(at)}
 
 
-def _toggle_table(words: list, m: int) -> dict:
-    """Each word mapped to the tuple of its images under the letters 1..m;
-    an image that is a word of the list is that word's object, not a copy."""
-    own = {w: w for w in words}
-    return {w: tuple([own.get(v, v) for v in [_toggle(w, x) for x in range(1, m + 1)]])
-            for w in words}
-
-
-def _orbits(table: dict) -> list:
-    """The orbits of a class's toggle table.  A class not closed under the
-    action is a mismatch: the least member outside the class of the public
-    ``orbit`` of the escaping orbit's first word, else the table's image."""
-    orbits, escape = _components(table)
-    if escape:
-        w, image = escape
-        stray = set(orbit(w).members) - table.keys() or {image}
-        raise Mismatch(orbit_of=format_perm(w), escapes_to=format_perm(min(stray)))
-    return orbits
+def _orbit_tables(tag: PermClass, m: int) -> Iterator[tuple]:
+    """Each word of the class on m letters free of double descents, with its
+    orbit's toggle table.  No global set: after the last orbit, the orbit
+    sizes must sum to the words streamed."""
+    words = members = 0
+    for words, w in enumerate(enumerate_class(tag, m), start=1):
+        if not _has_double_descent(w):
+            table = _walk(w)
+            members += len(table)
+            yield w, table
+    if members != words:
+        raise Mismatch(words=words, orbit_members=members)
 
 
 def _check_pip(klass: str, n: int) -> dict:
@@ -294,8 +289,6 @@ def _check_pip(klass: str, n: int) -> dict:
     four-variable and the two-variable alphabets; the orbit totals recover
     the class enumerator."""
     tag = PermClass(klass)
-    m = letters(tag, n)
-    orbits = _orbits(_toggle_table(list(enumerate_class(tag, m)), m))
     alphabets = (_REFINED_BASIS, _DES_ASC_BASIS)
 
     @cache  # orbits with equal (peaks, double_asc, weight) share one product
@@ -303,25 +296,27 @@ def _check_pip(klass: str, n: int) -> dict:
         _, pair, linear = alphabets[alphabet]
         return pair**peaks * linear**double_asc * MultiPoly.monomial(1, {"al": weight})
 
-    keys = []
-    for orb in orbits:
+    keys = Counter()
+    for r, table in _orbit_tables(tag, letters(tag, n)):
+        # r alone is free of double descents, and no member leaves the class
+        _representative(table, r)
+        stray = [v for v in table if not _in_class(tag, v)]
+        if stray:
+            raise Mismatch(orbit_of=format_perm(r), escapes_to=format_perm(min(stray)))
         # orbit members are generated, hence valid: profile each one once,
-        # and sum one monomial per distinct profile
-        profiles = {w: _stats(w) for w in orb.members}
-        rs = profiles[orb.representative]
-        key = (rs.peaks, rs.double_asc, rs.weight)
-        keys.append(key)
-        counts = Counter(profiles.values())
+        # and sum one monomial per distinct profile; the walk starts at r
+        profiles = [_stats(w) for w in table]
+        key = (profiles[0].peaks, profiles[0].double_asc, profiles[0].weight)
+        keys[key] += 1
+        counts = Counter(profiles)
         for alphabet, (exponents, _, _) in enumerate(alphabets):
             lhs = monomial_sum((c, exponents(s)) for s, c in counts.items())
             rhs = product(alphabet, *key)
             if lhs != rhs:
-                raise Mismatch(
-                    representative=format_perm(orb.representative), lhs=str(lhs), rhs=str(rhs)
-                )
-    total = poly_sum(product(1, *key) for key in keys)
+                raise Mismatch(representative=format_perm(r), lhs=str(lhs), rhs=str(rhs))
+    total = poly_sum(c * product(1, *key) for key, c in keys.items())
     _agree(orbit_total=total, enumerator=_class_enumerator(tag, n))
-    return {"orbits": len(orbits)}
+    return {"orbits": sum(keys.values())}
 
 
 def _check_gamm(klass: str, n: int) -> None:
@@ -382,50 +377,42 @@ def _check_group_action(n: int, seed: int = 0) -> None:
     they preserve peak count, minima total, and the decreasing-prefix
     class, and orbits have size 2^(da+dd) with one double-descent-free
     member."""
-    # generated words are valid: each goes through the kernels and the minima
-    # functions once, and every toggle is read from the class's table
-    words = list(enumerate_class(PermClass.SYM, n))
-    table = _toggle_table(words, n)
-    profile, kinds, prefix_dec = ({w: fact(w) for w in words} for fact in (
-        _stats, _classify, _is_prefix_decreasing))
-    # the minima kept as tuples, which take a third of a small set's memory
-    lrmin, rlmin = ({w: tuple(fact(w)) for w in words} for fact in (lrmin_values, rlmin_values))
-    for w, images in table.items():
-        sw = profile[w]
-        for x, v in enumerate(images, start=1):
-            sv = profile[v]
-            image_kind = _FLIPS.get(kinds[w][w.index(x)])
-            if image_kind is None:
-                flipped = v == w
-            else:
-                ascends, descends = (w, v) if image_kind == DOUBLE_DESC else (v, w)
-                flipped = kinds[v][v.index(x)] == image_kind and (
-                    (x in lrmin[descends]) == (x in rlmin[ascends])
-                )
-            if table[v][x - 1] != w:
-                reason = "not an involution"
-            elif sv.peaks != sw.peaks or sv.weight != sw.weight:
-                reason = "peaks or minima total not preserved"
-            elif prefix_dec[w] and not prefix_dec[v]:
-                reason = "left the decreasing-prefix class"
-            elif not flipped:
-                reason = "letter class did not flip as documented"
-            else:
-                continue
-            raise Mismatch(word=format_perm(w), letter=x, reason=reason)
-    for w, images in table.items():
-        for x in range(1, n + 1):
-            for y in range(x + 1, n + 1):
-                if table[images[x - 1]][y - 1] != table[images[y - 1]][x - 1]:
-                    raise Mismatch(
-                        word=format_perm(w), letters=[x, y], reason="toggles do not commute"
-                    )
-    for orb in _orbits(table):
-        expected = 2 ** profile[orb.representative].double_asc
-        if orb.size != expected:
-            raise Mismatch(
-                representative=format_perm(orb.representative), size=orb.size, expected=expected
-            )
+    for r, table in _orbit_tables(PermClass.SYM, n):
+        # orbit members are generated, hence valid: each goes through the kernels
+        # and the minima functions once, and every toggle is read from the table
+        facts = {w: (_stats(w), _classify(w), _is_prefix_decreasing(w), lrmin_values(w),
+                     rlmin_values(w)) for w in table}
+        for w, images in table.items():
+            sw, kinds_w, dec_w, lrmin_w, rlmin_w = facts[w]
+            for x, v in enumerate(images, start=1):
+                sv, kinds_v, dec_v, lrmin_v, rlmin_v = facts[v]
+                image_kind = _FLIPS.get(kinds_w[w.index(x)])
+                if image_kind is None:
+                    flipped = v == w
+                else:
+                    lr, rl = (lrmin_v, rlmin_w) if image_kind == DOUBLE_DESC else (lrmin_w, rlmin_v)
+                    flipped = kinds_v[v.index(x)] == image_kind and (x in lr) == (x in rl)
+                if table[v][x - 1] != w:
+                    reason = "not an involution"
+                elif sv.peaks != sw.peaks or sv.weight != sw.weight:
+                    reason = "peaks or minima total not preserved"
+                elif dec_w and not dec_v:
+                    reason = "left the decreasing-prefix class"
+                elif not flipped:
+                    reason = "letter class did not flip as documented"
+                else:
+                    continue
+                raise Mismatch(word=format_perm(w), letter=x, reason=reason)
+        for w, images in table.items():
+            for x in range(1, n + 1):
+                for y in range(x + 1, n + 1):
+                    if table[images[x - 1]][y - 1] != table[images[y - 1]][x - 1]:
+                        raise Mismatch(word=format_perm(w), letters=[x, y],
+                                       reason="toggles do not commute")
+        _representative(table, r)
+        expected = 2 ** facts[r][0].double_asc
+        if len(table) != expected:
+            raise Mismatch(representative=format_perm(r), size=len(table), expected=expected)
     rng = random.Random(seed)
     base = list(range(1, n + 1))
     for _ in range(50):

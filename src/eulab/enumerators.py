@@ -62,9 +62,11 @@ class Enumerator:
 
     @classmethod
     def from_json(cls, payload: dict) -> "Enumerator":
+        """The inverse of ``to_json``; an index that is not a plain int is rejected."""
+        _require_ints("Enumerator.from_json", index=payload["index"])
         return cls(
             kind=EnumeratorKind(payload["kind"]),
-            index=int(payload["index"]),
+            index=payload["index"],
             klass=PermClass(payload["class"]) if payload.get("class") else None,
             value=MultiPoly.from_json(payload["value"]),
         )
@@ -165,6 +167,7 @@ def stirling_eulerian(m: int, k: int) -> MultiPoly:
     >>> str(stirling_eulerian(3, 1))
     '3*al^2 + al'
     """
+    _require_ints("stirling_eulerian", k=k)
     if m < 0 or k < 0:
         raise ValueOutOfRangeError(f"need m, k >= 0, got m={m}, k={k}")
     return profile_sum(PermClass.SYM, m, lambda s: {"al": s.rlmin} if s.asc == k else None)

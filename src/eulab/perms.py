@@ -13,9 +13,9 @@ are keyed on.
 Words are validated once, at the boundary: every public function that takes
 a word passes it through ``check_word``, which admits only a tuple of plain
 ``int`` letters forming a permutation of 1..n.  The ``_``-prefixed kernels
-(``_stats``, ``_classify``, ``_is_prefix_decreasing``) trust their caller to
-hand them such a tuple, e.g. the output of ``enumerate_class``, and validate
-nothing.
+(``_stats``, ``_classify``, ``_is_prefix_decreasing``, ``_in_class``) trust
+their caller to hand them such a tuple, e.g. the output of
+``enumerate_class``, and validate nothing.
 
 ``enumerate_class`` generates every class from one table of rules: a prefix
 grows only by the letters its class allows, so no class is filtered from the
@@ -297,6 +297,18 @@ _RULES = {
     # descents at the odd 1-based positions, ascents at the even ones
     PermClass.ALT_DOWN_UP: _Rule(0, lambda p, v: not p or (p[-1] > v) == (len(p) % 2 == 1)),
 }
+
+
+def _in_class(tag: PermClass, w: Perm) -> bool:
+    """Whether the class's rule grows the permutation tuple w: each letter
+    may follow the prefix before it, until a free prefix admits the rest."""
+    _, allows, free = _RULES[tag]
+    for i, v in enumerate(w):
+        if free(w[:i]):
+            return True
+        if not allows(w[:i], v):
+            return False
+    return True
 
 
 def letters(tag: PermClass, index: int) -> int:

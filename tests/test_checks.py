@@ -7,11 +7,21 @@ import json
 
 import pytest
 
-from eulab.action import _swap
+from eulab.action import _swap, orbit
 from eulab.bijection import mirror
 from eulab.checks import CheckDef, CheckReport, REGISTRY, verify, verify_all
 from eulab.errors import UnknownCheckError, ValueOutOfRangeError
-from eulab.perms import DOUBLE_ASC, DOUBLE_DESC, _classify, _stats
+from eulab.perms import (
+    DOUBLE_ASC,
+    DOUBLE_DESC,
+    PermClass,
+    _classify,
+    _stats,
+    enumerate_class,
+    format_perm,
+    letters,
+    parse_perm,
+)
 from eulab.poly import parse_poly
 
 
@@ -317,9 +327,9 @@ WRONG_MOVES = [
 @pytest.mark.parametrize("wrong", WRONG_MOVES)
 @pytest.mark.parametrize("name", ["_toggle"])
 def test_group_action_fails_on_a_wrong_toggle(monkeypatch, name, wrong):
-    import eulab.checks
+    import eulab.action
 
-    monkeypatch.setattr(eulab.checks, name, wrong)
+    monkeypatch.setattr(eulab.action, name, wrong)
     report = verify("group-action", n=4)
     assert not report.passed
     assert "letter" in report.witness
@@ -330,7 +340,6 @@ def test_group_action_checks_commutation_on_seven_letters(monkeypatch):
     # still an involution with the documented flips, and only the
     # commutation test sees that toggles 2 and 4 no longer commute
     import eulab.action
-    import eulab.checks
 
     real = eulab.action._toggle
     traded = {}
@@ -342,24 +351,39 @@ def test_group_action_checks_commutation_on_seven_letters(monkeypatch):
     def wrong(w, x):
         return traded[w] if x == 4 and w in traded else real(w, x)
 
-    monkeypatch.setattr(eulab.checks, "_toggle", wrong)
     monkeypatch.setattr(eulab.action, "_toggle", wrong)
     assert verify("group-action", n=7).witness == {
         "word": "1 2 3 4 5 7 6", "letters": [2, 4], "reason": "toggles do not commute",
     }
 
 
+# pip's witness under each wrong move, by class: the walk from the identity
+# under no move at all is the identity alone, whose sum is one monomial; the
+# classical swap reaches more than one double-descent-free word
+PIP_WRONG_MOVE_WITNESSES = {
+    "sym": [
+        {"representative": "1 2 3 4", "lhs": "al^3*u3^3",
+         "rhs": "al^3*u3^3 + 3*al^3*u3^2*u4 + 3*al^3*u3*u4^2 + al^3*u4^3"},
+        {"error": "ORBIT_REPRESENTATIVE_NOT_UNIQUE",
+         "message": "expected one double-descent-free member, found 3 in orbit of (1, 2, 3, 4)"},
+    ],
+    "prw": [
+        {"representative": "1 2 3 4 5", "lhs": "al^4*u3^4",
+         "rhs": "al^4*u3^4 + 4*al^4*u3^3*u4 + 6*al^4*u3^2*u4^2 + 4*al^4*u3*u4^3 + al^4*u4^4"},
+        {"error": "ORBIT_REPRESENTATIVE_NOT_UNIQUE",
+         "message": "expected one double-descent-free member, found 4 in orbit of (1, 2, 3, 4, 5)"},
+    ],
+}
+
+
 @pytest.mark.parametrize("wrong", WRONG_MOVES)
 @pytest.mark.parametrize("klass", ["sym", "prw"])
 def test_pip_fails_on_a_wrong_toggle(monkeypatch, klass, wrong):
-    # pip's orbits come from the same toggle table: a wrong move leaves an
-    # orbit without exactly one double-descent-free member
-    import eulab.checks
+    import eulab.action
 
-    monkeypatch.setattr(eulab.checks, "_toggle", wrong)
+    monkeypatch.setattr(eulab.action, "_toggle", wrong)
     report = verify("pip", klass=klass, n=4)
-    assert not report.passed
-    assert report.witness["error"] == "ORBIT_REPRESENTATIVE_NOT_UNIQUE"
+    assert report.witness == PIP_WRONG_MOVE_WITNESSES[klass][WRONG_MOVES.index(wrong)]
 
 
 def _escaping(word, letter, image):
@@ -377,13 +401,13 @@ def _escaping(word, letter, image):
     return wrong
 
 
-# the escaping orbit is named by its first word in enumeration order, and
-# the stray by the least word outside the class in that word's public orbit
+# the escaping orbit is named by its representative, and the stray by the
+# least word of the walked orbit outside the class
 ESCAPES = [
     # the image has a double descent, so the orbit keeps one representative
     ((2, 1, 3, 4, 5), 3, (2, 4, 3, 1, 5),
      {"escapes_to": "2 4 3 1 5", "orbit_of": "1 2 3 4 5"}),
-    # the image has none: the closure has two representatives, reported first
+    # the image has none: the orbit has two representatives, checked first
     ((1, 2, 3, 4, 5), 5, (2, 3, 1, 4, 5),
      {"error": "ORBIT_REPRESENTATIVE_NOT_UNIQUE",
       "message": "expected one double-descent-free member, found 2 in orbit of (1, 2, 3, 4, 5)"}),
@@ -393,23 +417,42 @@ ESCAPES = [
 @pytest.mark.parametrize("word, letter, image, witness", ESCAPES)
 def test_pip_reports_an_orbit_that_leaves_the_class(monkeypatch, word, letter, image, witness):
     import eulab.action
-    import eulab.checks
 
-    wrong = _escaping(word, letter, image)
-    monkeypatch.setattr(eulab.checks, "_toggle", wrong)
-    monkeypatch.setattr(eulab.action, "_toggle", wrong)
+    monkeypatch.setattr(eulab.action, "_toggle", _escaping(word, letter, image))
     report = verify("pip", klass="prw", n=4)
     assert report.to_json() == {
         "check": "pip", "params": {"klass": "prw", "n": 4}, "verdict": "FAIL", "witness": witness,
     }
 
 
-def test_pip_names_the_table_escape_when_the_public_orbit_stays_inside(monkeypatch):
-    import eulab.checks
+def test_pip_names_the_least_stray_of_the_public_orbit(monkeypatch):
+    # one engine: the public orbit of the representative holds the same
+    # words as pip's walk, and the stray is its least word outside the class
+    import eulab.action
 
     word, letter, image, witness = ESCAPES[0]
-    monkeypatch.setattr(eulab.checks, "_toggle", _escaping(word, letter, image))
+    monkeypatch.setattr(eulab.action, "_toggle", _escaping(word, letter, image))
     assert verify("pip", klass="prw", n=4).witness == witness
+    members = orbit(parse_perm(witness["orbit_of"])).members
+    strays = set(members) - set(enumerate_class(PermClass.PRW, 5))
+    assert format_perm(min(strays)) == witness["escapes_to"]
+
+
+@pytest.mark.parametrize("name, params, words", [
+    ("group-action", {"n": 4}, 24), ("pip", {"klass": "sym", "n": 4}, 24),
+    ("pip", {"klass": "prw", "n": 4}, 65),
+])
+def test_an_orbit_the_stream_misses_is_counted(monkeypatch, name, params, words):
+    # the stream takes the identity for a word with a double descent, so its
+    # orbit is never walked; every walked orbit is sound, and only the sum of
+    # the orbit sizes falls short of the words streamed
+    import eulab.checks
+
+    real = eulab.checks._has_double_descent
+    identity = tuple(range(1, letters(PermClass(params.get("klass", "sym")), 4) + 1))
+    monkeypatch.setattr(eulab.checks, "_has_double_descent", lambda w: w == identity or real(w))
+    missed = orbit(identity).size
+    assert verify(name, **params).witness == {"words": words, "orbit_members": words - missed}
 
 
 def test_a_blind_double_descent_scan_fails_pip_and_group_action(monkeypatch):
@@ -423,6 +466,201 @@ def test_a_blind_double_descent_scan_fails_pip_and_group_action(monkeypatch):
         assert not report.passed
         assert report.witness["error"] == "ORBIT_REPRESENTATIVE_NOT_UNIQUE"
 
+
+# -- the table-based oracle of pip and group-action ---------------------------
+# The form both checks had before they walked orbits from representatives:
+# one toggle table over the whole class, split into its components, with
+# every fact read from whole-class dicts.  Each kernel is read from its
+# module at call time, so a mutant reaches the oracle too.
+
+
+def _oracle_table(words, m):
+    import eulab.action
+
+    own = {w: w for w in words}
+    return {w: tuple([own.get(v, v) for v in [eulab.action._toggle(w, x) for x in range(1, m + 1)]])
+            for w in words}
+
+
+def _oracle_orbits(table):
+    # components in order of first word; an image outside the table is an
+    # escape, named by the least stray of the public orbit of the first word
+    import eulab.action
+    from eulab.checks import Mismatch
+    from eulab.errors import RepresentativeError
+
+    seen, orbits = set(), []
+    for w in table:
+        if w in seen:
+            continue
+        seen.add(w)
+        members = [w]
+        for u in members:
+            for v in table[u]:
+                if v not in seen:
+                    if v not in table:
+                        stray = set(orbit(w).members) - table.keys() or {v}
+                        raise Mismatch(orbit_of=format_perm(w), escapes_to=format_perm(min(stray)))
+                    seen.add(v)
+                    members.append(v)
+        reps = [m for m in sorted(members) if not eulab.action._has_double_descent(m)]
+        if len(reps) != 1:
+            raise RepresentativeError(
+                f"expected one double-descent-free member, found {len(reps)} in orbit of {w}"
+            )
+        orbits.append((tuple(sorted(members)), reps[0]))
+    return orbits
+
+
+def _oracle_pip(klass, n):
+    import collections
+
+    from eulab.checks import _DES_ASC_BASIS, _REFINED_BASIS, Mismatch, _class_enumerator
+    from eulab.poly import MultiPoly, monomial_sum, poly_sum
+
+    tag = PermClass(klass)
+    m = letters(tag, n)
+    orbits = _oracle_orbits(_oracle_table(list(enumerate_class(tag, m)), m))
+    alphabets = (_REFINED_BASIS, _DES_ASC_BASIS)
+
+    def product(alphabet, peaks, double_asc, weight):
+        _, pair, linear = alphabets[alphabet]
+        return pair**peaks * linear**double_asc * MultiPoly.monomial(1, {"al": weight})
+
+    keys = []
+    for members, rep in orbits:
+        profiles = {w: _stats(w) for w in members}
+        key = (profiles[rep].peaks, profiles[rep].double_asc, profiles[rep].weight)
+        keys.append(key)
+        counts = collections.Counter(profiles.values())
+        for alphabet, (exponents, _, _) in enumerate(alphabets):
+            lhs = monomial_sum((c, exponents(s)) for s, c in counts.items())
+            rhs = product(alphabet, *key)
+            if lhs != rhs:
+                raise Mismatch(representative=format_perm(rep), lhs=str(lhs), rhs=str(rhs))
+    total = poly_sum(product(1, *key) for key in keys)
+    enumerator = _class_enumerator(tag, n)
+    if total != enumerator:
+        raise Mismatch(orbit_total=str(total), enumerator=str(enumerator))
+    return {"orbits": len(orbits)}
+
+
+def _oracle_group_action(n, seed=0):
+    import random
+
+    from eulab.action import toggle_many
+    from eulab.checks import Mismatch
+    from eulab.perms import _is_prefix_decreasing, lrmin_values, rlmin_values
+
+    words = list(enumerate_class(PermClass.SYM, n))
+    table = _oracle_table(words, n)
+    profile, kinds, prefix_dec = ({w: fact(w) for w in words} for fact in (
+        _stats, _classify, _is_prefix_decreasing))
+    lrmin, rlmin = ({w: fact(w) for w in words} for fact in (lrmin_values, rlmin_values))
+    flips = {DOUBLE_ASC: DOUBLE_DESC, DOUBLE_DESC: DOUBLE_ASC}
+    for w, images in table.items():
+        for x, v in enumerate(images, start=1):
+            image_kind = flips.get(kinds[w][w.index(x)])
+            if image_kind is None:
+                flipped = v == w
+            else:
+                ascends, descends = (w, v) if image_kind == DOUBLE_DESC else (v, w)
+                flipped = kinds[v][v.index(x)] == image_kind and (
+                    (x in lrmin[descends]) == (x in rlmin[ascends]))
+            if table[v][x - 1] != w:
+                reason = "not an involution"
+            elif profile[v].peaks != profile[w].peaks or profile[v].weight != profile[w].weight:
+                reason = "peaks or minima total not preserved"
+            elif prefix_dec[w] and not prefix_dec[v]:
+                reason = "left the decreasing-prefix class"
+            elif not flipped:
+                reason = "letter class did not flip as documented"
+            else:
+                continue
+            raise Mismatch(word=format_perm(w), letter=x, reason=reason)
+    for w, images in table.items():
+        for x in range(1, n + 1):
+            for y in range(x + 1, n + 1):
+                if table[images[x - 1]][y - 1] != table[images[y - 1]][x - 1]:
+                    raise Mismatch(word=format_perm(w), letters=[x, y],
+                                   reason="toggles do not commute")
+    for members, rep in _oracle_orbits(table):
+        if len(members) != 2 ** profile[rep].double_asc:
+            raise Mismatch(representative=format_perm(rep), size=len(members),
+                           expected=2 ** profile[rep].double_asc)
+    rng = random.Random(seed)
+    base = list(range(1, n + 1))
+    for _ in range(50):
+        w = base[:]
+        rng.shuffle(w)
+        w = tuple(w)
+        subset = [x for x in base if rng.random() < 0.5]
+        if toggle_many(toggle_many(w, subset), subset) != w:
+            raise Mismatch(word=format_perm(w), letters=subset,
+                           reason="subset toggle is not an involution")
+
+
+def _oracle(name, **params):
+    # (verdict, witness) as ``verify`` reports them
+    from eulab.checks import Mismatch
+    from eulab.errors import RepresentativeError
+
+    run = {"pip": _oracle_pip, "group-action": _oracle_group_action}[name]
+    try:
+        return "PASS", run(**params)
+    except Mismatch as exc:
+        return "FAIL", exc.witness
+    except RepresentativeError as exc:
+        return "FAIL", {"error": exc.code, "message": exc.message}
+
+
+ORACLE_RUNS = [("group-action", {}), ("pip", {"klass": "sym"}), ("pip", {"klass": "prw"})]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_pip_and_group_action_match_the_table_oracle(n):
+    for name, params in ORACLE_RUNS:
+        report = verify(name, n=n, **params)
+        assert (report.verdict, report.witness) == _oracle(name, n=n, **params), (name, params)
+
+
+# mutants of the action kernels, each patched into ``eulab.action``: the
+# wrong moves, a toggle that escapes the decreasing-prefix class, a blind
+# double-descent scan and one that sees a double descent everywhere
+ORACLE_MUTANTS = [("_toggle", wrong) for wrong in WRONG_MOVES] + [
+    ("_toggle", "escape"),
+    ("_has_double_descent", lambda w: False),
+    ("_has_double_descent", lambda w: True),
+]
+
+
+@pytest.mark.parametrize("kernel, wrong", ORACLE_MUTANTS)
+def test_pip_and_group_action_fail_where_the_table_oracle_fails(monkeypatch, kernel, wrong):
+    # the witnesses may differ (the orbit walk checks one orbit at a time),
+    # the verdicts may not
+    import eulab.action
+
+    if wrong == "escape":
+        wrong = _escaping(*ESCAPES[0][:3])
+    monkeypatch.setattr(eulab.action, kernel, wrong)
+    for n in range(1, 6):
+        for name, params in ORACLE_RUNS:
+            got = verify(name, n=n, **params).verdict
+            assert got == _oracle(name, n=n, **params)[0], (name, params, n)
+
+
+def test_group_action_holds_one_orbit_at_a_time():
+    # the whole-class tables it kept before peaked at 4.5 MB on 7 letters;
+    # one orbit of 7 letters holds at most 64 words
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        assert verify("group-action", n=7).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 def test_a_check_signature_is_read_once(monkeypatch):
     import inspect

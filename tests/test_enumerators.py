@@ -117,6 +117,13 @@ def test_enumerator_record_round_trip():
     assert Enumerator.from_json(payload) == e
 
 
+@pytest.mark.parametrize("index", [1.5, 2.0, "2", True])
+def test_enumerator_from_json_takes_only_the_int_index_to_json_writes(index):
+    payload = {**build(EnumeratorKind.BSE, 2).to_json(), "index": index}
+    with pytest.raises(ValueOutOfRangeError, match="takes an int index"):
+        Enumerator.from_json(payload)
+
+
 def test_two_variable_symmetry_and_homogeneity():
     for n in range(1, 7):
         p = build(EnumeratorKind.BSE, n).value
@@ -136,6 +143,12 @@ def test_stirling_eulerian_values():
     assert stirling_eulerian(2, 1) == parse_poly("al^2")
     assert stirling_eulerian(3, 1) == parse_poly("3*al^2 + al")
     assert stirling_eulerian(3, 5) == MultiPoly.zero()
+
+
+@pytest.mark.parametrize("k", [True, 1.0, "1"])
+def test_stirling_eulerian_takes_an_int_k(k):
+    with pytest.raises(ValueOutOfRangeError, match="takes an int k"):
+        stirling_eulerian(3, k)
 
 
 def test_stirling_eulerian_at_one_counts_ascents():

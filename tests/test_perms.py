@@ -18,6 +18,7 @@ from eulab.perms import (
     PermClass,
     StatProfile,
     _classify,
+    _in_class,
     _is_prefix_decreasing,
     _stats,
     check_word,
@@ -282,6 +283,13 @@ def test_prefix_decreasing_words_are_generated_in_filter_order(n):
 def test_every_other_class_is_generated_in_filter_order(tag, n):
     assert list(enumerate_class(tag, n)) == _filtered(tag, n)
 
+
+@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("tag", list(PermClass))
+def test_class_membership_admits_exactly_the_generated_words(tag, n):
+    # one predicate read off each class's rule, checked over all n! words
+    members = {w for w in permutations(range(1, n + 1)) if _in_class(tag, w)}
+    assert members == set(enumerate_class(tag, n))
 
 def test_alternating_words_are_counted_by_euler_numbers():
     assert [class_size(PermClass.ALT_DOWN_UP, n) for n in range(11)] == [
