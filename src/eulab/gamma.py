@@ -1,9 +1,11 @@
 """Expansion of symmetric homogeneous polynomials in the basis
 ``(xy)^k (x+y)^(n-2k)`` and its three combinatorial realizations.
 
-``gamma_expand`` peels coefficients: gamma_k is the coefficient of
-``x^k y^(n-k)`` in what remains after subtracting the lower basis elements,
-and the final residual must vanish exactly.
+``gamma_expand`` peels by a triangular solve over one coefficient split: the
+basis element i puts C(n-2i, k-i) on ``x^k y^(n-k)``, whose coefficient is
+c_k, so gamma_k = c_k - sum_{i<k} C(n-2i, k-i) gamma_i for k = 0..n/2.  By
+symmetry this matches every term with both exponents in 0..n, so the
+residual, which must vanish, is the terms with a negative x or y exponent.
 
 ``gamma_from_class`` computes the same coefficient lists directly from
 permutation classes, one profile sum per route with its own filter and
@@ -15,6 +17,7 @@ from __future__ import annotations
 from enum import IntEnum
 from fractions import Fraction
 from dataclasses import dataclass
+from math import comb
 
 from .enumerators import profile_sum
 from .errors import NonzeroResidualError, NotSymmetricError, ValueOutOfRangeError
@@ -46,25 +49,28 @@ def basis_sum(gammas, pair: MultiPoly, linear: MultiPoly, degree: int) -> MultiP
 
 def gamma_expand(p: MultiPoly, x: str = "x", y: str = "y") -> GammaExpansion:
     """Expand ``p``, homogeneous in {x, y} and symmetric under their swap,
-    in the basis ``(xy)^k (x+y)^(n-2k)``.
+    in the basis ``(xy)^k (x+y)^(n-2k)``, by the solve above; x and y must be
+    two variables, and a Laurent residual is a ``NonzeroResidualError``.
 
     >>> from .poly import parse_poly
     >>> e = gamma_expand(parse_poly("al^2*(x+y)^2 + al*x*y"))
     >>> [str(g) for g in e.gammas]
     ['al^2', 'al']
     """
+    if x == y:
+        raise ValueOutOfRangeError(f"x and y must be two variables, got {x!r} for both")
     n = p.homogeneous_degree_in([x, y])
     if not p.is_symmetric_in(x, y):
         raise NotSymmetricError(f"not symmetric in {x!r}, {y!r}: {p}")
-    vx, vy = MultiPoly.var(x), MultiPoly.var(y)
-    residual = p
+    rows = p.coefficients([x, y])
+    if residual := poly_sum(
+        row * MultiPoly.monomial(1, {x: i, y: j}) for (i, j), row in rows.items() if i < 0 or j < 0
+    ):
+        raise NonzeroResidualError(f"residual {residual} after peeling {p}")
     gammas = []
     for k in range(n // 2 + 1):
-        g = residual.coefficient({x: k, y: n - k})
-        gammas.append(g)
-        residual = residual - g * (vx * vy) ** k * (vx + vy) ** (n - 2 * k)
-    if not residual.is_zero():
-        raise NonzeroResidualError(f"residual {residual} after peeling {p}")
+        lower = (-comb(n - 2 * i, k - i) * g for i, g in enumerate(gammas))
+        gammas.append(poly_sum([rows.get((k, n - k), MultiPoly.zero()), *lower]))
     return GammaExpansion(n=n, x=x, y=y, gammas=tuple(gammas))
 
 
@@ -105,8 +111,8 @@ def gamma_from_class(route: GammaRoute, n: int) -> list:
     if n < 0:
         raise ValueOutOfRangeError(f"n must be at least 0, got {n}")
     tag, exponents = _ROUTES[route]
-    marked = profile_sum(tag, letters(tag, n), exponents)
-    gammas = [marked.coefficient({"k": k}) for k in range(n // 2 + 1)]
+    rows = profile_sum(tag, letters(tag, n), exponents).coefficients(["k"])
+    gammas = [rows.get((k,), MultiPoly.zero()) for k in range(n // 2 + 1)]
     if route is GammaRoute.PEAKS_HALVED:
         return [g * Fraction(1, 2 ** (n - 2 * k)) for k, g in enumerate(gammas)]
     return gammas

@@ -11,7 +11,11 @@ the calculus here ever needs.
 
 Every polynomial is built by one private accumulator, ``_collect``: it sums
 the coefficients of equal monomials, drops zero sums and turns an integral
-``Fraction`` back into an ``int``.  The public constructors
+``Fraction`` back into an ``int``.  Two places build a canonical term map
+directly: the tail of ``derivation`` unpacks distinct packed keys, dropping
+zeros and demoting through ``_coef`` as it goes, and within one row of the
+split ``coefficients`` the split exponents agree, so the stored terms stay
+distinct once those are removed.  The public constructors
 (``MultiPoly(mapping)``, ``monomial``, ``const``, ``monomial_sum``) accept
 only ``int`` and ``Fraction`` coefficients, through ``_coef``.  So integer
 polynomials, such as every rule-set derivative, run on ``int`` arithmetic,
@@ -271,6 +275,30 @@ class MultiPoly:
 
     # -- queries -----------------------------------------------------------
 
+    def coefficients(self, variables: Sequence[str]) -> dict:
+        """The coefficient split over ``variables``, in one pass over the
+        terms: each exponent tuple of ``variables`` that occurs (0 for an
+        absent variable) maps to its coefficient, a polynomial in the other
+        variables.  A repeated variable is a ``ValueOutOfRangeError``.
+
+        >>> parse_poly("3*x^2*y + x^2 + y").coefficients(["x"])
+        {(2,): parse_poly('3*y + 1'), (0,): parse_poly('y')}
+        """
+        index = {v: i for i, v in enumerate(variables)}
+        if len(index) < len(variables):
+            raise ValueOutOfRangeError(f"repeated variable in {list(variables)}")
+        rows: dict[tuple, dict] = {}
+        for mono, coef in self._terms.items():
+            exps, rest = [0] * len(index), []
+            for v, e in mono:
+                i = index.get(v)
+                if i is None:
+                    rest.append((v, e))
+                else:
+                    exps[i] = e
+            rows.setdefault(tuple(exps), {})[tuple(rest)] = coef
+        return {exps: _wrap(terms) for exps, terms in rows.items()}
+
     def coefficient(self, pattern: Mapping[str, int]) -> "MultiPoly":
         """Coefficient of the exact exponent pattern, as a polynomial in the
         remaining variables.
@@ -279,12 +307,7 @@ class MultiPoly:
         >>> str(p.coefficient({"x": 2}))
         '3*y + 1'
         """
-        want = dict(pattern)
-        return _wrap(_collect(
-            (tuple((v, e) for v, e in mono if v not in want), coef)
-            for mono, coef in self._terms.items()
-            if all(dict(mono).get(v, 0) == e for v, e in want.items())
-        ))
+        return self.coefficients(list(pattern)).get(tuple(pattern.values()), MultiPoly.zero())
 
     def homogeneous_degree_in(self, variables: Sequence[str]) -> int:
         """Common total degree of every term restricted to ``variables``.
@@ -316,7 +339,9 @@ class MultiPoly:
         return _wrap(_collect((renamed(mono), coef) for mono, coef in self._terms.items()))
 
     def is_symmetric_in(self, a: str, b: str) -> bool:
-        return self == self.rename({a: b, b: a})
+        """Whether the coefficient of ``a^i b^j`` is that of ``a^j b^i``, for all i, j."""
+        rows = {} if a == b else self.coefficients([a, b])
+        return all(rows.get((j, i)) == row for (i, j), row in rows.items())
 
     def substitute(self, values: Mapping[str, "MultiPoly | Scalar"]) -> "MultiPoly":
         """Replace every variable of ``values`` by its image, all at once: no
@@ -363,11 +388,12 @@ class MultiPoly:
         union of those here and in the images, and each gets one bit field
         of a single ``int`` key, holding its exponent plus a bias.  A rule
         term becomes the key delta of its image monomial divided by its
-        head, so each term product is one integer addition; the keys are
-        unpacked to monomials once, at the end.  One step moves an exponent
-        by at most 1 + the largest image exponent, so no exponent ever
-        exceeds max|start exponent| + steps * (1 + max|image exponent|) in
-        size.  The field holds every value of that size, so no field can
+        head, so each term product is one integer addition.  A sum that
+        cancels to 0 is skipped where it is read, and each key is unpacked
+        once, at the end, straight into the result.  One step moves an
+        exponent by at most 1 + the largest image exponent, so no exponent
+        ever exceeds max|start exponent| + steps * (1 + max|image exponent|)
+        in size.  The field holds every value of that size, so no field can
         overflow into its neighbour.  The bound is exact: x^-s under the
         rule x -> x^-r reaches x^-(s + steps * (1 + r)).
 
@@ -391,9 +417,6 @@ class MultiPoly:
         def pack(mono: Mono) -> int:
             return sum(e << shift[v] for v, e in mono)
 
-        def unpack(key: int) -> Mono:
-            return tuple((v, e) for v, s in fields if (e := ((key >> s) & mask) - bias))
-
         # per ruled variable: its field's shift and (delta, coefficient) pairs
         rules = [
             (shift[v], [(pack(m) - (1 << shift[v]), c) for m, c in image._terms.items()])
@@ -405,6 +428,8 @@ class MultiPoly:
             acc: dict[int, Scalar] = {}
             get = acc.get
             for key, coef in terms.items():
+                if not coef:  # a sum that cancelled stays stored until the end
+                    continue
                 for s, rule in rules:
                     e = ((key >> s) & mask) - bias
                     if e:
@@ -412,8 +437,16 @@ class MultiPoly:
                         for delta, c in rule:
                             k = key + delta
                             acc[k] = get(k, 0) + scaled * c
-            terms = {k: c for k, c in acc.items() if c}
-        return _wrap(_collect((unpack(key), coef) for key, coef in terms.items()))
+            terms = acc
+        out = {}
+        for key, coef in terms.items():
+            if coef:
+                mono = []
+                for v, s in fields:
+                    if e := ((key >> s) & mask) - bias:
+                        mono.append((v, e))
+                out[tuple(mono)] = _coef(coef)
+        return _wrap(out)
 
     def eval_at(self, point: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a rational point binding every variable: the

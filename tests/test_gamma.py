@@ -4,12 +4,20 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulab.enumerators import EnumeratorKind, build
-from eulab.errors import NotHomogeneousError, NotSymmetricError, ValueOutOfRangeError
+from eulab.errors import (
+    NonzeroResidualError,
+    NotHomogeneousError,
+    NotSymmetricError,
+    ValueOutOfRangeError,
+)
 from eulab.gamma import GammaRoute, basis_sum, gamma_expand, gamma_from_class
+from eulab.grammar import builtin, derive
 from eulab.perms import stats
-from eulab.poly import MultiPoly, parse_poly
+from eulab.poly import MultiPoly, parse_poly, poly_sum
 
 
 def test_expand_degree_four_display():
@@ -139,3 +147,104 @@ def test_routes_one_and_two_read_the_warm_profile_cache(monkeypatch):
     for route in (GammaRoute.ASC_NO_DA, GammaRoute.PEAKS_HALVED):
         assert tuple(gamma_from_class(route, n)) == want
 
+
+
+def _peel_oracle(p: MultiPoly, x: str = "x", y: str = "y") -> tuple:
+    # the subtract-and-repeat peel that the triangular solve replaced: gamma_k
+    # is the coefficient of x^k y^(n-k) in what is left after subtracting
+    # every lower basis element, found by a scan of the terms
+    n = p.homogeneous_degree_in([x, y])
+    if p != p.rename({x: y, y: x}):
+        raise NotSymmetricError(f"not symmetric in {x!r}, {y!r}: {p}")
+    vx, vy = MultiPoly.var(x), MultiPoly.var(y)
+    residual, gammas = p, []
+    for k in range(n // 2 + 1):
+        g = poly_sum(
+            MultiPoly({tuple((v, e) for v, e in m if v not in (x, y)): c})
+            for m, c in residual.terms()
+            if dict(m).get(x, 0) == k and dict(m).get(y, 0) == n - k
+        )
+        gammas.append(g)
+        residual = residual - g * (vx * vy) ** k * (vx + vy) ** (n - 2 * k)
+    if not residual.is_zero():
+        raise NonzeroResidualError(f"residual {residual} after peeling {p}")
+    return tuple(gammas)
+
+
+def _collapsed_two_variable(n: int) -> MultiPoly:
+    # the two-variable derivative with z read as x and the a-factor dropped
+    return derive(builtin("two-variable"), "a", n).rename({"z": "x"}).coefficient({"a": 1})
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_solve_matches_the_peel_on_the_enumerator(n):
+    p = build(EnumeratorKind.BSE, n).value
+    assert gamma_expand(p).gammas == _peel_oracle(p)
+
+
+def test_solve_matches_the_peel_on_the_collapsed_derivative():
+    for n in range(31):
+        p = _collapsed_two_variable(n)
+        assert gamma_expand(p).gammas == _peel_oracle(p), n
+
+
+# a Laurent residual is exactly the terms with a negative x or y exponent
+RESIDUALS = {
+    "x^3*y^-1 + x*y + x^-1*y^3":
+        "residual x^3*y^-1 + x^-1*y^3 after peeling x^3*y^-1 + x*y + x^-1*y^3",
+    "x^-1*y^-1": "residual x^-1*y^-1 after peeling x^-1*y^-1",
+    "al*x^4*y^-2 + 2*x*y + al*x^-2*y^4":
+        "residual al*x^4*y^-2 + al*x^-2*y^4 after peeling al*x^4*y^-2 + al*x^-2*y^4 + 2*x*y",
+}
+
+
+@pytest.mark.parametrize("text", RESIDUALS)
+def test_a_laurent_residual_is_reported_whole(text):
+    with pytest.raises(NonzeroResidualError) as info:
+        gamma_expand(parse_poly(text))
+    assert str(info.value) == RESIDUALS[text]
+
+
+@pytest.mark.parametrize(
+    "text", [*RESIDUALS, "x^-1*y + x*y^-1", "x^2 + x*y", "x*y + x + y", "x^3 + y^3 + x*y^2"]
+)
+def test_solve_raises_as_the_peel_does(text):
+    p = parse_poly(text)
+    with pytest.raises(Exception) as want:
+        _peel_oracle(p)
+    with pytest.raises(Exception) as got:
+        gamma_expand(p)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+
+@pytest.mark.parametrize("text", ["x^2", "x*y + 1", "0"])
+def test_one_variable_for_both_is_rejected_before_any_work(text):
+    with pytest.raises(ValueOutOfRangeError, match="got 'x' for both"):
+        gamma_expand(parse_poly(text), "x", "x")
+
+
+_scalars = st.one_of(
+    st.integers(min_value=-50, max_value=50),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
+
+
+@st.composite
+def _gamma_lists(draw):
+    # n reaches past the enumeration cap: the solve enumerates nothing
+    n = draw(st.integers(min_value=0, max_value=40))
+    return n, tuple(
+        MultiPoly.monomial(draw(_scalars), {"al": draw(st.integers(min_value=0, max_value=3))})
+        for _ in range(n // 2 + 1)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_gamma_lists())
+def test_solve_inverts_the_basis_sum(case):
+    n, gammas = case
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    got = gamma_expand(basis_sum(gammas, x * y, x + y, n))
+    # the basis is independent, so only all-zero gammas give the zero polynomial
+    want = (n, gammas) if any(gammas) else (0, (MultiPoly.zero(),))
+    assert (got.n, got.gammas) == want

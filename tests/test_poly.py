@@ -12,6 +12,7 @@ from eulab.errors import (
     NotHomogeneousError,
     PolySyntaxError,
     UnboundVariableError,
+    ValueOutOfRangeError,
     ZeroAtNegativePowerError,
 )
 from eulab.grammar import parse_grammar
@@ -655,3 +656,52 @@ _renames = st.dictionaries(
 @example(parse_poly("x - y + u1*u2^-1"), {"y": "x", "u2": "u1"})
 def test_rename_matches_the_fold(p, names):
     assert p.rename(names) == _rename_by_fold(p, names)
+
+
+def _coefficient_by_scan(p: MultiPoly, pattern: dict) -> MultiPoly:
+    # the filter-and-strip scan that the lookup in the split replaced
+    return poly_sum(
+        MultiPoly({tuple((v, e) for v, e in m if v not in pattern): c})
+        for m, c in p.terms()
+        if all(dict(m).get(v, 0) == e for v, e in pattern.items())
+    )
+
+
+_split_names = st.lists(st.sampled_from(["a", "al", "u1", "w", "x", "y"]), unique=True, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_laurent_polys, _split_names, st.lists(st.integers(min_value=-2, max_value=2), max_size=4))
+@example(parse_poly("x^2*y^-1*a + 3*y*a^2 - x"), ["x", "y"], [2, -1])
+@example(parse_poly("x*y + 2"), [], [])
+def test_the_coefficient_split_rebuilds_the_polynomial(p, names, exps):
+    rows = p.coefficients(names)
+    rebuilt = poly_sum(row * MultiPoly.monomial(1, dict(zip(names, e))) for e, row in rows.items())
+    assert rebuilt == p
+    for e, row in rows.items():
+        assert len(e) == len(names) and row and _stored_cleanly(row)
+        assert not row.variables() & set(names)
+    # every pattern that occurs, and one that may not, read as the old scan
+    padded = tuple(exps[: len(names)]) + (0,) * (len(names) - len(exps))
+    for e in [*rows, padded]:
+        pattern = dict(zip(names, e))
+        assert p.coefficient(pattern) == _coefficient_by_scan(p, pattern)
+
+
+def test_the_split_rejects_a_repeated_variable():
+    with pytest.raises(ValueOutOfRangeError, match="repeated variable in \\['x', 'y', 'x'\\]"):
+        parse_poly("x*y").coefficients(["x", "y", "x"])
+    p = parse_poly("x^2 + 2*y")
+    assert p.is_symmetric_in("x", "x") and p.is_symmetric_in("y", "y")
+    assert not p.is_symmetric_in("x", "y")
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3])
+def test_a_derivation_that_cancels_stores_no_term(steps):
+    p = parse_poly("x*y").derivation({"x": parse_poly("x"), "y": parse_poly("-y")}, steps)
+    assert p.is_zero() and len(p) == 0
+
+
+def test_a_derivation_stores_an_integral_fraction_as_an_int():
+    p = parse_poly("1/2*x").derivation({"x": parse_poly("2*x^2")})
+    assert [(m, c, type(c)) for m, c in p.terms()] == [((("x", 2),), 1, int)]
