@@ -33,15 +33,13 @@ and then run on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import RepresentativeError, ValueOutOfRangeError
 from .perms import Perm, _check_cap, check_word, format_perm
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """``prefix + left_high + (pivot,) + right_high + suffix`` with the two
     high runs maximal among letters greater than the pivot."""
 
@@ -191,8 +189,7 @@ def toggle_many(word: Sequence[int], letters: Iterable[int]) -> Perm:
     return w
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     """Closure of one word under all letter toggles."""
 
     members: tuple  # sorted tuple[Perm, ...]

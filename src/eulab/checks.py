@@ -11,14 +11,17 @@ witness (a dict, or ``None``) and signals a mismatch with
 ``raise Mismatch(**witness)``.  ``verify`` validates the parameters, runs
 the function and builds the report from the arguments it ran with.
 
-Each registry entry is data: a name, a summary, a run function and a size
-range ``lo..hi``.  The parameter grid follows from the run function's own
-signature, one rule per parameter name:
+Each registry entry is data: a name, a summary, a run function, a size
+range ``lo..hi`` and the run function's parameter names, in order (``n``
+alone unless the row says otherwise; a test holds each row to its run
+function's signature).  The parameter grid follows from the row's declared
+parameters, one rule per parameter name:
 
 * ``n`` sweeps ``lo..hi``;
 * ``a``, ``b`` sweep every pair with a, b >= 1 and ``lo <= a + b <= hi``;
 * ``klass`` sweeps ``CLASSES`` (outermost), each with the whole ``n`` range;
-* ``seed`` is not swept; it takes the seed of the sweep.
+* ``seed`` is not swept; it takes the seed of the sweep, and 0 when a
+  single ``verify`` leaves it out.
 
 ``max_n``, when given, replaces ``hi``.  ``lo`` is also a floor: ``verify``
 rejects an ``n`` below it before the check runs.
@@ -26,14 +29,12 @@ rejects an ``n`` below it before the check runs.
 
 from __future__ import annotations
 
-import inspect
 import random
 from collections import Counter
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cache, partial
 from math import comb
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .action import _has_double_descent, _representative, _walk, toggle_many
 from .bijection import mirror
@@ -105,8 +106,18 @@ class Mismatch(Exception):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class CheckReport:
+def _json_copy(value):
+    """A copy of JSON-shaped data (dicts, lists and scalars) that shares
+    no dict or list with ``value``.  ``copy.deepcopy`` would add the
+    ``copy`` and ``weakref`` modules to every ``import eulab``."""
+    if isinstance(value, dict):
+        return {k: _json_copy(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_json_copy(v) for v in value]
+    return value
+
+
+class CheckReport(NamedTuple):
     check: str
     params: dict
     verdict: str  # "PASS" or "FAIL"
@@ -117,7 +128,8 @@ class CheckReport:
         return self.verdict == "PASS"
 
     def to_json(self) -> dict:
-        return asdict(self)
+        """A copy that shares no dict or list with the report."""
+        return _json_copy(self._asdict())
 
     @classmethod
     def from_json(cls, payload: Mapping) -> "CheckReport":
@@ -431,8 +443,7 @@ def _check_group_action(n: int, seed: int = 0) -> None:
 CLASSES = (PermClass.SYM.value, PermClass.PRW.value)
 
 
-@dataclass(frozen=True)
-class CheckDef:
+class CheckDef(NamedTuple):
     """One registry entry; see the module docstring for the grid rule."""
 
     name: str
@@ -440,16 +451,7 @@ class CheckDef:
     lo: int
     hi: int
     summary: str
-
-    @cached_property
-    def signature(self) -> inspect.Signature:
-        """The run function's signature, read once per entry."""
-        return inspect.signature(self.run)
-
-    @property
-    def params(self) -> tuple:
-        """Parameter names of the run function, in signature order."""
-        return tuple(self.signature.parameters)
+    params: tuple = ("n",)  # the run function's parameter names, in order
 
     def sweep(self, max_n: int | None = None, seed: int = 0) -> list:
         """Parameter dicts of the default sweep, in run order."""
@@ -478,7 +480,7 @@ class CheckDef:
 REGISTRY: dict = {
     d.name: d
     for d in (
-        # name, run, lo, hi, summary
+        # name, run, lo, hi, summary, params (default n alone)
         CheckDef("symmetry-gamma", _check_symmetry_gamma, 1, 8,
                  "two-variable enumerator: symmetry and nonnegative integer basis coefficients"),
         CheckDef("prw-g", _check_prw_g, 1, 8,
@@ -496,25 +498,26 @@ REGISTRY: dict = {
         CheckDef("des-pk", partial(_in_basis, PermClass.PRW, *_PEAK_BASIS), 1, 8,
                  "peak/descent/ascent joint distribution in the peeled basis"),
         CheckDef("cgk-alpha", _check_cgk_alpha, 2, 8,
-                 "binomial convolution of ascent-refined minima weights is symmetric"),
+                 "binomial convolution of ascent-refined minima weights is symmetric", ("a", "b")),
         CheckDef("secant", _check_secant, 1, 8,
                  "evaluation at (-1, 1): alternating words, signs, half-weight link"),
         CheckDef("pip", _check_pip, 1, 7,
-                 "per-orbit product formula and orbit totals"),
+                 "per-orbit product formula and orbit totals", ("klass", "n")),
         CheckDef("gamm", _check_gamm, 1, 7,
-                 "class enumerator equals its double-descent-free expansion"),
+                 "class enumerator equals its double-descent-free expansion", ("klass", "n")),
         CheckDef("bijection", _check_bijection, 1, 8,
                  "mirror involution: statistic swaps and minima preservation"),
         CheckDef("group-action", _check_group_action, 1, 7,
-                 "toggles: involution, commutation, class flips, orbit structure"),
+                 "toggles: involution, commutation, class flips, orbit structure", ("n", "seed")),
     )
 }
 
 
 def verify(name: str, **params) -> CheckReport:
     """Run one named check; the report's params are the arguments it ran
-    with, in signature order.  Mathematical mismatches come back as FAIL
-    reports; unknown names, parameters that do not fit the signature or are
+    with, in the order the row declares them.  Mathematical mismatches come
+    back as FAIL reports; unknown names, parameters that the row does not
+    declare, a missing one (only ``seed`` may be left out), parameters that are
     not plain ints, classes outside ``CLASSES``, an ``n`` below the check's
     ``lo`` and an ``a`` or ``b`` below 1 raise, and so does any other error
     from the check body."""
@@ -522,12 +525,13 @@ def verify(name: str, **params) -> CheckReport:
     if defn is None:
         known = ", ".join(REGISTRY)
         raise UnknownCheckError(f"no check named {name!r} (known: {known})")
-    try:
-        bound = defn.signature.bind(**params)
-    except TypeError as exc:
-        raise ValueOutOfRangeError(f"bad parameters for check {name!r}: {exc}") from None
-    bound.apply_defaults()
-    args = dict(bound.arguments)
+    missing = [p for p in defn.params if p not in params and p != "seed"]
+    unknown = [p for p in params if p not in defn.params]
+    if missing or unknown:
+        problem = (f"missing a required argument: {missing[0]!r}" if missing
+                   else f"got an unexpected keyword argument {unknown[0]!r}")
+        raise ValueOutOfRangeError(f"bad parameters for check {name!r}: {problem}")
+    args = {p: params.get(p, 0) for p in defn.params}  # seed, the one default, is 0
     _require_ints(f"check {name!r}", **{k: args[k] for k in ("n", "a", "b", "seed") if k in args})
     klass = args.get("klass", CLASSES[0])
     if klass not in CLASSES:

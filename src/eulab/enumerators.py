@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from math import comb
 from typing import Callable, NamedTuple
@@ -45,8 +44,7 @@ class EnumeratorKind(Enum):
     REFINED = "refined"
 
 
-@dataclass(frozen=True)
-class Enumerator:
+class Enumerator(NamedTuple):
     kind: EnumeratorKind
     index: int
     klass: PermClass | None

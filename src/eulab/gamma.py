@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from enum import IntEnum
 from fractions import Fraction
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .enumerators import profile_sum
 from .errors import NonzeroResidualError, NotSymmetricError, ValueOutOfRangeError
@@ -25,8 +25,7 @@ from .perms import PermClass, _require_ints, letters
 from .poly import MultiPoly, poly_sum
 
 
-@dataclass(frozen=True)
-class GammaExpansion:
+class GammaExpansion(NamedTuple):
     """Coefficients gamma_0..gamma_floor(n/2), each a polynomial in the
     variables left after removing x and y."""
 

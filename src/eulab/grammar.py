@@ -16,7 +16,6 @@ combinatorially, one label per insertion slot.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple, Sequence
 
@@ -40,8 +39,7 @@ from .perms import (
 from .poly import ExprParser, MultiPoly, _check_steps, parse_poly, tokenize
 
 
-@dataclass(frozen=True)
-class Grammar:
+class Grammar(NamedTuple):
     """An ordered set of substitution rules."""
 
     rules: tuple  # tuple[tuple[str, MultiPoly], ...]

@@ -1,8 +1,7 @@
 """Identity-verification registry and its reports."""
 
-import dataclasses
-import functools
 import hashlib
+import inspect
 import json
 
 import pytest
@@ -115,6 +114,17 @@ def test_bad_params_rejected():
         verify("cgk-alpha", n=3)
 
 
+@pytest.mark.parametrize(
+    "name, params, quoted",
+    [("secant", {"n": 3, "klass": "sym"}, "'klass'"), ("cgk-alpha", {"a": 1}, "'b'")],
+)
+def test_a_bad_parameter_is_named(name, params, quoted):
+    # an unknown name and a missing one alike
+    with pytest.raises(ValueOutOfRangeError) as info:
+        verify(name, **params)
+    assert quoted in info.value.message
+
+
 @pytest.mark.parametrize("name", [name for name, defn in REGISTRY.items() if "n" in defn.params])
 def test_n_below_the_floor_rejected(name):
     classes = ["sym", "prw"] if "klass" in REGISTRY[name].params else [None]
@@ -139,13 +149,11 @@ def test_n_below_the_floor_rejected(name):
 def test_bad_parameter_values_rejected_before_the_body(monkeypatch, name, params):
     # n, a, b and seed are plain ints, and a, b >= 1; verify checks them all
     ran = []
-    defn = REGISTRY[name]
 
-    @functools.wraps(defn.run)  # keeps the signature that verify binds to
     def spy(**kwargs):
         ran.append(kwargs)
 
-    monkeypatch.setitem(REGISTRY, name, dataclasses.replace(defn, run=spy))
+    monkeypatch.setitem(REGISTRY, name, REGISTRY[name]._replace(run=spy))
     with pytest.raises(ValueOutOfRangeError):
         verify(name, **params)
     assert ran == []
@@ -227,9 +235,20 @@ def test_report_json_round_trip():
     report = verify("cgk-alpha", a=2, b=2)
     payload = report.to_json()
     assert set(payload) == {"check", "params", "verdict", "witness"}
-    assert CheckReport.from_json(payload) == report
+    back = CheckReport.from_json(payload)
+    assert type(back) is CheckReport and back == report
     # payload is plain JSON
     assert json.loads(json.dumps(payload)) == payload
+
+
+def test_report_json_shares_nothing_with_the_report():
+    report = verify("symmetry-gamma", n=2)
+    gammas = list(report.witness["gamma"])
+    payload = report.to_json()
+    payload["params"]["n"] = 9
+    payload["witness"]["gamma"].append("x")
+    assert report.params == {"n": 2}
+    assert report.witness["gamma"] == gammas
 
 
 def test_report_line_format():
@@ -662,18 +681,15 @@ def test_group_action_holds_one_orbit_at_a_time():
         tracemalloc.stop()
     assert peak < 1_000_000
 
-def test_a_check_signature_is_read_once(monkeypatch):
-    import inspect
 
-    calls = []
-    real = inspect.signature
-    monkeypatch.setattr(inspect, "signature", lambda fn: calls.append(fn) or real(fn))
-    defn = dataclasses.replace(REGISTRY["group-action"])
-    assert defn.params == ("n", "seed")
-    defn.sweep(3)
-    defn.describe()
-    defn.signature.bind(n=2)
-    assert len(calls) == 1
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_a_row_declares_the_parameters_of_its_run_function(name):
+    # verify binds against the declared names; the signature is the oracle
+    defn = REGISTRY[name]
+    signature = inspect.signature(defn.run).parameters
+    assert defn.params == tuple(signature)
+    defaults = {p: v.default for p, v in signature.items() if v.default is not v.empty}
+    assert defaults == ({"seed": 0} if "seed" in signature else {})
 
 
 # wrong profiles, with the witness field of the part of pip that must catch

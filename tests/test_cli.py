@@ -286,7 +286,8 @@ def test_verify_seed_reaches_checks_that_take_one(capsys):
     def seeded(n, seed):
         ran.append((n, seed))
 
-    REGISTRY["seeded"] = CheckDef(name="seeded", summary="echo", run=seeded, lo=1, hi=1)
+    REGISTRY["seeded"] = CheckDef(name="seeded", summary="echo", run=seeded, lo=1, hi=1,
+                                  params=("n", "seed"))
     try:
         code, out, _ = run(capsys, "verify", "seeded", "-n", "2", "--seed", "7")
         assert code == 0

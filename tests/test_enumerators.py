@@ -114,7 +114,8 @@ def test_enumerator_record_round_trip():
     payload = e.to_json()
     assert payload["kind"] == "bse"
     assert payload["index"] == 2
-    assert Enumerator.from_json(payload) == e
+    back = Enumerator.from_json(payload)
+    assert type(back) is Enumerator and back == e
 
 
 @pytest.mark.parametrize("index", [1.5, 2.0, "2", True])
