@@ -83,8 +83,13 @@ def _cmd_grammar(args) -> int:
     if args.builtin:
         g = builtin(args.builtin)
     else:
-        with open(args.file, encoding="utf-8") as fh:
-            g = parse_grammar(fh.read())
+        try:
+            with open(args.file, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:  # a missing file, a directory, bad bytes
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        g = parse_grammar(text)
     result = derive(g, args.start, args.steps)
     if args.json:
         _emit({"start": args.start, "steps": args.steps, "value": result.to_json()})
@@ -256,9 +261,6 @@ def main(argv=None) -> int:
         return 3
     except EulabError as exc:
         print(f"error [{exc.code}]: {exc.message}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

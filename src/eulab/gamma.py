@@ -1,11 +1,13 @@
 """Expansion of symmetric homogeneous polynomials in the basis
 ``(xy)^k (x+y)^(n-2k)`` and its three combinatorial realizations.
 
-``gamma_expand`` peels by a triangular solve over one coefficient split: the
-basis element i puts C(n-2i, k-i) on ``x^k y^(n-k)``, whose coefficient is
-c_k, so gamma_k = c_k - sum_{i<k} C(n-2i, k-i) gamma_i for k = 0..n/2.  By
-symmetry this matches every term with both exponents in 0..n, so the
-residual, which must vanish, is the terms with a negative x or y exponent.
+``gamma_expand`` reads all it needs from one split of its input by the
+exponents of x and y: the degree n, the swap symmetry, the residual and
+c_k, the coefficient of ``x^k y^(n-k)``.  The basis element i puts
+C(n-2i, k-i) on that term, so gamma_k = c_k - sum_{i<k} C(n-2i, k-i) gamma_i
+for k = 0..n/2.  By symmetry this matches every term with both exponents in
+0..n, so the residual, which must vanish, is the terms with a negative x or
+y exponent.
 
 ``gamma_from_class`` computes the same coefficient lists directly from
 permutation classes, one profile sum per route with its own filter and
@@ -20,7 +22,12 @@ from math import comb
 from typing import NamedTuple
 
 from .enumerators import profile_sum
-from .errors import NonzeroResidualError, NotSymmetricError, ValueOutOfRangeError
+from .errors import (
+    NonzeroResidualError,
+    NotHomogeneousError,
+    NotSymmetricError,
+    ValueOutOfRangeError,
+)
 from .perms import PermClass, _require_ints, letters
 from .poly import MultiPoly, poly_sum
 
@@ -30,8 +37,6 @@ class GammaExpansion(NamedTuple):
     variables left after removing x and y."""
 
     n: int
-    x: str
-    y: str
     gammas: tuple  # tuple[MultiPoly, ...]
 
 
@@ -46,31 +51,33 @@ def basis_sum(gammas, pair: MultiPoly, linear: MultiPoly, degree: int) -> MultiP
     return poly_sum(g * pair**k * linear ** (degree - 2 * k) for k, g in enumerate(gammas))
 
 
-def gamma_expand(p: MultiPoly, x: str = "x", y: str = "y") -> GammaExpansion:
-    """Expand ``p``, homogeneous in {x, y} and symmetric under their swap,
-    in the basis ``(xy)^k (x+y)^(n-2k)``, by the solve above; x and y must be
-    two variables, and a Laurent residual is a ``NonzeroResidualError``.
+def gamma_expand(p: MultiPoly) -> GammaExpansion:
+    """Expand ``p``, homogeneous in x and y and symmetric under their swap,
+    in the basis ``(xy)^k (x+y)^(n-2k)``, by the solve above; a Laurent
+    residual is a ``NonzeroResidualError``.
 
     >>> from .poly import parse_poly
     >>> e = gamma_expand(parse_poly("al^2*(x+y)^2 + al*x*y"))
     >>> [str(g) for g in e.gammas]
     ['al^2', 'al']
     """
-    if x == y:
-        raise ValueOutOfRangeError(f"x and y must be two variables, got {x!r} for both")
-    n = p.homogeneous_degree_in([x, y])
-    if not p.is_symmetric_in(x, y):
-        raise NotSymmetricError(f"not symmetric in {x!r}, {y!r}: {p}")
-    rows = p.coefficients([x, y])
+    rows = p.coefficients(["x", "y"])
+    degrees = {i + j for i, j in rows}
+    if len(degrees) > 1:
+        raise NotHomogeneousError(f"mixed degrees {sorted(degrees)} in ['x', 'y']")
+    n = max(degrees, default=0)  # the zero polynomial has degree 0
+    if any(rows.get((j, i)) != row for (i, j), row in rows.items()):
+        raise NotSymmetricError(f"not symmetric in 'x', 'y': {p}")
     if residual := poly_sum(
-        row * MultiPoly.monomial(1, {x: i, y: j}) for (i, j), row in rows.items() if i < 0 or j < 0
+        row * MultiPoly.monomial(1, {"x": i, "y": j})
+        for (i, j), row in rows.items() if i < 0 or j < 0
     ):
         raise NonzeroResidualError(f"residual {residual} after peeling {p}")
     gammas = []
     for k in range(n // 2 + 1):
         lower = (-comb(n - 2 * i, k - i) * g for i, g in enumerate(gammas))
         gammas.append(poly_sum([rows.get((k, n - k), MultiPoly.zero()), *lower]))
-    return GammaExpansion(n=n, x=x, y=y, gammas=tuple(gammas))
+    return GammaExpansion(n=n, gammas=tuple(gammas))
 
 
 class GammaRoute(IntEnum):

@@ -22,6 +22,8 @@ polynomials, such as every rule-set derivative, run on ``int`` arithmetic,
 and the monomial format and the coefficient type are decided here alone:
 other modules combine polynomials only with the operators, ``poly_sum``,
 ``monomial_sum`` (of ``(coef, exponent map)`` pairs) and ``derivation``.
+``coefficient``, ``is_symmetric_in`` and ``eulab.gamma.gamma_expand``
+(degree, symmetry and coefficients at once) each read one ``coefficients`` split.
 
 ``substitute(values)`` replaces every variable of one map by its image
 simultaneously, so ``{x: y, y: x}`` swaps x and y; ``eval_at`` is the
@@ -50,7 +52,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
     NegativePowerOfNonMonomialError,
-    NotHomogeneousError,
     PolySyntaxError,
     UnboundVariableError,
     ValueOutOfRangeError,
@@ -308,22 +309,6 @@ class MultiPoly:
         '3*y + 1'
         """
         return self.coefficients(list(pattern)).get(tuple(pattern.values()), MultiPoly.zero())
-
-    def homogeneous_degree_in(self, variables: Sequence[str]) -> int:
-        """Common total degree of every term restricted to ``variables``.
-
-        Raises NotHomogeneousError when the restricted degrees differ.  The
-        zero polynomial reports degree 0.
-        """
-        vs = set(variables)
-        degrees = {sum(e for v, e in mono if v in vs) for mono in self._terms}
-        if not degrees:
-            return 0
-        if len(degrees) > 1:
-            raise NotHomogeneousError(
-                f"mixed degrees {sorted(degrees)} in {sorted(vs)}"
-            )
-        return degrees.pop()
 
     def rename(self, names: Mapping[str, str]) -> "MultiPoly":
         """Simultaneously rename variables, merging exponents if two names

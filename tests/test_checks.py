@@ -763,3 +763,52 @@ def test_group_action_reads_the_minima_functions_at_call_time(monkeypatch, side)
     report = verify("group-action", n=4)
     assert not report.passed
     assert "letter" in report.witness
+
+
+# enumerators that break symmetry-gamma, each with the FAIL witness it gives
+BROKEN_ENUMERATORS = [
+    ("x^2 + x*y", {"error": "NOT_SYMMETRIC", "message": "not symmetric in 'x', 'y': x^2 + x*y"}),
+    ("x*y + x + y", {"error": "NOT_HOMOGENEOUS", "message": "mixed degrees [1, 2] in ['x', 'y']"}),
+    ("x^2 + 5/2*x*y + y^2", {"k": 1, "gamma": "1/2"}),
+]
+
+
+@pytest.mark.parametrize("text, witness", BROKEN_ENUMERATORS)
+def test_symmetry_gamma_fails_on_a_broken_enumerator(monkeypatch, text, witness):
+    import eulab.checks
+
+    real = eulab.checks.build
+    monkeypatch.setattr(eulab.checks, "build", lambda *a: real(*a)._replace(value=parse_poly(text)))
+    report = verify("symmetry-gamma", n=2)
+    assert (report.verdict, report.witness) == ("FAIL", witness)
+
+
+def test_prw_g_fails_on_a_disagreeing_route(monkeypatch):
+    import eulab.checks
+    from eulab.gamma import GammaRoute
+
+    real = eulab.checks.gamma_from_class
+
+    def route(r, n):
+        gammas = real(r, n)
+        return gammas[:-1] + [gammas[-1] + 1] if r is GammaRoute.NDD_DESCENTS else gammas
+
+    monkeypatch.setattr(eulab.checks, "gamma_from_class", route)
+    report = verify("prw-g", n=4)
+    assert report.verdict == "FAIL"
+    assert report.witness == {"route": "NDD_DESCENTS", "k": 2, "expected": "3*al^2 + 2*al",
+                              "got": "3*al^2 + 2*al + 1"}
+
+
+def test_cgk_alpha_checks_its_k0_term_against_the_convention(monkeypatch):
+    # with the empty word weighing 0 the printed form holds at (1, 2), where
+    # the documented convention says it must not
+    import eulab.checks
+    from eulab.poly import MultiPoly
+
+    real = eulab.checks.stirling_eulerian
+    monkeypatch.setattr(eulab.checks, "stirling_eulerian",
+                        lambda m, k: MultiPoly.zero() if (m, k) == (0, 0) else real(m, k))
+    report = verify("cgk-alpha", a=1, b=2)
+    assert report.verdict == "FAIL"
+    assert "note" in report.witness

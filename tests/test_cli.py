@@ -162,12 +162,16 @@ def test_grammar_builtin_choices_come_from_the_rule_table(monkeypatch, capsys):
 
 
 def test_grammar_derive_missing_file(tmp_path, capsys):
-    code, _, err = run(
-        capsys, "grammar", "derive", "--file", str(tmp_path / "nope.txt"),
-        "--start", "a", "--steps", "1",
-    )
-    assert code == 2
-    assert "error" in err
+    # a missing file, a directory and a file that is not UTF-8 are input
+    # errors (exit 2), not a traceback and not the FAIL exit code 1
+    (tmp_path / "latin1.txt").write_bytes("x -> \u00e9 ;".encode("latin-1"))
+    for name in ("nope.txt", ".", "latin1.txt"):
+        code, _, err = run(
+            capsys, "grammar", "derive", "--file", str(tmp_path / name),
+            "--start", "a", "--steps", "1",
+        )
+        assert code == 2, name
+        assert err.startswith("error: "), name
 
 
 def test_bijection_phi(capsys):

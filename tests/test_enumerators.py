@@ -129,7 +129,7 @@ def test_two_variable_symmetry_and_homogeneity():
     for n in range(1, 7):
         p = build(EnumeratorKind.BSE, n).value
         assert p.is_symmetric_in("x", "y")
-        assert p.homogeneous_degree_in(["x", "y"]) == n
+        assert {i + j for i, j in p.coefficients(["x", "y"])} == {n}
 
 
 def test_point_count_formula():

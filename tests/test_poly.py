@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from eulab.errors import (
     NegativePowerOfNonMonomialError,
-    NotHomogeneousError,
     PolySyntaxError,
     UnboundVariableError,
     ValueOutOfRangeError,
@@ -88,16 +87,6 @@ def test_coefficient_pattern():
     assert p.coefficient({"x": 1, "y": 2}) == parse_poly("3*al^3 + 3*al^2 + al")
     assert p.coefficient({"x": 3, "y": 0}) == parse_poly("al^3")
     assert p.coefficient({"x": 9}) == MultiPoly.zero()
-
-
-def test_degrees():
-    p = parse_poly("x^2*y + x*y")
-    with pytest.raises(NotHomogeneousError):
-        p.homogeneous_degree_in(["x"])
-    assert p.homogeneous_degree_in(["z"]) == 0
-    assert parse_poly("x^2*y + x^2").homogeneous_degree_in(["x"]) == 2
-    assert parse_poly("x^2*y + x*y^2").homogeneous_degree_in(["x", "y"]) == 3
-    assert MultiPoly.zero().homogeneous_degree_in(["x"]) == 0
 
 
 def test_symmetry_queries():

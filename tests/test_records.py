@@ -19,7 +19,7 @@ RECORDS = [
     (Factorization, {"prefix": (2, 1), "left_high": (7, 6, 8), "pivot": 5, "right_high": (),
                      "suffix": (4, 3, 9)}),
     (Orbit, {"members": ((1, 2), (2, 1)), "representative": (1, 2)}),
-    (GammaExpansion, {"n": 2, "x": "x", "y": "y", "gammas": (MultiPoly.const(1),)}),
+    (GammaExpansion, {"n": 2, "gammas": (MultiPoly.const(1),)}),
     (Grammar, {"rules": (("x", MultiPoly.var("y")),)}),
     (Enumerator, {"kind": EnumeratorKind.SE, "index": 2, "klass": None,
                   "value": MultiPoly.var("x")}),
