@@ -31,11 +31,11 @@ constant term of one such call.
 
 ``derivation(images, steps)`` computes D^steps for the derivation D that
 sends each ruled variable to its image, in one pass over packed monomials:
-each monomial is one ``int`` with a biased bit field per variable, and
-each term product is one integer addition.  The field width comes from an
-exponent bound that holds for every input, so no field overflows, and
-negative exponents pack like positive ones.  A rule-set derivative is
-this call.
+each monomial is one ``int`` with a bit field per variable, and each term
+product is one integer addition.  The field width comes from an exponent
+bound that holds for every input, so no field overflows.  With no negative
+exponent in the input a field holds the exponent itself; otherwise it holds
+the exponent plus a bias.  A rule-set derivative is this call.
 
 The text form uses ``+ - * ^``, integer and rational literals (``3``,
 ``1/2``), and parentheses.  One token table, a regular expression with a
@@ -216,6 +216,14 @@ class MultiPoly:
             return MultiPoly.const(other)
         return None
 
+    def _images(self, values: Mapping[str, "MultiPoly | Scalar"]) -> dict:
+        # each image as a polynomial, checked before any term is touched
+        images = {v: self._coerce(q) for v, q in values.items()}
+        for v, q in images.items():
+            if q is None:
+                raise TypeError(f"image of {v!r} is a {type(values[v]).__name__}, not a polynomial")
+        return images
+
     def __add__(self, other):
         p = self._coerce(other)
         if p is None:
@@ -338,10 +346,7 @@ class MultiPoly:
         >>> str(parse_poly("x^2*y").substitute({"x": parse_poly("y"), "y": parse_poly("x")}))
         'x*y^2'
         """
-        images = {v: self._coerce(q) for v, q in values.items()}
-        for v, q in images.items():
-            if q is None:
-                raise TypeError(f"cannot substitute {type(values[v]).__name__}")
+        images = self._images(values)
         powers: dict[tuple[str, int], list] = {}
 
         def power(v: str, e: int) -> list:
@@ -362,25 +367,33 @@ class MultiPoly:
             pair for mono, coef in self._terms.items() for pair in replaced(mono, coef)
         ))
 
-    def derivation(self, images: Mapping[str, "MultiPoly"], steps: int = 1) -> "MultiPoly":
+    def derivation(self, images: Mapping[str, "MultiPoly | Scalar"], steps: int = 1) -> "MultiPoly":
         """D^steps of this polynomial, for the derivation D with D(v) =
         ``images[v]`` for each variable with an image and D(v) = 0 for every
         other variable, extended by the Leibniz rule, also to negative
         powers: D(c v^e rest) = c e v^(e-1) rest D(v), summed over the
         variables of each term.  ``steps`` is a plain nonnegative ``int``.
+        An image is a polynomial, an ``int`` or a ``Fraction``; anything
+        else is a ``TypeError``, raised before any step runs.
 
-        All steps run on packed monomials.  The variables are the sorted
-        union of those here and in the images, and each gets one bit field
-        of a single ``int`` key, holding its exponent plus a bias.  A rule
-        term becomes the key delta of its image monomial divided by its
-        head, so each term product is one integer addition.  A sum that
-        cancels to 0 is skipped where it is read, and each key is unpacked
-        once, at the end, straight into the result.  One step moves an
-        exponent by at most 1 + the largest image exponent, so no exponent
-        ever exceeds max|start exponent| + steps * (1 + max|image exponent|)
-        in size.  The field holds every value of that size, so no field can
-        overflow into its neighbour.  The bound is exact: x^-s under the
-        rule x -> x^-r reaches x^-(s + steps * (1 + r)).
+        All steps run on packed monomials.  Each variable of the sorted
+        union of those here and in the images gets one bit field of a
+        single ``int`` key.  Each image term is one flat rule entry, its
+        head's field and the key delta of its monomial over the head, so a
+        term product is one integer addition.  A field holds every exponent
+        within a bound, so none overflows into its neighbour.  If no
+        exponent here or in an image is negative, none ever becomes so (D
+        lowers only an exponent of at least 1, by 1) and one step adds at
+        most r = max(image exponent): the field holds the exponent itself,
+        up to max(start exponent) + steps * r.  Otherwise one step moves an
+        exponent by at most 1 + r, r = max|image exponent|, and the field
+        holds the exponent plus a bias, for sizes up to max|start exponent|
+        + steps * (1 + r).  Both bounds are attained: ``a*y^s`` under ``a
+        -> a*y^r`` reaches ``a*y^(s + steps*r)``, and ``x^-s`` under ``x ->
+        x^-r`` reaches ``x^-(s + steps*(1 + r))``.  At the end each key is
+        unpacked a few fields at a time: the bits of a chunk name one tuple
+        of ``(variable, exponent)`` pairs, shared by every monomial that
+        holds them.  A sum that cancelled to 0 is skipped where it is read.
 
         >>> str(parse_poly("x^2*y + y^-1").derivation({"y": parse_poly("x*y")}))
         'x^3*y - x*y^-1'
@@ -388,49 +401,57 @@ class MultiPoly:
         '6*x^4'
         """
         _check_steps(steps)
+        images = self._images(images)
         if not steps:
             return self
         names = sorted(self.variables().union(*(p.variables() for p in images.values())))
-        start = max((abs(e) for m in self._terms for _, e in m), default=0)
-        reach = max((abs(e) for p in images.values() for m in p._terms for _, e in m), default=0)
-        width = (start + steps * (1 + reach)).bit_length() + 1
-        mask, bias = (1 << width) - 1, 1 << (width - 1)
-        shift = {v: i * width for i, v in enumerate(names)}
-        fields = tuple(shift.items())
+        exps = [e for m in self._terms for _, e in m]
+        reaches = [e for p in images.values() for m in p._terms for _, e in m]
+        laurent = min(exps + reaches, default=0) < 0
+        reach = max(map(abs, reaches), default=0)
+        width = (max(map(abs, exps), default=0) + steps * (laurent + reach)).bit_length() + laurent
+        mask, bias = (1 << width) - 1, laurent << width >> 1
+        fields = [(v, i * width) for i, v in enumerate(names)]
+        shift = dict(fields)
         origin = sum(bias << s for _, s in fields)
 
         def pack(mono: Mono) -> int:
             return sum(e << shift[v] for v, e in mono)
 
-        # per ruled variable: its field's shift and (delta, coefficient) pairs
+        # one (field shift, key delta, coefficient) entry per image term
         rules = [
-            (shift[v], [(pack(m) - (1 << shift[v]), c) for m, c in image._terms.items()])
-            for v, image in images.items()
-            if v in shift
+            (shift[v], pack(m) - (1 << shift[v]), c)
+            for v, image in images.items() if v in shift
+            for m, c in image._terms.items()
         ]
         terms = {origin + pack(m): c for m, c in self._terms.items()}
         for _ in range(steps):
             acc: dict[int, Scalar] = {}
             get = acc.get
             for key, coef in terms.items():
-                if not coef:  # a sum that cancelled stays stored until the end
-                    continue
-                for s, rule in rules:
-                    e = ((key >> s) & mask) - bias
-                    if e:
-                        scaled = coef * e
-                        for delta, c in rule:
+                if coef:  # a sum that cancelled stays stored until the end
+                    for s, delta, c in rules:
+                        if e := ((key >> s) & mask) - bias:
                             k = key + delta
-                            acc[k] = get(k, 0) + scaled * c
+                            acc[k] = get(k, 0) + e * c * coef
             terms = acc
+        per = max(1, 12 // max(width, 1))  # fields per unpack chunk: small tables
+        chunks = [
+            (fields[i][1], (1 << per * width) - 1, fields[i:i + per], {})
+            for i in range(0, len(fields), per)
+        ]
         out = {}
         for key, coef in terms.items():
             if coef:
-                mono = []
-                for v, s in fields:
-                    if e := ((key >> s) & mask) - bias:
-                        mono.append((v, e))
-                out[tuple(mono)] = _coef(coef)
+                mono = ()
+                for s, m, chunk, table in chunks:
+                    pairs = table.get(bits := (key >> s) & m)
+                    if pairs is None:
+                        pairs = table[bits] = tuple(
+                            (v, e) for v, t in chunk if (e := ((key >> t) & mask) - bias)
+                        )
+                    mono += pairs
+                out[mono] = _coef(coef)
         return _wrap(out)
 
     def eval_at(self, point: Mapping[str, Scalar]) -> Fraction:

@@ -2,6 +2,7 @@
 
 import functools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +15,7 @@ from eulab.errors import (
     ValueOutOfRangeError,
     ZeroAtNegativePowerError,
 )
-from eulab.grammar import parse_grammar
+from eulab.grammar import builtin, parse_grammar
 from eulab.poly import (
     MultiPoly,
     Token,
@@ -587,6 +588,96 @@ def test_derivation_at_the_field_width_edge():
     got = p.derivation(images, 7)
     assert got == want
     assert (("x", -130), ("y", 123)) in dict(got.terms())
+
+
+def _derived_by_oracle(p: MultiPoly, images: dict, steps: int) -> MultiPoly:
+    for _ in range(steps):
+        p = _leibniz_oracle(p, images)
+    return p
+
+
+# eight variables: past one unpack chunk at every field width
+_WIDE = ("a", "al", "u1", "u2", "u3", "u4", "u5", "x")
+# mostly small exponents; a large one widens every field
+_wide_exp = st.one_of(
+    st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=200)
+)
+
+
+@st.composite
+def nonnegative_polys(draw, max_size):
+    terms = draw(st.lists(
+        st.tuples(_coef, st.dictionaries(st.sampled_from(_WIDE), _wide_exp, max_size=3)),
+        max_size=max_size,
+    ))
+    return poly_sum(MultiPoly.monomial(c, exps) for c, exps in terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nonnegative_polys(max_size=2),
+    st.fixed_dictionaries({v: _wide_exp for v in _WIDE}),
+    st.dictionaries(st.sampled_from(_WIDE), nonnegative_polys(max_size=2), max_size=3),
+    st.integers(min_value=0, max_value=3),
+)
+def test_derivation_of_nonnegative_exponents_matches_per_term_leibniz(p, full, images, steps):
+    # the term holding every variable gives each of them a field
+    p = p + MultiPoly.monomial(1, full)
+    got = p.derivation(images, steps)
+    assert got == _derived_by_oracle(p, images, steps)
+    assert _stored_cleanly(got)
+
+
+@pytest.mark.parametrize("steps, want", [(4, "a*y^7*z^7"), (5, "a*y^8*z^8")])
+def test_derivation_at_the_unbiased_field_width_edge(steps, want):
+    # with no negative exponent the fields hold exponents as they are: the
+    # bound 3 + 4 * 1 = 7 fills two neighbouring 3-bit fields, and one more
+    # step needs a fourth bit in each
+    p, images = parse_poly("a*y^3*z^3"), {"a": parse_poly("a*y*z")}
+    assert p.derivation(images, steps) == parse_poly(want)
+    assert p.derivation(images, steps) == _derived_by_oracle(p, images, steps)
+
+
+@pytest.mark.parametrize("steps, want", [(1, "x^-1*y^2"), (2, "-x^-3*y^4"), (4, "-15*x^-7*y^8")])
+def test_a_negative_image_exponent_takes_the_biased_layout(steps, want):
+    # the start has no negative exponent, but the image of x does
+    p, images = parse_poly("x"), {"x": parse_poly("x^-1*y^2")}
+    assert p.derivation(images, steps) == parse_poly(want)
+    assert p.derivation(images, steps) == _derived_by_oracle(p, images, steps)
+
+
+@pytest.mark.parametrize("p, images", [
+    (parse_poly("5"), {"x": parse_poly("x")}),  # a constant start
+    (parse_poly("5"), {}),  # no variable at all: fields of no bits
+    (parse_poly("x^3*y + x*y^2"), {"x": 2, "y": Fraction(1, 3)}),  # images of reach 0
+    (parse_poly("x^2*y + y"), {"x": MultiPoly.zero(), "y": 1}),  # a zero image
+])
+@pytest.mark.parametrize("steps", [0, 1, 2, 3])
+def test_derivation_of_constants_and_by_constant_images(p, images, steps):
+    got = p.derivation(images, steps)
+    assert got == _derived_by_oracle(p, images, steps)
+    assert _stored_cleanly(got)
+
+
+@pytest.mark.parametrize("image, want", [(2, "4*x*y"), (Fraction(1, 2), "x*y")])
+def test_a_scalar_image_is_a_constant(image, want):
+    assert parse_poly("x^2*y").derivation({"x": image}) == parse_poly(want)
+
+
+@pytest.mark.parametrize("bad", [0.5, "x", None])
+def test_derivation_rejects_an_inexact_image(bad):
+    # named before any step runs, also with no steps and for an unused variable
+    for values, steps in (({"x": bad}, 1), ({"y": 1, "x": bad}, 0), ({"t": bad}, 2)):
+        with pytest.raises(TypeError, match=f"image of '[xt]' is a {type(bad).__name__},"):
+            parse_poly("x^2*y").derivation(values, steps)
+
+
+@pytest.mark.parametrize("name, n", [("five-variable", 25), ("two-variable", 40)])
+def test_deep_derivatives_count_arrangements(name, n):
+    # past the benchmark's sizes, on keys of 35 and 30 bits: at all ones the
+    # derivative is A000522(n) = sum_j n!/j!
+    p = parse_poly("a").derivation(builtin(name).rule_map(), n)
+    assert sum(c for _, c in p.terms()) == sum(factorial(n) // factorial(j) for j in range(n + 1))
 
 
 def _dict_and_sort_product(a: tuple, b: tuple) -> tuple:
