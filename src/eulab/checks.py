@@ -19,9 +19,7 @@ parameters, one rule per parameter name:
 
 * ``n`` sweeps ``lo..hi``;
 * ``a``, ``b`` sweep every pair with a, b >= 1 and ``lo <= a + b <= hi``;
-* ``klass`` sweeps ``CLASSES`` (outermost), each with the whole ``n`` range;
-* ``seed`` is not swept; it takes the seed of the sweep, and 0 when a
-  single ``verify`` leaves it out.
+* ``klass`` sweeps ``CLASSES`` (outermost), each with the whole ``n`` range.
 
 ``max_n``, when given, replaces ``hi``.  ``lo`` is also a floor: ``verify``
 rejects an ``n`` below it before the check runs.
@@ -29,14 +27,13 @@ rejects an ``n`` below it before the check runs.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from fractions import Fraction
 from functools import cache, partial
 from math import comb
 from typing import Callable, Iterator, Mapping, NamedTuple
 
-from .action import _has_double_descent, _representative, _walk, toggle_many
+from .action import _has_double_descent, _representative, _walk
 from .bijection import mirror
 from .enumerators import (
     KINDS,
@@ -380,7 +377,7 @@ def _check_bijection(n: int) -> None:
 _FLIPS = {DOUBLE_ASC: DOUBLE_DESC, DOUBLE_DESC: DOUBLE_ASC}
 
 
-def _check_group_action(n: int, seed: int = 0) -> None:
+def _check_group_action(n: int) -> None:
     """Toggles are commuting involutions with the documented class flips,
     they preserve peak count, minima total, and the decreasing-prefix
     class, and orbits have size 2^(da+dd) with one double-descent-free
@@ -421,17 +418,6 @@ def _check_group_action(n: int, seed: int = 0) -> None:
         expected = 2 ** facts[r][0].double_asc
         if len(table) != expected:
             raise Mismatch(representative=format_perm(r), size=len(table), expected=expected)
-    rng = random.Random(seed)
-    base = list(range(1, n + 1))
-    for _ in range(50):
-        w = base[:]
-        rng.shuffle(w)
-        w = tuple(w)
-        subset = [x for x in base if rng.random() < 0.5]
-        if toggle_many(toggle_many(w, subset), subset) != w:
-            raise Mismatch(
-                word=format_perm(w), letters=subset, reason="subset toggle is not an involution"
-            )
 
 
 # -- registry ----------------------------------------------------------------
@@ -449,7 +435,7 @@ class CheckDef(NamedTuple):
     summary: str
     params: tuple = ("n",)  # the run function's parameter names, in order
 
-    def sweep(self, max_n: int | None = None, seed: int = 0) -> list:
+    def sweep(self, max_n: int | None = None) -> list:
         """Parameter dicts of the default sweep, in run order."""
         top = self.hi if max_n is None else max_n
         if "a" in self.params:
@@ -458,8 +444,6 @@ class CheckDef(NamedTuple):
             grid = [{"n": k} for k in range(self.lo, top + 1)]
         if "klass" in self.params:
             grid = [{"klass": c, **p} for c in CLASSES for p in grid]
-        if "seed" in self.params:
-            grid = [{**p, "seed": seed} for p in grid]
         return grid
 
     def describe(self, max_n: int | None = None) -> str:
@@ -504,31 +488,31 @@ REGISTRY: dict = {
         CheckDef("bijection", _check_bijection, 1, 8,
                  "mirror involution: statistic swaps and minima preservation"),
         CheckDef("group-action", _check_group_action, 1, 7,
-                 "toggles: involution, commutation, class flips, orbit structure", ("n", "seed")),
+                 "toggles: involution, commutation, class flips, orbit structure"),
     )
 }
 
 
 def verify(name: str, **params) -> CheckReport:
     """Run one named check; the report's params are the arguments it ran
-    with, in the order the row declares them.  Mathematical mismatches come
-    back as FAIL reports; unknown names, parameters that the row does not
-    declare, a missing one (only ``seed`` may be left out), parameters that are
-    not plain ints, classes outside ``CLASSES``, an ``n`` below the check's
-    ``lo`` and an ``a`` or ``b`` below 1 raise, and so does any other error
-    from the check body."""
+    with, in the order the row declares them, and every one is required.
+    Mathematical mismatches come back as FAIL reports; unknown names,
+    parameters that the row does not declare, a missing one, parameters
+    that are not plain ints, classes outside ``CLASSES``, an ``n`` below the
+    check's ``lo`` and an ``a`` or ``b`` below 1 raise, and so does any
+    other error from the check body."""
     defn = REGISTRY.get(name)
     if defn is None:
         known = ", ".join(REGISTRY)
         raise UnknownCheckError(f"no check named {name!r} (known: {known})")
-    missing = [p for p in defn.params if p not in params and p != "seed"]
+    missing = [p for p in defn.params if p not in params]
     unknown = [p for p in params if p not in defn.params]
     if missing or unknown:
         problem = (f"missing a required argument: {missing[0]!r}" if missing
                    else f"got an unexpected keyword argument {unknown[0]!r}")
         raise ValueOutOfRangeError(f"bad parameters for check {name!r}: {problem}")
-    args = {p: params.get(p, 0) for p in defn.params}  # seed, the one default, is 0
-    _require_ints(f"check {name!r}", **{k: args[k] for k in ("n", "a", "b", "seed") if k in args})
+    args = {p: params[p] for p in defn.params}
+    _require_ints(f"check {name!r}", **{k: args[k] for k in ("n", "a", "b") if k in args})
     klass = args.get("klass", CLASSES[0])
     if klass not in CLASSES:
         known = ", ".join(CLASSES)
@@ -548,12 +532,14 @@ def verify(name: str, **params) -> CheckReport:
 
 def verify_all(max_n: int | None = None, seed: int = 0) -> list:
     """Run every registered check over its default parameter sweep
-    (bounded by ``max_n`` when given; ``seed`` reaches every check that
-    takes one).  Returns one aggregated report per check, in registry
-    order.  Arguments that are not ints (``max_n`` may be ``None``) and a
-    ``max_n`` that leaves some check no runs are rejected before any check runs."""
+    (bounded by ``max_n`` when given).  Returns one aggregated report per
+    check, in registry order.  Arguments that are not ints (``max_n`` may
+    be ``None``) and a ``max_n`` that leaves some check no runs are
+    rejected before any check runs.  ``seed`` reaches no check, since no
+    check samples; it is still accepted, as an int, for existing callers
+    and goes with ROADMAP item 15."""
     _require_ints("verify_all", **({} if max_n is None else {"max_n": max_n}), seed=seed)
-    grids = {name: defn.sweep(max_n, seed) for name, defn in REGISTRY.items()}
+    grids = {name: defn.sweep(max_n) for name, defn in REGISTRY.items()}
     empty = [name for name, grid in grids.items() if not grid]
     if empty:
         raise ValueOutOfRangeError(f"max_n={max_n} leaves no runs for {', '.join(empty)}")

@@ -18,7 +18,7 @@ from .enumerators import KINDS, EnumeratorKind, build
 from .errors import CapExceededError, EulabError, ValueOutOfRangeError
 from .gamma import GammaRoute, gamma_expand, gamma_from_class
 from .grammar import BUILTIN_SOURCES, builtin, derive, parse_grammar
-from .perms import PermClass, format_perm, parse_perm, stats
+from .perms import format_perm, parse_perm, stats
 
 
 def _emit(payload) -> None:
@@ -57,8 +57,7 @@ def _cmd_perm(args) -> int:
 
 
 def _cmd_poly(args) -> int:
-    klass = getattr(args, "klass", None)
-    enum = build(EnumeratorKind(args.kind), args.n, klass and PermClass(klass))
+    enum = build(args.kind, args.n, getattr(args, "klass", None))
     if args.json:
         _emit(enum.to_json())
     else:
@@ -124,14 +123,13 @@ def _cmd_bijection(args) -> int:
 
 
 # each flag of ``eulab verify`` -> the parameter it sets (its argparse dest)
-_VERIFY_FLAGS = {"-n": "n", "-a": "a", "-b": "b", "--class": "klass", "--seed": "seed",
-                 "--max-n": "max_n"}
+_VERIFY_FLAGS = {"-n": "n", "-a": "a", "-b": "b", "--class": "klass", "--max-n": "max_n"}
 
 
 def _cmd_verify(args) -> int:
     sweep = args.check == "all"
-    # 'all' takes --max-n and --seed; one check takes the flags of its parameters
-    takes = ("max_n", "seed") if sweep else REGISTRY[args.check].params
+    # 'all' takes --max-n; one check takes the flags of its parameters
+    takes = ("max_n",) if sweep else REGISTRY[args.check].params
     params = {p: getattr(args, p) for p in _VERIFY_FLAGS.values() if getattr(args, p) is not None}
     stray = [f for f, p in _VERIFY_FLAGS.items() if p in params and p not in takes]
     if stray:
@@ -235,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--class", dest="klass", choices=CLASSES, help="class for checks that take one"
     )
     p_verify.add_argument("--max-n", type=int, help="sweep bound for 'all'")
-    p_verify.add_argument("--seed", type=int, help="seed for sampled properties (default 0)")
     p_verify.add_argument("--json", action="store_true")
 
     return parser

@@ -143,14 +143,11 @@ def build(kind: EnumeratorKind, index: int, klass: PermClass | None = None) -> E
     kind = EnumeratorKind(kind)
     _require_ints("build", index=index)
     spec = KINDS[kind]
-    if klass is None:
-        tag = spec.classes[0]
-    elif len(spec.classes) == 1:
+    if klass is not None and len(spec.classes) == 1:
         raise ValueOutOfRangeError(f"kind {kind.value} does not take a class")
-    elif klass not in spec.classes:
-        raise ValueOutOfRangeError(f"{kind.value} enumerator over {klass.value} is not defined")
-    else:
-        tag = klass
+    tag = spec.classes[0] if klass is None else PermClass(klass)
+    if tag not in spec.classes:
+        raise ValueOutOfRangeError(f"{kind.value} enumerator over {tag.value} is not defined")
     size = letters(tag, index)
     # the weight exponent lrmin + rlmin - 2 presumes a nonempty word
     if size < 1:
@@ -176,10 +173,10 @@ def alternating_weight(n: int) -> MultiPoly:
     return profile_sum(PermClass.ALT_DOWN_UP, n, lambda s: {"al": s.rlmin})
 
 
-@functools.lru_cache(maxsize=None)
 def euler_number(n: int) -> int:
     """Count of down-up alternating words, by the doubling convolution
-    2*E(n+1) = sum_k comb(n, k) E(k) E(n-k), E(0) = E(1) = 1.
+    2*E(m+1) = sum_k comb(m, k) E(k) E(m-k), E(0) = E(1) = 1, filled in
+    for m = 1..n-1.
 
     >>> [euler_number(i) for i in range(9)]
     [1, 1, 1, 2, 5, 16, 61, 272, 1385]
@@ -187,9 +184,9 @@ def euler_number(n: int) -> int:
     _require_ints("euler_number", n=n)
     if n < 0:
         raise ValueOutOfRangeError(f"need n >= 0, got {n}")
-    if n <= 1:
-        return 1
-    m = n - 1
-    total = sum(comb(m, k) * euler_number(k) * euler_number(m - k) for k in range(m + 1))
-    assert total % 2 == 0
-    return total // 2
+    e = [1, 1]
+    for m in range(1, n):
+        total = sum(comb(m, k) * e[k] * e[m - k] for k in range(m + 1))
+        assert total % 2 == 0
+        e.append(total // 2)
+    return e[n]

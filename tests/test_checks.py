@@ -142,12 +142,12 @@ def test_n_below_the_floor_rejected(name):
         ("secant", {"n": 2.0}),
         ("secant", {"n": True}),
         ("cgk-alpha", {"a": 1, "b": "2"}),
-        ("group-action", {"n": 3, "seed": None}),
+        ("group-action", {"n": None}),
         ("cgk-alpha", {"a": 0, "b": 2}),
     ],
 )
 def test_bad_parameter_values_rejected_before_the_body(monkeypatch, name, params):
-    # n, a, b and seed are plain ints, and a, b >= 1; verify checks them all
+    # n, a and b are plain ints, and a, b >= 1; verify checks them all
     ran = []
 
     def spy(**kwargs):
@@ -160,8 +160,11 @@ def test_bad_parameter_values_rejected_before_the_body(monkeypatch, name, params
 
 
 def test_report_params_are_the_arguments_the_check_ran_with():
-    assert verify("group-action", n=3, seed=4).params == {"n": 3, "seed": 4}
-    assert verify("group-action", n=3).line() == "PASS group-action n=3 seed=0"
+    assert verify("group-action", n=3).params == {"n": 3}
+    assert verify("group-action", n=3).line() == "PASS group-action n=3"
+    # every parameter a row takes is declared, and group-action declares n alone
+    with pytest.raises(ValueOutOfRangeError, match="unexpected keyword argument 'seed'"):
+        verify("group-action", n=3, seed=0)
     # signature order, whatever the keyword order
     assert verify("pip", n=3, klass="prw").line() == "PASS pip klass=prw n=3"
 
@@ -312,6 +315,13 @@ def test_verify_all_json_is_pinned():
     )
 
 
+def test_verify_all_seed_reaches_no_check():
+    # no check samples, so the report list is the same byte for byte
+    texts = {json.dumps([r.to_json() for r in verify_all(max_n=3, seed=s)], sort_keys=True)
+             for s in (0, 1, 7)}
+    assert len(texts) == 1
+
+
 def test_default_sweeps():
     # the grid verify_all() runs without a bound; its runs are the sweep size
     got = {
@@ -328,10 +338,7 @@ def test_default_sweeps():
         {"a": 1, "b": 2},
         {"a": 2, "b": 1},
     ]
-    assert REGISTRY["group-action"].sweep(2, seed=5) == [
-        {"n": 1, "seed": 5},
-        {"n": 2, "seed": 5},
-    ]
+    assert REGISTRY["group-action"].sweep(2) == [{"n": 1}, {"n": 2}]
 
 
 # wrong toggles: no move at all, and the classical interval swap on every
@@ -564,10 +571,7 @@ def _oracle_pip(klass, n):
     return {"orbits": len(orbits)}
 
 
-def _oracle_group_action(n, seed=0):
-    import random
-
-    from eulab.action import toggle_many
+def _oracle_group_action(n):
     from eulab.checks import Mismatch
     from eulab.perms import _is_prefix_decreasing, lrmin_values, rlmin_values
 
@@ -607,16 +611,6 @@ def _oracle_group_action(n, seed=0):
         if len(members) != 2 ** profile[rep].double_asc:
             raise Mismatch(representative=format_perm(rep), size=len(members),
                            expected=2 ** profile[rep].double_asc)
-    rng = random.Random(seed)
-    base = list(range(1, n + 1))
-    for _ in range(50):
-        w = base[:]
-        rng.shuffle(w)
-        w = tuple(w)
-        subset = [x for x in base if rng.random() < 0.5]
-        if toggle_many(toggle_many(w, subset), subset) != w:
-            raise Mismatch(word=format_perm(w), letters=subset,
-                           reason="subset toggle is not an involution")
 
 
 def _oracle(name, **params):
@@ -688,8 +682,8 @@ def test_a_row_declares_the_parameters_of_its_run_function(name):
     defn = REGISTRY[name]
     signature = inspect.signature(defn.run).parameters
     assert defn.params == tuple(signature)
-    defaults = {p: v.default for p, v in signature.items() if v.default is not v.empty}
-    assert defaults == ({"seed": 0} if "seed" in signature else {})
+    # every declared parameter is required, so no row has a default
+    assert all(v.default is v.empty for v in signature.values())
 
 
 # wrong profiles, with the witness field of the part of pip that must catch

@@ -282,32 +282,13 @@ def test_verify_class_fan_out(capsys):
     assert report.params == {"klass": "prw", "n": 3}
 
 
-def test_verify_seed_reaches_checks_that_take_one(capsys):
-    from eulab.checks import CheckDef, REGISTRY
-
-    ran = []
-
-    def seeded(n, seed):
-        ran.append((n, seed))
-
-    REGISTRY["seeded"] = CheckDef(name="seeded", summary="echo", run=seeded, lo=1, hi=1,
-                                  params=("n", "seed"))
-    try:
-        code, out, _ = run(capsys, "verify", "seeded", "-n", "2", "--seed", "7")
-        assert code == 0
-        assert out.strip() == "PASS seeded n=2 seed=7"
-        assert ran == [(2, 7)]
-    finally:
-        del REGISTRY["seeded"]
-
-
 @pytest.mark.parametrize(
     "argv",
     [
         ("verify", "secant"),
         ("verify", "secant", "-n", "3", "-a", "2"),
         ("verify", "secant", "-n", "3", "--class", "sym"),
-        ("verify", "secant", "-n", "3", "--seed", "5"),
+        ("verify", "secant", "-n", "3", "-b", "5"),
         ("verify", "cgk-alpha", "-n", "3"),
         # flags that the sweep does not take, and --max-n that a single check does not
         ("verify", "all", "-n", "3"),
@@ -327,8 +308,9 @@ def test_verify_missing_or_unknown_parameter_exit_two(capsys, argv):
     "argv, flags",
     [
         (("verify", "secant", "-n", "3", "--class", "sym"), "--class"),
-        (("verify", "secant", "-n", "3", "--seed", "5"), "--seed"),
-        (("verify", "cgk-alpha", "-a", "2", "-b", "1", "-n", "3", "--seed", "1"), "-n, --seed"),
+        (("verify", "secant", "-n", "3", "-a", "5"), "-a"),
+        (("verify", "cgk-alpha", "-a", "2", "-b", "1", "-n", "3", "--class", "sym"),
+         "-n, --class"),
         (("verify", "all", "-a", "2", "--class", "sym"), "-a, --class"),
     ],
 )
@@ -340,10 +322,19 @@ def test_verify_names_a_stray_flag_as_typed(capsys, argv, flags):
     assert err.strip() == f"error [VALUE_OUT_OF_RANGE]: {target} does not take {flags}"
 
 
-def test_verify_seed_defaults_to_zero_on_checks_that_take_one(capsys):
-    assert run(capsys, "verify", "group-action", "-n", "3") == (
-        0, "PASS group-action n=3 seed=0\n", ""
-    )
+@pytest.mark.parametrize(
+    "argv", [("verify", "all", "--seed", "1"), ("verify", "group-action", "-n", "3", "--seed", "1")]
+)
+def test_verify_has_no_seed_flag(capsys, argv):
+    # no check samples, so there is no seed to pass: a usage error
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_verify_group_action_reports_its_one_parameter(capsys):
+    assert run(capsys, "verify", "group-action", "-n", "3") == (0, "PASS group-action n=3\n", "")
 
 
 @pytest.mark.parametrize(

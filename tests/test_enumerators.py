@@ -67,6 +67,17 @@ def test_build_refined_class_choices():
         build(EnumeratorKind.REFINED, 3, klass=PermClass.ALT_DOWN_UP)
 
 
+def test_build_takes_a_class_by_name_as_it_takes_a_kind():
+    named = build("refined", 2, "sym")
+    assert named == build(EnumeratorKind.REFINED, 2, PermClass.SYM)
+    assert named.klass is PermClass.SYM
+    # an unknown name fails as an unknown kind name does
+    with pytest.raises(ValueError, match="'bogus' is not a valid PermClass"):
+        build(EnumeratorKind.REFINED, 2, "bogus")
+    with pytest.raises(ValueError, match="'bogus' is not a valid EnumeratorKind"):
+        build("bogus", 2)
+
+
 def test_build_rejects_bad_index():
     with pytest.raises(ValueOutOfRangeError):
         build(EnumeratorKind.SE, 0)
@@ -92,10 +103,8 @@ def test_a_size_that_is_not_an_int_is_rejected_cold_and_warm(size):
         if warm:
             build(EnumeratorKind.BSE, int(size))
             profile_counts(PermClass.PRW, int(size))
-            euler_number(int(size))
         else:
             profile_counts.cache_clear()
-            euler_number.cache_clear()
         for call in calls:
             with pytest.raises(ValueOutOfRangeError, match="takes an int"):
                 call()
@@ -169,6 +178,21 @@ def test_euler_numbers():
     assert [euler_number(i) for i in range(9)] == [
         1, 1, 1, 2, 5, 16, 61, 272, 1385,
     ]
+
+
+def test_euler_numbers_match_the_boustrophedon():
+    # Seidel-Entringer: each row is the running sum of the previous row
+    # read backwards, and its last entry is the next Euler number; at
+    # n = 400 a recursive convolution would overflow the stack
+    row, want = [1], [1]
+    for _ in range(400):
+        nxt = [0]
+        for v in reversed(row):
+            nxt.append(nxt[-1] + v)
+        row = nxt
+        want.append(row[-1])
+    assert euler_number(400) == want[400]
+    assert [euler_number(n) for n in range(30)] == want[:30]
 
 
 def test_euler_numbers_count_alternating_words():

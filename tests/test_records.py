@@ -26,7 +26,7 @@ RECORDS = [
     (CheckReport, {"check": "secant", "params": {"n": 2}, "verdict": "PASS",
                    "witness": {"value": "-al"}}),
     (CheckDef, {"name": "echo", "run": len, "lo": 1, "hi": 2, "summary": "s",
-                "params": ("n", "seed")}),
+                "params": ("klass", "n")}),
 ]
 
 
@@ -52,7 +52,7 @@ def test_record_defaults():
 
 def test_import_eulab_loads_no_dataclasses_or_inspect():
     # every CLI call is a cold process, so its import graph is its start-up cost
-    heavy = ("dataclasses", "inspect", "ast", "dis")
+    heavy = ("dataclasses", "inspect", "ast", "dis", "random")
     code = f"import sys, eulab; print(sorted(set({heavy!r}) & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
