@@ -16,6 +16,12 @@ each letter of the prefix before 1 placed just before the first flipped
 block whose final is larger, and the rest of the prefix at the end.  Since
 block finals increase, that placement is one merge of the increasing prefix
 letters with the block finals.
+
+A word is validated once, at the boundary: the public ``mirror`` checks its
+word and then calls the kernel ``_mirror``, which trusts its caller to hand
+it a decreasing-prefix permutation tuple, e.g. a word from
+``enumerate_class``, and validates nothing.  ``mirror_pairs`` runs the
+kernel on the words it generates.
 """
 
 from __future__ import annotations
@@ -35,10 +41,15 @@ def mirror(word: Sequence[int]) -> Perm:
     (3, 2, 1, 4)
     """
     w = check_word(word)
-    if not w:
-        return w
     if not _is_prefix_decreasing(w):
         raise NotPrefixDecreasingError(f"prefix before the value 1 must decrease: {w}")
+    return _mirror(w)
+
+
+def _mirror(w: Perm) -> Perm:
+    """``mirror`` of a permutation tuple whose prefix ending at 1 decreases."""
+    if not w:
+        return w
     k = w.index(1)
     # the letters after 1 that are smaller than every letter after them
     ends, low = set(), len(w) + 1
@@ -68,7 +79,7 @@ def mirror(word: Sequence[int]) -> Perm:
 def mirror_pairs(n: int) -> Iterator[tuple[Perm, Perm]]:
     """Stream the (word, mirror(word)) pairs over the decreasing-prefix words
     on n letters in lexicographic order; the call checks the cap and n."""
-    return ((w, mirror(w)) for w in enumerate_class(PermClass.PRW, n))
+    return ((w, _mirror(w)) for w in enumerate_class(PermClass.PRW, n))
 
 
 def pair_table(n: int) -> list:

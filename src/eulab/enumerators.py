@@ -162,7 +162,7 @@ def stirling_eulerian(m: int, k: int) -> MultiPoly:
     >>> str(stirling_eulerian(3, 1))
     '3*al^2 + al'
     """
-    _require_ints("stirling_eulerian", k=k)
+    _require_ints("stirling_eulerian", m=m, k=k)
     if m < 0 or k < 0:
         raise ValueOutOfRangeError(f"need m, k >= 0, got m={m}, k={k}")
     return profile_sum(PermClass.SYM, m, lambda s: {"al": s.rlmin} if s.asc == k else None)

@@ -11,6 +11,12 @@ drives the descent/ascent enumerator with a decreasing-prefix marker, and
 ``five-variable`` drives the peak/double-ascent/double-descent refinement.
 The letter labeling below realizes the five-variable rule set
 combinatorially, one label per insertion slot.
+
+As in ``eulab.perms``, a word is validated once, at the boundary: the
+public ``slot_labels`` checks its word and then calls the kernel
+``_slot_labels``, which trusts its caller to hand it a nonempty
+decreasing-prefix permutation tuple, e.g. a word from ``enumerate_class``,
+and validates nothing.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .perms import (
     DOUBLE_ASC,
     DOUBLE_DESC,
     PEAK,
+    Perm,
     _classify,
     _is_prefix_decreasing,
     check_word,
@@ -124,12 +131,17 @@ class LabelWord(NamedTuple):
     labels: tuple  # one of u1..u5 per slot, then "a" on the final slot
     marked: int
 
-    def monomial(self) -> MultiPoly:
-        """Product of the labels u1..u5 with the weight variable raised to
-        the marked-letter count.  The final slot's ``a`` is excluded so the
-        result matches the word's statistic monomial."""
+    def exponents(self) -> dict:
+        """The exponent map of the labels u1..u5, with the weight variable
+        raised to the marked-letter count: the one label-to-exponent map.
+        The final slot's ``a`` is excluded so the map matches the word's
+        statistic monomial."""
         exps = Counter(lab for lab in self.labels if lab != LABEL_FINAL)
-        return MultiPoly.monomial(1, {**exps, "al": self.marked})
+        return {**exps, "al": self.marked}
+
+    def monomial(self) -> MultiPoly:
+        """The monomial of ``exponents``."""
+        return MultiPoly.monomial(1, self.exponents())
 
 
 def slot_labels(word: Sequence[int]) -> LabelWord:
@@ -152,10 +164,16 @@ def slot_labels(word: Sequence[int]) -> LabelWord:
     w = check_word(word)
     if not _is_prefix_decreasing(w):
         raise NotPrefixDecreasingError(f"prefix before the value 1 must decrease: {w}")
-    n = len(w)
-    if n == 0:
+    if not w:
         raise ValueOutOfRangeError("labeling needs at least one letter")
-    kinds = _classify(w)  # w is validated above
+    return _slot_labels(w)
+
+
+def _slot_labels(w: Perm) -> LabelWord:
+    """``slot_labels`` of a nonempty permutation tuple whose prefix ending
+    at 1 decreases."""
+    n = len(w)
+    kinds = _classify(w)
     k = w.index(1) + 1  # 1-based position of the value 1
     labels: list[str] = []
     for i in range(2, n + 1):  # slot i, between letters i-1 and i (1-based)
@@ -172,7 +190,6 @@ def slot_labels(word: Sequence[int]) -> LabelWord:
         else:  # unreachable: the two letters around a slot always decide it
             raise AssertionError(f"unlabeled slot {i} in {w}")
     labels.append(LABEL_FINAL)
-    lr = lrmin_values(w)
-    rl = rlmin_values(w)
-    marked = sum(1 for v in w if (v in lr or v in rl) and v != 1)
+    # the minima other than the value 1, which is both kinds of minimum
+    marked = len(lrmin_values(w) | rlmin_values(w)) - 1
     return LabelWord(tuple(labels), marked)

@@ -15,7 +15,9 @@ a word passes it through ``check_word``, which admits only a tuple of plain
 ``int`` letters forming a permutation of 1..n.  The ``_``-prefixed kernels
 (``_stats``, ``_classify``, ``_is_prefix_decreasing``, ``_in_class``) trust
 their caller to hand them such a tuple, e.g. the output of
-``enumerate_class``, and validate nothing.
+``enumerate_class``, and validate nothing.  The word kernels of
+``eulab.grammar`` (``_slot_labels``) and ``eulab.bijection`` (``_mirror``)
+keep the same contract.
 
 ``enumerate_class`` generates every class from one table of rules: a prefix
 grows only by the letters its class allows, so no class is filtered from the
@@ -204,21 +206,21 @@ def stats(word: Sequence[int]) -> StatProfile:
 
 def _stats(w: Perm) -> StatProfile:
     """``stats`` of a word already known to be a permutation tuple.  One
-    backward pass marks the right-to-left minima; one forward pass counts
-    everything else.  ``n + 1`` exceeds every letter, so it serves as the
-    +inf padding."""
+    backward pass collects the right-to-left minima as a set of values; one
+    forward pass counts everything else.  ``n + 1`` exceeds every letter, so
+    it serves as the +inf padding."""
     n = len(w)
     top = n + 1
-    is_rl = [False] * n
+    rl = set()
     best = top
-    for i in range(n - 1, -1, -1):
-        if w[i] < best:
-            best = w[i]
-            is_rl[i] = True
+    for v in reversed(w):
+        if v < best:
+            best = v
+            rl.add(v)
     des = peaks = valleys = lrmin = 0
     internal_da = internal_dd = rlmin_da = lrmin_dd = 0
     left = best = top
-    for v, right, rl in zip(w, w[1:] + (top,), is_rl):
+    for v, right in zip(w, w[1:] + (top,)):
         lr = v < best
         if lr:
             best = v
@@ -233,13 +235,13 @@ def _stats(w: Perm) -> StatProfile:
                 internal_dd += 1
         elif left > v:
             valleys += 1
-        elif rl:
+        elif v in rl:
             rlmin_da += 1
         else:
             internal_da += 1
         left = v
     asc = max(n - 1, 0) - des
-    rlmin = sum(is_rl)
+    rlmin = len(rl)
     double_asc, double_desc = internal_da + rlmin_da, internal_dd + lrmin_dd
     return StatProfile(n, des, asc, peaks, valleys, double_asc, double_desc, lrmin, rlmin,
                        internal_da, internal_dd, rlmin_da, lrmin_dd)

@@ -469,12 +469,18 @@ class MultiPoly:
     # -- rendering ---------------------------------------------------------
 
     def _ordered_terms(self) -> list[tuple[Mono, Scalar]]:
-        all_vars = sorted(self.variables())
+        """Terms by total degree, then by the exponent vector over the
+        sorted variables, both descending.  A term's key is one list: its
+        degree, then its exponent of each variable."""
+        index = {v: i for i, v in enumerate(sorted(self.variables()), start=1)}
+        width = len(index) + 1
 
-        def key(item: tuple[Mono, Scalar]):
-            exps = dict(item[0])
-            vec = tuple(exps.get(v, 0) for v in all_vars)
-            return (sum(vec), vec)
+        def key(item: tuple[Mono, Scalar]) -> list:
+            vec = [0] * width
+            for v, e in item[0]:
+                vec[index[v]] = e
+            vec[0] = sum(vec)
+            return vec
 
         return sorted(self._terms.items(), key=key, reverse=True)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulab.bijection import mirror, mirror_pairs, pair_table
+from eulab.bijection import _mirror, mirror, mirror_pairs, pair_table
 from eulab.errors import (
     CapExceededError,
     InvalidPermutationError,
@@ -148,6 +148,28 @@ def test_mirror_requires_decreasing_prefix():
     # 2.0 == 2, but a float letter would leak into the image
     with pytest.raises(InvalidPermutationError):
         mirror((2.0, 1, 3))
+
+
+@pytest.mark.parametrize(
+    "word, error, message",
+    [
+        ((2, 3, 1), NotPrefixDecreasingError,
+         "prefix before the value 1 must decrease: (2, 3, 1)"),
+        ((2, 2, 1), InvalidPermutationError, "not a permutation of 1..3: (2, 2, 1)"),
+        ((2.0, 1, 3), InvalidPermutationError, "not a permutation of 1..3: (2.0, 1, 3)"),
+        ((True,), InvalidPermutationError, "not a permutation of 1..1: (True,)"),
+    ],
+)
+def test_mirror_rejects_bad_words(word, error, message):
+    with pytest.raises(error) as info:
+        mirror(word)
+    assert info.value.message == message
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_mirror_kernel_matches_the_public_mirror(n):
+    for w in enumerate_class(PermClass.PRW, n):
+        assert _mirror(w) == mirror(w), w
 
 
 def test_mirror_four_letter_table():

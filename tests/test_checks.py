@@ -737,10 +737,28 @@ def test_bijection_fails_on_a_broken_swap(monkeypatch, field, row):
 def test_bijection_fails_on_the_identity_mirror(monkeypatch):
     import eulab.checks
 
-    monkeypatch.setattr(eulab.checks, "mirror", lambda w: tuple(w))
+    # the check runs the mirror kernel on the words it generates
+    monkeypatch.setattr(eulab.checks, "_mirror", lambda w: tuple(w))
     report = verify("bijection", n=4)
     assert not report.passed
     assert "word" in report.witness
+
+
+def test_grammar32_fails_on_a_wrong_label_kernel(monkeypatch):
+    import eulab.checks
+
+    real = eulab.checks._slot_labels
+    swap = {"u4": "u5", "u5": "u4"}
+
+    def wrong(w):
+        lw = real(w)
+        return lw._replace(labels=tuple(swap.get(lab, lab) for lab in lw.labels))
+
+    monkeypatch.setattr(eulab.checks, "_slot_labels", wrong)
+    report = verify("grammar-32", n=3)
+    assert not report.passed
+    assert {"labeled", "enumerated"} <= report.witness.keys()
+    assert parse_poly(report.witness["labeled"]) != parse_poly(report.witness["enumerated"])
 
 
 @pytest.mark.parametrize("side", ["lrmin_values", "rlmin_values"])

@@ -161,6 +161,13 @@ def test_stirling_eulerian_takes_an_int_k(k):
         stirling_eulerian(3, k)
 
 
+@pytest.mark.parametrize("m", ["3", 2.0, True])
+def test_stirling_eulerian_takes_an_int_m(m):
+    # rejected by name, before ``m < 0`` or the enumeration size check sees it
+    with pytest.raises(ValueOutOfRangeError, match="stirling_eulerian takes an int m"):
+        stirling_eulerian(m, 1)
+
+
 def test_stirling_eulerian_at_one_counts_ascents():
     for m in range(1, 7):
         for k in range(m):

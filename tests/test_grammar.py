@@ -9,12 +9,20 @@ from hypothesis import strategies as st
 from eulab.enumerators import EnumeratorKind, build
 from eulab.errors import (
     DuplicateRuleHeadError,
+    InvalidPermutationError,
     NotPrefixDecreasingError,
     PolySyntaxError,
     UnknownNameError,
     ValueOutOfRangeError,
 )
-from eulab.grammar import BUILTIN_SOURCES, builtin, derive, parse_grammar, slot_labels
+from eulab.grammar import (
+    BUILTIN_SOURCES,
+    _slot_labels,
+    builtin,
+    derive,
+    parse_grammar,
+    slot_labels,
+)
 from eulab.perms import PermClass, enumerate_class
 from eulab.poly import MultiPoly, parse_poly, poly_sum
 
@@ -167,6 +175,12 @@ def test_slot_labels_worked_example():
     assert lw.monomial() == parse_poly("al^6 * u1*u2*u3^2*u4*u5^3")
 
 
+def test_label_exponents_read_the_monomial():
+    lw = slot_labels((7, 5, 4, 1, 2, 3, 9, 8, 6))
+    assert lw.exponents() == {"u5": 3, "u3": 2, "u2": 1, "u1": 1, "u4": 1, "al": 6}
+    assert lw.monomial() == MultiPoly.monomial(1, lw.exponents())
+
+
 def test_slot_labels_small_cases():
     assert slot_labels((1,)).labels == ("a",)
     assert slot_labels((1,)).marked == 0
@@ -181,6 +195,29 @@ def test_slot_labels_small_cases():
 def test_slot_labels_requires_decreasing_prefix():
     with pytest.raises(NotPrefixDecreasingError):
         slot_labels((2, 3, 1))
+
+
+@pytest.mark.parametrize(
+    "word, error, message",
+    [
+        ((2, 3, 1), NotPrefixDecreasingError,
+         "prefix before the value 1 must decrease: (2, 3, 1)"),
+        ((2, 2, 1), InvalidPermutationError, "not a permutation of 1..3: (2, 2, 1)"),
+        ((2.0, 1), InvalidPermutationError, "not a permutation of 1..2: (2.0, 1)"),
+        ((True,), InvalidPermutationError, "not a permutation of 1..1: (True,)"),
+        ((), ValueOutOfRangeError, "labeling needs at least one letter"),
+    ],
+)
+def test_slot_labels_rejects_bad_words(word, error, message):
+    with pytest.raises(error) as info:
+        slot_labels(word)
+    assert info.value.message == message
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_label_kernel_matches_the_public_labeling(n):
+    for w in enumerate_class(PermClass.PRW, n):
+        assert _slot_labels(w) == slot_labels(w), w
 
 
 @pytest.mark.parametrize("n", range(1, 7))

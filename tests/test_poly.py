@@ -700,6 +700,22 @@ def test_mono_mul_merge_matches_dict_and_sort(a, b):
     assert _mono_mul(a, b) == _dict_and_sort_product(a, b)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_monos, max_size=8))
+def test_display_order_matches_a_degree_then_vector_sort(monos):
+    # the reference key: total degree, then the exponent tuple over the
+    # sorted variables, read through a dict per term; both descending
+    p = MultiPoly(dict.fromkeys(monos, 1))
+    names = sorted(p.variables())
+
+    def key(mono):
+        exps = dict(mono)
+        vec = tuple(exps.get(v, 0) for v in names)
+        return sum(vec), vec
+
+    assert [m for m, _ in p.terms()] == sorted(set(monos), key=key, reverse=True)
+
+
 @pytest.mark.parametrize("a, b, want", [
     ((("x", 1),), (("x", -1),), ()),  # cancellation to the empty monomial
     ((("x", 1), ("y", 2)), (("x", -1), ("y", -2)), ()),
