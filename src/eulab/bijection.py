@@ -8,28 +8,27 @@ double descents with double ascents while preserving the total count of
 left-to-right plus right-to-left minima.
 
 Construction, in one pass over the word.  Cut the letters after 1 into
-blocks after each right-to-left minimum (marked by one backward pass).  A
-one-letter block is an isolated letter; a longer block is flipped: its
-non-final letters reversed, its final kept last.  The image is the isolated
-letters in decreasing order, then 1, then the flipped blocks in order, with
-each letter of the prefix before 1 placed just before the first flipped
-block whose final is larger, and the rest of the prefix at the end.  Since
-block finals increase, that placement is one merge of the increasing prefix
-letters with the block finals.
+blocks after each right-to-left minimum (marked by one backward
+``perms._minima`` scan).  A one-letter block is an isolated letter; a
+longer block is flipped: its non-final letters reversed, its final kept
+last.  The image is the isolated letters in decreasing order, then 1, then
+the flipped blocks in order, with each letter of the prefix before 1 placed
+just before the first flipped block whose final is larger, and the rest of
+the prefix at the end.  Since block finals increase, that placement is one
+merge of the increasing prefix letters with the block finals.
 
 A word is validated once, at the boundary: the public ``mirror`` checks its
-word and then calls the kernel ``_mirror``, which trusts its caller to hand
-it a decreasing-prefix permutation tuple, e.g. a word from
-``enumerate_class``, and validates nothing.  ``mirror_pairs`` runs the
-kernel on the words it generates.
+word with ``perms.check_prefix_decreasing`` and then calls the kernel
+``_mirror``, which trusts its caller to hand it a decreasing-prefix
+permutation tuple, e.g. a word from ``enumerate_class``, and validates
+nothing.  ``mirror_pairs`` runs the kernel on the words it generates.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .errors import NotPrefixDecreasingError
-from .perms import Perm, PermClass, _is_prefix_decreasing, check_word, enumerate_class
+from .perms import Perm, PermClass, _minima, check_prefix_decreasing, enumerate_class
 
 
 def mirror(word: Sequence[int]) -> Perm:
@@ -40,10 +39,7 @@ def mirror(word: Sequence[int]) -> Perm:
     >>> mirror((4, 1, 2, 3))
     (3, 2, 1, 4)
     """
-    w = check_word(word)
-    if not _is_prefix_decreasing(w):
-        raise NotPrefixDecreasingError(f"prefix before the value 1 must decrease: {w}")
-    return _mirror(w)
+    return _mirror(check_prefix_decreasing(word))
 
 
 def _mirror(w: Perm) -> Perm:
@@ -51,12 +47,9 @@ def _mirror(w: Perm) -> Perm:
     if not w:
         return w
     k = w.index(1)
-    # the letters after 1 that are smaller than every letter after them
-    ends, low = set(), len(w) + 1
-    for v in reversed(w[k + 1 :]):
-        if v < low:
-            ends.add(v)
-            low = v
+    # the letters after 1 that are smaller than every letter after them; the
+    # bound is the whole word's n + 1, as a letter after 1 may exceed the tail's length
+    ends = _minima(reversed(w[k + 1 :]), len(w) + 1)
     isolated, flipped, start = [], [], k + 1
     for i in range(k + 1, len(w)):
         if w[i] in ends:

@@ -355,6 +355,7 @@ def _check_bijection(n: int) -> None:
     """The mirror is an involution on decreasing-prefix words, swaps
     descents with ascents and double descents with double ascents, and
     preserves the minima total; the induced distribution is symmetric."""
+    profiles = Counter()
     for w in enumerate_class(PermClass.PRW, n):
         # w was generated, so it goes straight to the kernels; the public
         # is_prefix_decreasing validates p before any kernel reads it
@@ -365,11 +366,12 @@ def _check_bijection(n: int) -> None:
             reason = "not an involution"
         else:
             sw, sp = _stats(w), _stats(p)
+            profiles[sw] += 1
             reason = next((f"{a} of the image is not {b} of the word" for a, b in _MIRROR_SWAPS
                            if getattr(sp, a) != getattr(sw, b)), None)
         if reason:
             raise Mismatch(word=format_perm(w), image=format_perm(p), reason=reason)
-    dist = profile_sum(PermClass.PRW, n, _DES_ASC)
+    dist = monomial_sum((c, _DES_ASC(s)) for s, c in profiles.items())
     if not dist.is_symmetric_in("x", "y"):
         raise Mismatch(distribution=str(dist))
 

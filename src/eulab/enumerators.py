@@ -60,14 +60,16 @@ class Enumerator(NamedTuple):
 
     @classmethod
     def from_json(cls, payload: dict) -> "Enumerator":
-        """The inverse of ``to_json``; an index that is not a plain int is rejected."""
+        """The inverse of ``to_json``.  An index that is not a plain int is
+        rejected, and so is a class that ``build`` never records: a kind
+        with one class records none, a kind with more records one of its own."""
         _require_ints("Enumerator.from_json", index=payload["index"])
-        return cls(
-            kind=EnumeratorKind(payload["kind"]),
-            index=payload["index"],
-            klass=PermClass(payload["class"]) if payload.get("class") else None,
-            value=MultiPoly.from_json(payload["value"]),
-        )
+        kind, klass = EnumeratorKind(payload["kind"]), payload.get("class")
+        classes = KINDS[kind].classes
+        if klass not in ([c.value for c in classes] if len(classes) > 1 else [None]):
+            raise ValueOutOfRangeError(f"a {kind.value} enumerator never records class {klass!r}")
+        return cls(kind, payload["index"], PermClass(klass) if klass else None,
+                   MultiPoly.from_json(payload["value"]))
 
 
 @functools.lru_cache(maxsize=None, typed=True)

@@ -13,10 +13,10 @@ The letter labeling below realizes the five-variable rule set
 combinatorially, one label per insertion slot.
 
 As in ``eulab.perms``, a word is validated once, at the boundary: the
-public ``slot_labels`` checks its word and then calls the kernel
-``_slot_labels``, which trusts its caller to hand it a nonempty
-decreasing-prefix permutation tuple, e.g. a word from ``enumerate_class``,
-and validates nothing.
+public ``slot_labels`` checks its word with ``perms.check_prefix_decreasing``
+and then calls the kernel ``_slot_labels``, which trusts its caller to hand
+it a nonempty decreasing-prefix permutation tuple, e.g. a word from
+``enumerate_class``, and validates nothing.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import NamedTuple, Sequence
 
 from .errors import (
     DuplicateRuleHeadError,
-    NotPrefixDecreasingError,
     PolySyntaxError,
     UnknownNameError,
     ValueOutOfRangeError,
@@ -38,8 +37,7 @@ from .perms import (
     PEAK,
     Perm,
     _classify,
-    _is_prefix_decreasing,
-    check_word,
+    check_prefix_decreasing,
     lrmin_values,
     rlmin_values,
 )
@@ -161,9 +159,7 @@ def slot_labels(word: Sequence[int]) -> LabelWord:
     >>> slot_labels((1,)).labels
     ('a',)
     """
-    w = check_word(word)
-    if not _is_prefix_decreasing(w):
-        raise NotPrefixDecreasingError(f"prefix before the value 1 must decrease: {w}")
+    w = check_prefix_decreasing(word)
     if not w:
         raise ValueOutOfRangeError("labeling needs at least one letter")
     return _slot_labels(w)

@@ -12,12 +12,13 @@ are keyed on.
 
 Words are validated once, at the boundary: every public function that takes
 a word passes it through ``check_word``, which admits only a tuple of plain
-``int`` letters forming a permutation of 1..n.  The ``_``-prefixed kernels
-(``_stats``, ``_classify``, ``_is_prefix_decreasing``, ``_in_class``) trust
-their caller to hand them such a tuple, e.g. the output of
-``enumerate_class``, and validate nothing.  The word kernels of
-``eulab.grammar`` (``_slot_labels``) and ``eulab.bijection`` (``_mirror``)
-keep the same contract.
+``int`` letters forming a permutation of 1..n (``check_prefix_decreasing``
+also requires a decreasing prefix).  The ``_``-prefixed kernels (``_stats``,
+``_classify``, ``_is_prefix_decreasing``, ``_in_class``, ``_minima``) and
+the minima sets ``lrmin_values``/``rlmin_values`` trust their caller to
+hand them such a tuple, e.g. the output of ``enumerate_class``, and
+validate nothing.  The word kernels of ``eulab.grammar`` (``_slot_labels``)
+and ``eulab.bijection`` (``_mirror``) keep the same contract.
 
 ``enumerate_class`` generates every class from one table of rules: a prefix
 grows only by the letters its class allows, so no class is filtered from the
@@ -31,11 +32,10 @@ import os
 from enum import Enum
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import CapExceededError, InvalidPermutationError, ValueOutOfRangeError
+from .errors import (CapExceededError, InvalidPermutationError, NotPrefixDecreasingError,
+                     ValueOutOfRangeError)
 
 Perm = tuple  # tuple[int, ...]
-
-_INF = float("inf")
 
 DEFAULT_CAP = 10
 _CAP_ENV = "EULAB_MAX_N"
@@ -80,6 +80,15 @@ def check_word(word: Sequence[int]) -> Perm:
     w = tuple(word)
     if not set(map(type, w)) <= {int} or sorted(w) != list(range(1, len(w) + 1)):
         raise InvalidPermutationError(f"not a permutation of 1..{len(w)}: {w}")
+    return w
+
+
+def check_prefix_decreasing(word: Sequence[int]) -> Perm:
+    """``check_word``, and also reject a word whose prefix ending at 1 does
+    not decrease; the one boundary of the decreasing-prefix words."""
+    w = check_word(word)
+    if not _is_prefix_decreasing(w):
+        raise NotPrefixDecreasingError(f"prefix before the value 1 must decrease: {w}")
     return w
 
 
@@ -130,22 +139,23 @@ class StatProfile(NamedTuple):
         return self.lrmin + self.rlmin - 2
 
 
-def lrmin_values(word: Sequence[int]) -> set:
-    out, best = set(), _INF
-    for v in word:
+def _minima(letters: Iterable[int], top: int) -> set:
+    """The letters smaller than every letter before them, ``top`` exceeding
+    them all: the one minima scan, run backward for right-to-left minima."""
+    out, best = set(), top
+    for v in letters:
         if v < best:
             best = v
             out.add(v)
     return out
+
+
+def lrmin_values(word: Sequence[int]) -> set:
+    return _minima(word, len(word) + 1)
 
 
 def rlmin_values(word: Sequence[int]) -> set:
-    out, best = set(), _INF
-    for v in reversed(word):
-        if v < best:
-            best = v
-            out.add(v)
-    return out
+    return _minima(reversed(word), len(word) + 1)
 
 
 def minima(word: Sequence[int]) -> tuple[tuple, tuple]:
@@ -206,17 +216,12 @@ def stats(word: Sequence[int]) -> StatProfile:
 
 def _stats(w: Perm) -> StatProfile:
     """``stats`` of a word already known to be a permutation tuple.  One
-    backward pass collects the right-to-left minima as a set of values; one
-    forward pass counts everything else.  ``n + 1`` exceeds every letter, so
-    it serves as the +inf padding."""
+    backward ``_minima`` scan collects the right-to-left minima as a set of
+    values; one forward pass counts everything else.  ``n + 1`` exceeds
+    every letter, so it serves as the +inf padding."""
     n = len(w)
     top = n + 1
-    rl = set()
-    best = top
-    for v in reversed(w):
-        if v < best:
-            best = v
-            rl.add(v)
+    rl = _minima(reversed(w), top)
     des = peaks = valleys = lrmin = 0
     internal_da = internal_dd = rlmin_da = lrmin_dd = 0
     left = best = top

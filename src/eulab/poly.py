@@ -527,11 +527,12 @@ class MultiPoly:
     @classmethod
     def from_json(cls, payload: Mapping) -> "MultiPoly":
         """The inverse of ``to_json``: each coefficient a ``"num/den"``
-        string or a plain ``int``, each exponent a plain ``int``.  Anything
-        else, such as a float, is a ``TypeError``, as it is for ``_coef``."""
+        string with a nonzero ``den`` or a plain ``int``, each exponent a
+        plain ``int``.  Anything else, such as a float or ``"1/0"``, is a
+        ``TypeError``, as it is for ``_coef``."""
         terms = [(item["coef"], item["exp"]) for item in payload["terms"]]
         for coef, exps in terms:
-            exact = type(coef) is int or type(coef) is str and re.fullmatch("-?[0-9]+/[0-9]+", coef)
+            exact = type(coef) is int or type(coef) is str and re.fullmatch("-?[0-9]+/0*[1-9][0-9]*", coef)
             if not exact or any(type(e) is not int for e in exps.values()):
                 raise TypeError(f"not a term that to_json writes: coef {coef!r}, exp {exps!r}")
         return _wrap(_collect(

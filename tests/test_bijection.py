@@ -140,6 +140,12 @@ def test_mirror_worked_example():
     assert mirror(image) == (5, 4, 1, 2, 7, 3, 6, 10, 9, 8)
 
 
+def test_mirror_bounds_the_tail_scan_by_the_whole_word():
+    # 3 follows 1 and exceeds the tail's length, 1: a minima scan of the
+    # tail bounded by that length would miss it
+    assert mirror((2, 1, 3)) == (3, 1, 2)
+
+
 def test_mirror_requires_decreasing_prefix():
     with pytest.raises(NotPrefixDecreasingError):
         mirror((2, 3, 1))

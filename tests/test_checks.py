@@ -744,6 +744,17 @@ def test_bijection_fails_on_the_identity_mirror(monkeypatch):
     assert "word" in report.witness
 
 
+def test_bijection_fails_on_an_asymmetric_distribution(monkeypatch):
+    import eulab.checks
+
+    # every word keeps its swaps, but one descent too many tilts the sum
+    monkeypatch.setattr(eulab.checks, "_DES_ASC",
+                        lambda s: {"x": s.des + 1, "y": s.asc, "al": s.weight})
+    report = verify("bijection", n=3)
+    assert report.verdict == "FAIL"
+    assert list(report.witness) == ["distribution"]
+
+
 def test_grammar32_fails_on_a_wrong_label_kernel(monkeypatch):
     import eulab.checks
 

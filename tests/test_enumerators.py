@@ -134,6 +134,18 @@ def test_enumerator_from_json_takes_only_the_int_index_to_json_writes(index):
         Enumerator.from_json(payload)
 
 
+@pytest.mark.parametrize(
+    "kind, klass",
+    [("bse", "sym"), ("bse", "prw"), ("se", "sym"), ("refined", "ndd-interior"),
+     ("refined", None), ("refined", "")],
+)
+def test_enumerator_from_json_takes_only_the_class_build_records(kind, klass):
+    # a kind with one class records none; a kind with more records one of its own
+    payload = {**build(EnumeratorKind.BSE, 2).to_json(), "kind": kind, "class": klass}
+    with pytest.raises(ValueOutOfRangeError, match="never records class"):
+        Enumerator.from_json(payload)
+
+
 def test_two_variable_symmetry_and_homogeneity():
     for n in range(1, 7):
         p = build(EnumeratorKind.BSE, n).value

@@ -20,6 +20,7 @@ from eulab.perms import (
     _classify,
     _in_class,
     _is_prefix_decreasing,
+    _minima,
     _stats,
     check_word,
     class_size,
@@ -183,6 +184,17 @@ def test_minima_examples():
     assert lrmin_values(down) == set(range(1, n + 1))
 
     assert minima((2, 1)) == ((1, 2), (2,))
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_minima_scans_match_the_definition(n):
+    # a letter is kept iff it is below every letter before it in the scan
+    def kept(letters):
+        return {v for i, v in enumerate(letters) if all(v < u for u in letters[:i])}
+
+    for w in permutations(range(1, n + 1)):
+        assert _minima(w, n + 1) == lrmin_values(w) == kept(w), w
+        assert _minima(reversed(w), n + 1) == rlmin_values(w) == kept(w[::-1]), w
 
 
 def test_rlmin_values_increase_left_to_right():

@@ -219,6 +219,7 @@ def test_json_round_trip():
         {"exp": {"x": 1.5}, "coef": "1/1"},
         {"exp": {"x": "2"}, "coef": "1/1"},
         {"exp": {"x": True}, "coef": "1/1"},
+        {"exp": {"x": 1}, "coef": "1/0"},  # a zero denominator
     ],
 )
 def test_from_json_takes_only_what_to_json_writes(bad):
