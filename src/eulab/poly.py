@@ -11,17 +11,29 @@ the calculus here ever needs.
 
 Every polynomial is built by one private accumulator, ``_collect``: it sums
 the coefficients of equal monomials, drops zero sums and turns an integral
-``Fraction`` back into an ``int``.  Two places build a canonical term map
-directly: the tail of ``derivation`` unpacks distinct packed keys, dropping
-zeros and demoting through ``_coef`` as it goes, and within one row of the
-split ``coefficients`` the split exponents agree, so the stored terms stay
-distinct once those are removed.  The public constructors
-(``MultiPoly(mapping)``, ``monomial``, ``const``, ``monomial_sum``) accept
-only ``int`` and ``Fraction`` coefficients, through ``_coef``.  So integer
-polynomials, such as every rule-set derivative, run on ``int`` arithmetic,
-and the monomial format and the coefficient type are decided here alone:
-other modules combine polynomials only with the operators, ``poly_sum``,
-``monomial_sum`` (of ``(coef, exponent map)`` pairs) and ``derivation``.
+``Fraction`` back into an ``int``.  When every sum is a nonzero ``int``, as
+for every enumerator and rule-set derivative, the accumulated map is
+canonical already and is returned as it is; only otherwise is a second map
+built.  Either map is fresh: no operation stores or writes an operand's.  A
+few places build a canonical term map directly.  ``const``, ``one`` and
+``var``, and so the coercion of a scalar operand, build their one-term map
+through ``_coef``.  ``__pow__`` raises a one-term polynomial by multiplying
+each exponent by k and raising the coefficient to the k (a negative power
+through ``Fraction``, demoted by ``_coef``), and squares and multiplies any
+other from the base itself.  The tail of ``derivation`` unpacks distinct
+packed keys, dropping zeros and demoting through ``_coef`` as it goes, and
+within one row of the split ``coefficients`` the split exponents agree, so
+the stored terms stay distinct once those are removed.  The public
+constructors (``MultiPoly(mapping)``, ``monomial``, ``const``,
+``monomial_sum``) accept only ``int`` and ``Fraction`` coefficients, through
+``_coef``; ``MultiPoly(mapping)`` and ``monomial`` also store each key in
+canonical form and reject an exponent that is not a plain ``int``, while
+``monomial_sum``, the hot path of profile sums, trusts its exponents.  So
+integer polynomials, such as every rule-set derivative, run on ``int``
+arithmetic, and the monomial format and the coefficient type are decided
+here alone: other modules combine polynomials only with the operators,
+``poly_sum``, ``monomial_sum`` (of ``(coef, exponent map)`` pairs) and
+``derivation``.
 ``coefficient``, ``is_symmetric_in`` and ``eulab.gamma.gamma_expand``
 (degree, symmetry and coefficients at once) each read one ``coefficients`` split.
 
@@ -69,6 +81,17 @@ PRETTY_NAMES = {"al": "α"}
 def _mono(exps: Mapping[str, int]) -> Mono:
     """The monomial of an exponent map; zero exponents are dropped."""
     return tuple(sorted((v, e) for v, e in exps.items() if e))
+
+
+def _renamed(pairs: Iterable[tuple[str, int]], names: Mapping[str, str]) -> Mono:
+    """The monomial of ``(variable, exponent)`` pairs in any order, each
+    variable renamed through ``names``: the exponents of a repeated name are
+    summed and zero sums dropped."""
+    exps: dict[str, int] = {}
+    for v, e in pairs:
+        v = names.get(v, v)
+        exps[v] = exps.get(v, 0) + e
+    return _mono(exps)
 
 
 def _mono_mul(a: Mono, b: Mono) -> Mono:
@@ -122,23 +145,22 @@ def _coef(c) -> Scalar:
 
 def _collect(pairs: Iterable[tuple[Mono, Scalar]]) -> dict:
     """The one accumulator: sum the coefficients of equal monomials, drop
-    the zero sums, and store an integral ``Fraction`` as an ``int``."""
+    the zero sums, and store an integral ``Fraction`` as an ``int``.  When
+    every sum is a nonzero ``int``, as it is for integer polynomials, the
+    accumulated map is already canonical and is returned as it is; it is
+    always a fresh map, never an operand's."""
     terms: dict[Mono, Scalar] = {}
+    get = terms.get
     for mono, coef in pairs:
-        old = terms.get(mono)
-        terms[mono] = coef if old is None else old + coef
-    return {
-        mono: coef.numerator if type(coef) is Fraction and coef.denominator == 1 else coef
-        for mono, coef in terms.items()
-        if coef
-    }
-
-
-def _wrap(terms: dict) -> "MultiPoly":
-    """A polynomial over an accumulated term map, without copying it."""
-    out = MultiPoly.__new__(MultiPoly)
-    object.__setattr__(out, "_terms", terms)
-    return out
+        terms[mono] = get(mono, 0) + coef
+    for coef in terms.values():
+        if type(coef) is not int or not coef:
+            return {
+                mono: coef.numerator if type(coef) is Fraction and coef.denominator == 1 else coef
+                for mono, coef in terms.items()
+                if coef
+            }
+    return terms
 
 
 class MultiPoly:
@@ -148,30 +170,39 @@ class MultiPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Mono, Scalar] | None = None):
-        pairs = ((mono, _coef(coef)) for mono, coef in (terms or {}).items())
-        object.__setattr__(self, "_terms", _collect(pairs))
+        """Each key is stored in canonical form: its pairs sorted, the
+        exponents of a repeated variable summed, zero exponents dropped.  An
+        exponent that is not a plain ``int`` (a float, a bool, a string) is
+        a ``TypeError``, as it is for ``from_json``."""
+        terms = terms or {}
+        for mono in terms:
+            if any(type(e) is not int for _, e in mono):
+                raise TypeError(f"exponents must be ints, got monomial {mono!r}")
+        pairs = ((_renamed(mono, {}), _coef(coef)) for mono, coef in terms.items())
+        _set_terms(self, _collect(pairs))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "MultiPoly":
-        return cls()
+        return _wrap({})
 
     @classmethod
     def one(cls) -> "MultiPoly":
-        return cls({(): 1})
+        return _wrap({(): 1})
 
     @classmethod
     def const(cls, c: Scalar) -> "MultiPoly":
-        return cls({(): c})
+        c = _coef(c)
+        return _wrap({(): c} if c else {})
 
     @classmethod
     def var(cls, name: str) -> "MultiPoly":
-        return cls({((name, 1),): 1})
+        return _wrap({((name, 1),): 1})
 
     @classmethod
     def monomial(cls, coef: Scalar, exps: Mapping[str, int]) -> "MultiPoly":
-        return monomial_sum(((coef, exps),))
+        return cls({tuple(exps.items()): coef})
 
     # -- basic protocol ----------------------------------------------------
 
@@ -264,23 +295,26 @@ class MultiPoly:
             return NotImplemented
         if k == 0:
             return MultiPoly.one()
+        if len(self._terms) == 1:  # each exponent times k, the coefficient to the k
+            ((mono, coef),) = self._terms.items()
+            if k < 0:  # through Fraction: an int at a negative power is a float
+                coef = Fraction(coef)
+            return _wrap({tuple((v, e * k) for v, e in mono): _coef(coef**k)})
         if k < 0:
             if not self._terms:
                 raise ZeroAtNegativePowerError("zero polynomial at a negative power")
-            if len(self._terms) > 1:
-                raise NegativePowerOfNonMonomialError(
-                    "negative power of a polynomial with more than one term"
-                )
-            ((mono, coef),) = self._terms.items()
-            # through Fraction: an int at a negative power is a float
-            return _wrap(_collect([(tuple((v, e * k) for v, e in mono), Fraction(coef) ** k)]))
-        base, result = self, MultiPoly.one()
-        while k:
+            raise NegativePowerOfNonMonomialError(
+                "negative power of a polynomial with more than one term"
+            )
+        # square and multiply, starting from the base itself
+        base, result = self, None
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     # -- queries -----------------------------------------------------------
 
@@ -322,14 +356,7 @@ class MultiPoly:
         """Simultaneously rename variables, merging exponents if two names
         map to the same target."""
 
-        def renamed(mono: Mono) -> Mono:
-            exps: dict[str, int] = {}
-            for v, e in mono:
-                target = names.get(v, v)
-                exps[target] = exps.get(target, 0) + e
-            return _mono(exps)
-
-        return _wrap(_collect((renamed(mono), coef) for mono, coef in self._terms.items()))
+        return _wrap(_collect((_renamed(mono, names), coef) for mono, coef in self._terms.items()))
 
     def is_symmetric_in(self, a: str, b: str) -> bool:
         """Whether the coefficient of ``a^i b^j`` is that of ``a^j b^i``, for all i, j."""
@@ -540,6 +567,16 @@ class MultiPoly:
         ))
 
 
+_set_terms = MultiPoly._terms.__set__
+
+
+def _wrap(terms: dict) -> MultiPoly:
+    """A polynomial over an accumulated term map, without copying it."""
+    out = MultiPoly.__new__(MultiPoly)
+    _set_terms(out, terms)
+    return out
+
+
 # -- parsing ---------------------------------------------------------------
 
 
@@ -705,5 +742,8 @@ def poly_sum(items: Iterable[MultiPoly]) -> MultiPoly:
 
 
 def monomial_sum(terms: Iterable[tuple[Scalar, Mapping[str, int]]]) -> MultiPoly:
-    """Sum of ``coef * monomial(exps)`` over ``(coef, exps)`` pairs, in one pass."""
+    """Sum of ``coef * monomial(exps)`` over ``(coef, exps)`` pairs, in one
+    pass.  The hot path of profile sums: each coefficient goes through
+    ``_coef``, but the exponents are not checked, so each must be a plain
+    ``int`` (``MultiPoly.monomial`` checks them)."""
     return _wrap(_collect((_mono(exps), _coef(coef)) for coef, exps in terms))

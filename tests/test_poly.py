@@ -456,42 +456,81 @@ def _canonical(c) -> bool:
 
 
 def _stored_cleanly(p: MultiPoly) -> bool:
-    # canonical coefficients on sorted monomials with nonzero exponents
+    # canonical coefficients on sorted monomials of distinct variables with
+    # nonzero int exponents
     return all(
-        _canonical(c) and list(m) == sorted(m) and all(e for _, e in m)
+        _canonical(c) and list(m) == sorted(m) and len({v for v, _ in m}) == len(m)
+        and all(type(e) is int and e for _, e in m)
         for m, c in p.terms()
     )
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    small_polys(),
-    small_polys(),
-    # a bool is an int subclass: only the constructor coercion stores it as an int
-    st.one_of(
-        st.integers(min_value=-3, max_value=3),
-        st.booleans(),
-        st.fractions(min_value=-3, max_value=3, max_denominator=2),
-    ),
-)
-def test_every_operation_stores_only_nonzero_fractions(p, q, c):
-    x, y = MultiPoly.var("x"), MultiPoly.var("y")
-    repeated = {"terms": [{"exp": {"x": 1}, "coef": "1/2"}, {"exp": {"x": 1}, "coef": "-1/2"}]}
-    results = [
-        p + q, p - q, p * q, -p, p + c, c - p, p * c, p**2, p**0,
+def _operations(p: MultiPoly, q: MultiPoly, c) -> list:
+    """The result of every operation on p, q and the scalar c."""
+    return [
+        p + q, p - q, p * q, -p, p + c, c - p, p * c, p**0, p**1, p**2, p**3,
         MultiPoly.monomial(c or 1, {"x": 1, "y": 2}) ** -2,
+        MultiPoly.monomial(c or 1, {"x": 1, "y": -2}) ** 3,
+        MultiPoly.monomial(c or 1, {"x": 1, "y": -2}) ** -2,
         p.coefficient({"x": 1}), p.coefficient({"x": 0, "y": 1}),
         p.rename({"y": "x"}), p.rename({"x": "y", "y": "x"}),
         p.substitute({"x": q}), p.substitute({"y": c}), p.substitute({"x": q, "y": c}),
         MultiPoly.from_json(p.to_json()), poly_sum(r for r in (p, q, -p)),
         MultiPoly({(): c}), MultiPoly.monomial(c, {"x": 0}), MultiPoly.const(c),
+        MultiPoly.var("x") * c, c * MultiPoly.one(),
         p.derivation({"x": q, "y": MultiPoly.const(c)}),
     ]
-    for r in results:
+
+
+# a bool is an int subclass: only the constructor coercion stores it as an int
+_scalars = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.booleans(),
+    st.fractions(min_value=-3, max_value=3, max_denominator=2),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys(), small_polys(), _scalars)
+def test_every_operation_stores_only_nonzero_fractions(p, q, c):
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    repeated = {"terms": [{"exp": {"x": 1}, "coef": "1/2"}, {"exp": {"x": 1}, "coef": "-1/2"}]}
+    for r in _operations(p, q, c):
         assert _stored_cleanly(r), r
     # cancellations leave the empty map, not zero coefficients
     for zero in ((x - y).rename({"y": "x"}), MultiPoly.from_json(repeated), p - p, p * 0):
         assert zero.is_zero() and len(zero) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys(), small_polys(), _scalars)
+def test_no_operation_changes_its_operands(p, q, c):
+    # a result's term map is its own: no operation writes into an operand's
+    before = dict(p._terms), dict(q._terms)
+    _operations(p, q, c)
+    assert (dict(p._terms), dict(q._terms)) == before
+
+
+@pytest.mark.parametrize("key, text", [
+    ((("y", 1), ("x", 1)), "x*y"),
+    ((("x", 0),), "1"),
+    ((("x", 1), ("x", 1)), "x^2"),
+    ((("x", 2), ("y", 1), ("x", -2)), "y"),
+], ids=["unsorted", "zero-exponent", "repeated-variable", "repeated-to-zero"])
+def test_constructor_stores_a_key_in_canonical_form(key, text):
+    p = MultiPoly({key: 2})
+    assert p == 2 * parse_poly(text)
+    assert str(p) == str(2 * parse_poly(text))
+    assert _stored_cleanly(p)
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "2"])
+def test_constructors_reject_non_int_exponents(bad):
+    # as from_json does; monomial_sum, the unchecked hot path, is not asked
+    with pytest.raises(TypeError):
+        MultiPoly.monomial(1, {"x": bad})
+    with pytest.raises(TypeError):
+        MultiPoly({(("x", bad),): 1})
 
 
 # (coef, exponent map) pairs: zero coefficients and zero exponents, and
