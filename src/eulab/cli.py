@@ -14,9 +14,9 @@ import sys
 from .action import orbit, orbit_dot
 from .bijection import mirror, mirror_pairs
 from .checks import CLASSES, REGISTRY, verify, verify_all
-from .enumerators import KINDS, EnumeratorKind, build
+from .enumerators import KINDS, build
 from .errors import CapExceededError, EulabError, ValueOutOfRangeError
-from .gamma import GammaRoute, gamma_expand, gamma_from_class
+from .gamma import ROUTES
 from .grammar import BUILTIN_SOURCES, builtin, derive, parse_grammar
 from .perms import format_perm, parse_perm, stats
 
@@ -66,10 +66,7 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
-    if args.interp == "expand":
-        gammas = list(gamma_expand(build(EnumeratorKind.BSE, args.n).value).gammas)
-    else:
-        gammas = gamma_from_class(GammaRoute(int(args.interp)), args.n)
+    gammas = ROUTES[args.interp](args.n)
     if args.json:
         _emit({"n": args.n, "interp": args.interp, "gamma": [g.to_json() for g in gammas]})
     else:
@@ -194,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gamma.add_argument("-n", type=int, required=True)
     p_gamma.add_argument(
         "--interp",
-        choices=(*(str(route.value) for route in GammaRoute), "expand"),
+        choices=list(ROUTES),
         default="expand",
         help="peeling (expand) or one of the three enumeration routes",
     )

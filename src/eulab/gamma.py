@@ -1,5 +1,5 @@
 """Expansion of symmetric homogeneous polynomials in the basis
-``(xy)^k (x+y)^(n-2k)`` and its three combinatorial realizations.
+``(xy)^k (x+y)^(n-2k)``, and the table of routes to its coefficients.
 
 ``gamma_expand`` reads all it needs from one split of its input by the
 exponents of x and y: the degree n, the swap symmetry, the residual and
@@ -12,6 +12,10 @@ y exponent.
 ``gamma_from_class`` computes the same coefficient lists directly from
 permutation classes, one profile sum per route with its own filter and
 statistic (documented on the enum), without touching the peeling route.
+``ROUTES`` maps each ``eulab gamma --interp`` name to ``n -> [gamma_0..]``:
+the class routes, then ``"expand"``, the peel of ``build(BSE, n)`` and the
+reference that ``prw-g`` compares every other row with.  A row looks its
+functions up here when called, so a patched one is seen.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .enumerators import profile_sum
+from .enumerators import EnumeratorKind, build, profile_sum
 from .errors import (
     NonzeroResidualError,
     NotHomogeneousError,
@@ -97,7 +101,7 @@ class GammaRoute(IntEnum):
 
 # each route's class and exponent map: the coefficient index is the exponent
 # of the marker k, the weight that of al, and None drops a word
-_ROUTES = {
+_CLASS_ROUTES = {
     GammaRoute.ASC_NO_DA: (
         PermClass.PRW, lambda s: None if s.double_asc else {"k": s.asc, "al": s.weight}
     ),
@@ -116,9 +120,13 @@ def gamma_from_class(route: GammaRoute, n: int) -> list:
     _require_ints("gamma_from_class", n=n)
     if n < 0:
         raise ValueOutOfRangeError(f"n must be at least 0, got {n}")
-    tag, exponents = _ROUTES[route]
+    tag, exponents = _CLASS_ROUTES[route]
     rows = profile_sum(tag, letters(tag, n), exponents).coefficients(["k"])
     gammas = [rows.get((k,), MultiPoly.zero()) for k in range(n // 2 + 1)]
     if route is GammaRoute.PEAKS_HALVED:
         return [g * Fraction(1, 2 ** (n - 2 * k)) for k, g in enumerate(gammas)]
     return gammas
+
+
+ROUTES = {str(r.value): (lambda n, r=r: gamma_from_class(r, n)) for r in GammaRoute}
+ROUTES["expand"] = lambda n: list(gamma_expand(build(EnumeratorKind.BSE, n).value).gammas)

@@ -28,7 +28,9 @@ constructors (``MultiPoly(mapping)``, ``monomial``, ``const``,
 ``monomial_sum``) accept only ``int`` and ``Fraction`` coefficients, through
 ``_coef``; ``MultiPoly(mapping)`` and ``monomial`` also store each key in
 canonical form and reject an exponent that is not a plain ``int``, while
-``monomial_sum``, the hot path of profile sums, trusts its exponents.  So
+``monomial_sum``, the hot path of profile sums, trusts its exponents and
+names.  ``var``, ``MultiPoly(mapping)``, ``monomial``, ``from_json`` and
+``rename`` check each variable name against ``_NAME``.  So
 integer polynomials, such as every rule-set derivative, run on ``int``
 arithmetic, and the monomial format and the coefficient type are decided
 here alone: other modules combine polynomials only with the operators,
@@ -51,13 +53,16 @@ the exponent plus a bias.  A rule-set derivative is this call.
 
 The text form uses ``+ - * ^``, integer and rational literals (``3``,
 ``1/2``), and parentheses.  One token table, a regular expression with a
-group per token kind, lexes it, and ``PRETTY_NAMES`` inverted gives its
-input aliases: ``parse_poly(str(p)) == p == parse_poly(p.pretty())``.
+group per token kind, lexes it; its identifiers are ``_NAME`` and
+``PRETTY_NAMES`` inverted gives its input aliases, so ``parse_poly(str(p))
+== p == parse_poly(p.pretty())``.  One loop parses ``+ - *`` by the levels
+of ``_BINDS``, each right operand one level tighter, so chains go left to right.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
@@ -76,6 +81,19 @@ Scalar = Union[int, Fraction]
 # Display name overrides used by pretty().  "al" is the ASCII spelling of the
 # weight variable; the lexer accepts both spellings.
 PRETTY_NAMES = {"al": "α"}
+
+# a variable name: an identifier of the text form, so that it prints as it parses
+_NAME = re.compile("[A-Za-z][A-Za-z0-9_]*")
+
+
+def _check_name(v) -> None:
+    """The one rule for a variable name given to a public constructor: a
+    ``str`` (else a ``TypeError``, as for an exponent) matching ``_NAME``.
+    A display alias such as ``α`` is an input spelling, not a name."""
+    if not isinstance(v, str):
+        raise TypeError(f"variable name must be a str, not {type(v).__name__}")
+    if not _NAME.fullmatch(v):
+        raise ValueOutOfRangeError(f"variable name {v!r} is not an identifier")
 
 
 def _mono(exps: Mapping[str, int]) -> Mono:
@@ -178,6 +196,8 @@ class MultiPoly:
         for mono in terms:
             if any(type(e) is not int for _, e in mono):
                 raise TypeError(f"exponents must be ints, got monomial {mono!r}")
+            for v, _ in mono:
+                _check_name(v)
         pairs = ((_renamed(mono, {}), _coef(coef)) for mono, coef in terms.items())
         _set_terms(self, _collect(pairs))
 
@@ -198,6 +218,7 @@ class MultiPoly:
 
     @classmethod
     def var(cls, name: str) -> "MultiPoly":
+        _check_name(name)
         return _wrap({((name, 1),): 1})
 
     @classmethod
@@ -354,8 +375,9 @@ class MultiPoly:
 
     def rename(self, names: Mapping[str, str]) -> "MultiPoly":
         """Simultaneously rename variables, merging exponents if two names
-        map to the same target."""
-
+        map to the same target.  Each new name is checked as ``var`` checks it."""
+        for v in names.values():
+            _check_name(v)
         return _wrap(_collect((_renamed(mono, names), coef) for mono, coef in self._terms.items()))
 
     def is_symmetric_in(self, a: str, b: str) -> bool:
@@ -562,9 +584,9 @@ class MultiPoly:
             exact = type(coef) is int or type(coef) is str and re.fullmatch("-?[0-9]+/0*[1-9][0-9]*", coef)
             if not exact or any(type(e) is not int for e in exps.values()):
                 raise TypeError(f"not a term that to_json writes: coef {coef!r}, exp {exps!r}")
-        return _wrap(_collect(
-            (_mono({str(v): e for v, e in exps.items()}), Fraction(coef)) for coef, exps in terms
-        ))
+            for v in exps:
+                _check_name(v)
+        return _wrap(_collect((_mono(exps), Fraction(coef)) for coef, exps in terms))
 
 
 _set_terms = MultiPoly._terms.__set__
@@ -591,7 +613,7 @@ class Token(NamedTuple):
 _ALIASES = {shown: name for name, shown in PRETTY_NAMES.items()}
 _TOKEN = re.compile(
     r"(?P<NL>\n)|(?P<SKIP>[ \t\r]+|#[^\n]*)|(?P<NUM>[0-9]+(?:/[0-9]+)?)"
-    r"|(?P<IDENT>" + "|".join([r"[A-Za-z][A-Za-z0-9_]*", *map(re.escape, _ALIASES)]) + ")"
+    r"|(?P<IDENT>" + "|".join([_NAME.pattern, *map(re.escape, _ALIASES)]) + ")"
     r"|(?P<OP>->|[-+*^();])"
 )
 
@@ -624,6 +646,10 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+# binary operator -> (binding level, combiner); ``operator`` calls a patched ``MultiPoly.__add__``
+_BINDS = {"+": (1, operator.add), "-": (1, operator.sub), "*": (2, operator.mul)}
+
+
 class ExprParser:
     """Recursive-descent parser over a token list; used for standalone
     polynomials and for rule bodies inside rule-set files."""
@@ -650,26 +676,15 @@ class ExprParser:
     def _show(tok: Token) -> str:
         return "end of input" if tok.kind == "EOF" else repr(str(tok.value))
 
-    def parse_expr(self) -> MultiPoly:
-        result = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.value in ("+", "-"):
-                self.take()
-                rhs = self.parse_term()
-                result = result + rhs if tok.value == "+" else result - rhs
-            else:
-                return result
-
-    def parse_term(self) -> MultiPoly:
+    def parse_expr(self, floor: int = 1) -> MultiPoly:
+        """Factors joined left to right by the operators binding at ``floor`` or tighter."""
         result = self.parse_factor()
         while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.value == "*":
-                self.take()
-                result = result * self.parse_factor()
-            else:
+            level, combine = _BINDS.get(self.peek().value, (0, None))  # only an OP matches
+            if level < floor:
                 return result
+            self.take()
+            result = combine(result, self.parse_expr(level + 1))  # the right operand binds tighter
 
     def parse_factor(self) -> MultiPoly:
         tok = self.peek()
@@ -744,6 +759,6 @@ def poly_sum(items: Iterable[MultiPoly]) -> MultiPoly:
 def monomial_sum(terms: Iterable[tuple[Scalar, Mapping[str, int]]]) -> MultiPoly:
     """Sum of ``coef * monomial(exps)`` over ``(coef, exps)`` pairs, in one
     pass.  The hot path of profile sums: each coefficient goes through
-    ``_coef``, but the exponents are not checked, so each must be a plain
-    ``int`` (``MultiPoly.monomial`` checks them)."""
+    ``_coef``, but the exponents and names are not checked, so each must be
+    a plain ``int`` and an identifier (``MultiPoly.monomial`` checks them)."""
     return _wrap(_collect((_mono(exps), _coef(coef)) for coef, exps in terms))

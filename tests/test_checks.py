@@ -798,29 +798,43 @@ BROKEN_ENUMERATORS = [
 
 @pytest.mark.parametrize("text, witness", BROKEN_ENUMERATORS)
 def test_symmetry_gamma_fails_on_a_broken_enumerator(monkeypatch, text, witness):
-    import eulab.checks
+    import eulab.gamma
 
-    real = eulab.checks.build
-    monkeypatch.setattr(eulab.checks, "build", lambda *a: real(*a)._replace(value=parse_poly(text)))
+    # the peel row of ``gamma.ROUTES`` looks ``build`` up in ``eulab.gamma``
+    real = eulab.gamma.build
+    monkeypatch.setattr(eulab.gamma, "build", lambda *a: real(*a)._replace(value=parse_poly(text)))
     report = verify("symmetry-gamma", n=2)
     assert (report.verdict, report.witness) == ("FAIL", witness)
 
 
 def test_prw_g_fails_on_a_disagreeing_route(monkeypatch):
-    import eulab.checks
+    import eulab.gamma
     from eulab.gamma import GammaRoute
 
-    real = eulab.checks.gamma_from_class
+    # the class rows of ``gamma.ROUTES`` look ``gamma_from_class`` up in
+    # ``eulab.gamma``; the witness names the row by its --interp name
+    real = eulab.gamma.gamma_from_class
 
     def route(r, n):
         gammas = real(r, n)
         return gammas[:-1] + [gammas[-1] + 1] if r is GammaRoute.NDD_DESCENTS else gammas
 
-    monkeypatch.setattr(eulab.checks, "gamma_from_class", route)
+    monkeypatch.setattr(eulab.gamma, "gamma_from_class", route)
     report = verify("prw-g", n=4)
     assert report.verdict == "FAIL"
-    assert report.witness == {"route": "NDD_DESCENTS", "k": 2, "expected": "3*al^2 + 2*al",
+    assert report.witness == {"route": "3", "k": 2, "expected": "3*al^2 + 2*al",
                               "got": "3*al^2 + 2*al + 1"}
+
+
+def test_prw_g_compares_every_route_row_with_the_peel(monkeypatch):
+    from eulab.gamma import ROUTES
+
+    monkeypatch.setitem(ROUTES, "same", ROUTES["expand"])
+    assert verify("prw-g", n=3).verdict == "PASS"
+    monkeypatch.setitem(ROUTES, "off", lambda n: [g + 1 for g in ROUTES["expand"](n)])
+    report = verify("prw-g", n=3)
+    assert report.verdict == "FAIL"
+    assert report.witness == {"route": "off", "k": 0, "expected": "al^3", "got": "al^3 + 1"}
 
 
 def test_cgk_alpha_checks_its_k0_term_against_the_convention(monkeypatch):

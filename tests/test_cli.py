@@ -1,5 +1,6 @@
 """Command-line surface: text output, JSON round-trips, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from eulab.checks import REGISTRY, CheckReport
 from eulab.cli import build_parser, main
 from eulab.enumerators import Enumerator, EnumeratorKind, build
+from eulab.gamma import ROUTES
 from eulab.perms import PermClass, parse_perm
 from eulab.poly import MultiPoly, parse_poly
 
@@ -113,6 +115,48 @@ def test_gamma_json(capsys):
     assert payload["n"] == 2
     gammas = [MultiPoly.from_json(g) for g in payload["gamma"]]
     assert gammas == [parse_poly("al^2"), parse_poly("al")]
+
+
+def _interp_choices() -> list:
+    gamma = build_parser()._subparsers._group_actions[0].choices["gamma"]
+    return next(a.choices for a in gamma._actions if a.dest == "interp")
+
+
+def test_interp_choices_are_the_route_table_in_order():
+    assert _interp_choices() == list(ROUTES) == ["1", "2", "3", "expand"]
+
+
+def test_a_new_route_row_is_an_interp_choice(monkeypatch, capsys):
+    monkeypatch.setitem(ROUTES, "double", lambda n: [2 * g for g in ROUTES["expand"](n)])
+    assert _interp_choices() == ["1", "2", "3", "expand", "double"]
+    assert run(capsys, "gamma", "-n", "2", "--interp", "double") == (
+        0, "gamma[0] = 2*α^2\ngamma[1] = 2*α\n", "")
+
+
+# sha256 of the stdout of ``eulab gamma -n 6 --interp X --json``
+GAMMA_JSON_DIGESTS = {
+    "1": "7bf7512c489bb04bcae1cc592b65632d15e09d9321ebab79436ddb3af6d80cc7",
+    "2": "1c1efe42eb29af6f61eb637b49aa751d9682c9de014551957d1be9c8393f38ee",
+    "3": "7778ff002612d6c6dd9ecd7771430b436487c5c11fcb36badc5b9711dfd29324",
+    "expand": "7ba9d597f622fba37e55772fd7fb0689d35b415f8bf5f895f3d30ac58ff204a2",
+}
+
+
+@pytest.mark.parametrize("interp", GAMMA_JSON_DIGESTS)
+def test_gamma_json_output_is_pinned(capsys, interp):
+    code, out, err = run(capsys, "gamma", "-n", "6", "--interp", interp, "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GAMMA_JSON_DIGESTS[interp]
+
+
+def test_gamma_help_is_pinned(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the help to the terminal width
+    with pytest.raises(SystemExit) as info:
+        main(["gamma", "--help"])
+    assert info.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "f346badd251d5a4028dc568fafb7101275916717627680ff133b0998696a8b26"
+    )
 
 
 def test_grammar_derive_file(tmp_path, capsys):

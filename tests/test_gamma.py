@@ -14,7 +14,7 @@ from eulab.errors import (
     NotSymmetricError,
     ValueOutOfRangeError,
 )
-from eulab.gamma import GammaRoute, basis_sum, gamma_expand, gamma_from_class
+from eulab.gamma import ROUTES, GammaRoute, basis_sum, gamma_expand, gamma_from_class
 from eulab.grammar import builtin, derive
 from eulab.perms import stats
 from eulab.poly import MultiPoly, parse_poly, poly_sum
@@ -238,3 +238,9 @@ def test_solve_inverts_the_basis_sum(case):
     # the basis is independent, so only all-zero gammas give the zero polynomial
     want = (n, gammas) if any(gammas) else (0, (MultiPoly.zero(),))
     assert (got.n, got.gammas) == want
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_every_route_row_equals_the_peel(n):
+    want = list(gamma_expand(build(EnumeratorKind.BSE, n).value).gammas)
+    assert {name: route(n) for name, route in ROUTES.items()} == dict.fromkeys(ROUTES, want)

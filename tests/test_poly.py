@@ -1,6 +1,8 @@
 """Exact multivariate Laurent polynomial arithmetic."""
 
 import functools
+import operator
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -841,3 +843,67 @@ def test_a_derivation_that_cancels_stores_no_term(steps):
 def test_a_derivation_stores_an_integral_fraction_as_an_int():
     p = parse_poly("1/2*x").derivation({"x": parse_poly("2*x^2")})
     assert [(m, c, type(c)) for m, c in p.terms()] == [((("x", 2),), 1, int)]
+
+
+@pytest.mark.parametrize("name", ["2x", "", "x y", "α", 3])
+def test_every_constructor_rejects_a_name_that_is_not_an_identifier(name):
+    # a non-str name is a TypeError, as a non-int exponent is; a str that is
+    # no identifier of the text form would not print as it parses
+    error, match = (ValueOutOfRangeError, repr(name)) if isinstance(name, str) else (TypeError, "str")
+    builds = [
+        lambda: MultiPoly.var(name),
+        lambda: MultiPoly({((name, 1),): 1}),
+        lambda: MultiPoly.monomial(2, {"x": 1, name: 1}),
+        lambda: MultiPoly.from_json({"terms": [{"exp": {name: 1}, "coef": "1/1"}]}),
+        lambda: parse_poly("x*y").rename({"x": name}),
+    ]
+    for make in builds:
+        with pytest.raises(error, match=re.escape(match)):
+            make()
+
+
+_names = st.lists(st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,3}", fullmatch=True),
+                  min_size=1, max_size=4, unique=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_names.flatmap(lambda names: small_polys(names=names)))
+def test_polys_over_any_valid_names_round_trip(p):
+    assert parse_poly(str(p)) == p == parse_poly(p.pretty())
+
+
+# binary operator -> (binding level, value); a tree is a leaf or (op, left, right)
+_OPS = {"+": (1, operator.add), "-": (1, operator.sub), "*": (2, operator.mul)}
+_trees = st.recursive(
+    st.one_of(st.sampled_from(["x", "y", "al"]), st.fractions(0, 3, max_denominator=2)),
+    lambda kids: st.tuples(st.sampled_from(list(_OPS)), kids, kids),
+    max_leaves=8,
+)
+
+
+def _shown(tree, floor: int = 1) -> str:
+    """The tree with only the parentheses its binding levels need: a left
+    operand binds at its operator's level or tighter, a right one tighter."""
+    if not isinstance(tree, tuple):
+        return str(tree)
+    op, left, right = tree
+    level = _OPS[op][0]
+    text = f"{_shown(left, level)} {op} {_shown(right, level + 1)}"
+    return f"({text})" if level < floor else text
+
+
+def _value(tree) -> MultiPoly:
+    if not isinstance(tree, tuple):
+        return MultiPoly.var(tree) if isinstance(tree, str) else MultiPoly.const(tree)
+    op, left, right = tree
+    return _OPS[op][1](_value(left), _value(right))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees)
+@example(("-", ("-", "x", "y"), "al"))  # x - y - al is (x - y) - al
+@example(("-", "x", ("-", "y", "al")))  # shown as x - (y - al)
+@example(("+", "x", ("*", "y", "al")))  # x + y * al needs no parentheses
+@example(("*", ("+", "x", "y"), "al"))  # shown as (x + y) * al
+def test_a_minimally_parenthesized_tree_parses_to_its_value(tree):
+    assert parse_poly(_shown(tree)) == _value(tree)
