@@ -17,18 +17,24 @@ Toggling distinct letters commutes, every toggle is an involution, and each
 orbit contains exactly one word free of double descents; the verification
 registry checks all of that exhaustively at small sizes.
 
+The rule lives in one kernel, ``_images``: one pass over a word gives its
+images under all n letters, each letter classified by its two neighbours
+and moved directly.  ``_toggle(w, x)`` is its entry for x; ``minima_hop``
+reads the minimum classification off ``perms`` and then asks ``_toggle``.
+
 One engine finds orbits: ``_walk`` maps each member of one word's orbit to
-its images under the letters 1..n, and ``_representative`` finds the orbit's
-one double-descent-free member.  ``orbit`` runs them on any word; ``pip`` and
+its images under the letters 1..n, one ``_images`` call per member, and
+``_representative`` finds the orbit's one double-descent-free member.
+``orbit`` and ``orbit_dot`` run them on any word; ``pip`` and
 ``group-action`` from each double-descent-free word of a class, one orbit
 at a time.
 
 Inputs are validated once, at the boundary: the public functions check the
 word with ``perms.check_word`` and the letter with ``_check_letter``.  The
-``_``-prefixed kernels (``_toggle`` and the move helpers it shares with the
-public swap and hop) trust their caller to hand them a permutation tuple
-and a letter of it; ``orbit`` and ``toggle_many`` validate their input once
-and then run on them.
+``_``-prefixed kernels (``_images``, ``_toggle`` and the swap helpers)
+trust their caller to hand them a permutation tuple and a letter of it;
+``orbit`` and ``toggle_many`` validate their input once and then run on
+them.
 """
 
 from __future__ import annotations
@@ -36,7 +42,17 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import RepresentativeError, ValueOutOfRangeError
-from .perms import Perm, _check_cap, check_word, format_perm
+from .perms import (
+    DOUBLE_ASC,
+    DOUBLE_DESC,
+    Perm,
+    _check_cap,
+    _classify,
+    check_word,
+    format_perm,
+    lrmin_values,
+    rlmin_values,
+)
 
 
 class Factorization(NamedTuple):
@@ -61,27 +77,6 @@ def _check_letter(w: Perm, x: int) -> int:
     return w.index(x)
 
 
-_SWAP, _HOP_LEFT, _HOP_RIGHT = "swap", "hop-left", "hop-right"
-
-
-def _move(w: Perm, i: int) -> str | None:
-    """The move the toggle makes on the letter at position i.  Its class is
-    read off its two neighbours (``n + 1`` stands for the +inf padding) and
-    the minimum test scans one side: a double ascent hops left when it is a
-    right-to-left minimum, a double descent hops right when it is a
-    left-to-right minimum, any other double ascent or descent is swapped,
-    and peaks and valleys (None) stay put."""
-    x = w[i]
-    top = len(w) + 1
-    left = w[i - 1] if i else top
-    right = w[i + 1] if i + 1 < len(w) else top
-    if left < x < right:
-        return _HOP_LEFT if min(w[i + 1 :], default=top) > x else _SWAP
-    if left > x > right:
-        return _HOP_RIGHT if min(w[:i], default=top) > x else _SWAP
-    return None
-
-
 def _runs(w: Perm, i: int) -> tuple[int, int]:
     """Bounds ``lo <= i < hi`` of the maximal runs of letters above w[i]
     flanking position i: they are ``w[lo:i]`` and ``w[i + 1:hi]``."""
@@ -101,31 +96,56 @@ def _swap(w: Perm, i: int) -> Perm:
     return w[:lo] + w[i + 1 : hi] + (w[i],) + w[lo:i] + w[hi:]
 
 
-def _hop(w: Perm, i: int, move: str) -> Perm:
-    """The minima hop of the letter x at position i.  Its anchor is the
-    greatest left-to-right minimum below x for a leftward hop, which is the
-    first letter below x, and the greatest right-to-left minimum below x for
-    a rightward one, which is the last letter below x.  x lands at the
-    anchor's position: just before the anchor going left, just after it
-    going right."""
-    x = w[i]
-    j, step = (0, 1) if move == _HOP_LEFT else (len(w) - 1, -1)
-    while w[j] > x:  # x has a smaller neighbour on the side the scan starts from
-        j += step
-    rest = w[:i] + w[i + 1 :]
-    return rest[:j] + (x,) + rest[j:]
+def _images(w: Perm) -> tuple:
+    """The images of w under the letters 1..n, in letter order, in one pass
+    over w: the one place the toggle rule lives.  Each letter's class is
+    read off its two neighbours (``n + 1`` stands for the +inf padding).  A
+    double ascent x moves to just before the next letter below it, scanning
+    rightward and wrapping to the start of the word; a double descent moves
+    to just after the previous letter below it, scanning leftward and
+    wrapping to the end.  Without the wrap this is the interval swap (the
+    run on the other side of x is empty).  The scan wraps exactly when x is
+    a right-to-left minimum double ascent (resp. a left-to-right minimum
+    double descent), and then lands at the greatest left-to-right (resp.
+    right-to-left) minimum below x: the minima hop.  Peaks and valleys stay
+    put."""
+    n = len(w)
+    out = [w] * n
+    left = top = n + 1
+    for i, x in enumerate(w):
+        right = w[i + 1] if i + 1 < n else top
+        if left < x < right:  # j: the position x lands before
+            j = i + 1
+            while j < n and w[j] > x:
+                j += 1
+            if j == n:
+                j = 0
+                while w[j] > x:
+                    j += 1
+        elif left > x > right:
+            j = i - 1
+            while j >= 0 and w[j] > x:
+                j -= 1
+            if j < 0:
+                j = n - 1
+                while w[j] > x:
+                    j -= 1
+            j += 1
+        else:
+            left = x
+            continue
+        left = x
+        if j > i:
+            out[x - 1] = w[:i] + w[i + 1 : j] + (x,) + w[j:]
+        else:
+            out[x - 1] = w[:j] + (x,) + w[j:i] + w[i + 1 :]
+    return tuple(out)
 
 
 def _toggle(w: Perm, x: int) -> Perm:
     """``toggle`` of a word already known to be a permutation tuple and a
     letter in 1..n."""
-    i = w.index(x)
-    move = _move(w, i)
-    if move is None:
-        return w
-    if move == _SWAP:
-        return _swap(w, i)
-    return _hop(w, i, move)
+    return _images(w)[x - 1]
 
 
 def x_factorization(word: Sequence[int], x: int) -> Factorization:
@@ -161,10 +181,11 @@ def minima_hop(word: Sequence[int], x: int) -> Perm:
     (1, 2)
     """
     w = check_word(word)
-    i = _check_letter(w, x)
-    move = _move(w, i)
-    if move in (_HOP_LEFT, _HOP_RIGHT):
-        return _hop(w, i, move)
+    kind = _classify(w)[_check_letter(w, x)]
+    if (kind == DOUBLE_ASC and x in rlmin_values(w)) or (
+        kind == DOUBLE_DESC and x in lrmin_values(w)
+    ):
+        return _toggle(w, x)
     return w
 
 
@@ -202,7 +223,7 @@ class Orbit(NamedTuple):
 
 def _has_double_descent(w: Perm) -> bool:
     """Whether some letter has a larger letter on each side (+inf padding, as
-    in ``_move``): the first letter when it descends, or one between two
+    in ``_images``): the first letter when it descends, or one between two
     descents.  A scan of its own, apart from the statistic profiles."""
     if len(w) > 1 and w[0] > w[1]:
         return True
@@ -216,12 +237,11 @@ def _walk(w: Perm) -> dict:
     """The toggle table of w's orbit: each member, w first, mapped to the
     tuple of its images under the letters 1..n.  The only code that builds
     a toggle table."""
-    xs = range(1, len(w) + 1)
     table, todo = {}, [w]
     while todo:
         u = todo.pop()
         if u not in table:
-            table[u] = images = tuple([_toggle(u, x) for x in xs])
+            table[u] = images = _images(u)
             todo.extend(images)
     return table
 
@@ -266,8 +286,7 @@ def orbit_dot(orb: Orbit) -> str:
         lines.append(f'  "{names[w]}"{style};')
     edges = set()
     for w in list(names):
-        for x in range(1, n + 1):
-            v = _toggle(w, x)
+        for x, v in enumerate(_images(w), start=1):
             if v != w:
                 if v not in names:  # a hand-built orbit need not be closed
                     names[v] = format_perm(v)

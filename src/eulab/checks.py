@@ -294,7 +294,8 @@ def _check_pip(klass: str, n: int) -> dict:
     """Per-orbit product formula: each orbit's statistic sum collapses to a
     single product read off its double-descent-free member, in both the
     four-variable and the two-variable alphabets; the orbit totals recover
-    the class enumerator."""
+    the class enumerator.  The two sides are compared once per distinct
+    orbit shape (key and profile multiset)."""
     tag = PermClass(klass)
     alphabets = (_REFINED_BASIS, _DES_ASC_BASIS)
 
@@ -303,7 +304,7 @@ def _check_pip(klass: str, n: int) -> dict:
         _, pair, linear = alphabets[alphabet]
         return pair**peaks * linear**double_asc * MultiPoly.monomial(1, {"al": weight})
 
-    keys = Counter()
+    keys, shapes = Counter(), set()
     for r, table in _orbit_tables(tag, letters(tag, n)):
         # r alone is free of double descents, and no member leaves the class
         _representative(table, r)
@@ -316,11 +317,17 @@ def _check_pip(klass: str, n: int) -> dict:
         key = (profiles[0].peaks, profiles[0].double_asc, profiles[0].weight)
         keys[key] += 1
         counts = Counter(profiles)
+        # the left side is a function of the profile multiset and the right
+        # side of the key, so an orbit of a shape already matched holds too
+        shape = (key, frozenset(counts.items()))
+        if shape in shapes:
+            continue
         for alphabet, (exponents, _, _) in enumerate(alphabets):
             lhs = monomial_sum((c, exponents(s)) for s, c in counts.items())
             rhs = product(alphabet, *key)
             if lhs != rhs:
                 raise Mismatch(representative=format_perm(r), lhs=str(lhs), rhs=str(rhs))
+        shapes.add(shape)
     total = poly_sum(c * product(1, *key) for key, c in keys.items())
     _agree(orbit_total=total, enumerator=_class_enumerator(tag, n))
     return {"orbits": sum(keys.values())}

@@ -156,6 +156,22 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _checks_epilog() -> str:
+    """Each registry name with its summary, wrapped to 79 columns by hand
+    (``textwrap`` would add to the import time of every command)."""
+    width = max(map(len, REGISTRY))
+    lines = ["checks:"]
+    for name, defn in REGISTRY.items():
+        line = f"  {name:<{width}} "
+        for word in defn.summary.split():
+            if len(line) + 1 + len(word) > 79:
+                lines.append(line)
+                line = " " * (width + 3)
+            line += " " + word
+        lines.append(line)
+    return "\n".join(lines)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eulab",
@@ -216,7 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("-n", type=int, required=True)
     p_table.add_argument("--json", action="store_true")
 
-    p_verify = sub.add_parser("verify", help="run identity checks")
+    p_verify = sub.add_parser(
+        "verify",
+        help="run identity checks",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog=_checks_epilog(),
+    )
     p_verify.add_argument(
         "check",
         metavar="check",

@@ -14,8 +14,9 @@ permutation classes, one profile sum per route with its own filter and
 statistic (documented on the enum), without touching the peeling route.
 ``ROUTES`` maps each ``eulab gamma --interp`` name to ``n -> [gamma_0..]``:
 the class routes, then ``"expand"``, the peel of ``build(BSE, n)`` and the
-reference that ``prw-g`` compares every other row with.  A row looks its
-functions up here when called, so a patched one is seen.
+reference that ``prw-g`` compares every other row with.  Every row runs one
+range check on n first, and looks its functions up here when called, so a
+patched one is seen.
 """
 
 from __future__ import annotations
@@ -110,6 +111,13 @@ _CLASS_ROUTES = {
 }
 
 
+def _check_n(owner: str, n: int) -> None:
+    """The one range check of the coefficient routes: a plain int n >= 0."""
+    _require_ints(owner, n=n)
+    if n < 0:
+        raise ValueOutOfRangeError(f"n must be at least 0, got {n}")
+
+
 def gamma_from_class(route: GammaRoute, n: int) -> list:
     """Coefficient list gamma_0..gamma_floor(n/2) computed by enumeration.
 
@@ -117,9 +125,7 @@ def gamma_from_class(route: GammaRoute, n: int) -> list:
     '3*al^2 + 2*al'
     """
     route = GammaRoute(route)
-    _require_ints("gamma_from_class", n=n)
-    if n < 0:
-        raise ValueOutOfRangeError(f"n must be at least 0, got {n}")
+    _check_n("gamma_from_class", n)
     tag, exponents = _CLASS_ROUTES[route]
     rows = profile_sum(tag, letters(tag, n), exponents).coefficients(["k"])
     gammas = [rows.get((k,), MultiPoly.zero()) for k in range(n // 2 + 1)]
@@ -128,5 +134,15 @@ def gamma_from_class(route: GammaRoute, n: int) -> list:
     return gammas
 
 
-ROUTES = {str(r.value): (lambda n, r=r: gamma_from_class(r, n)) for r in GammaRoute}
-ROUTES["expand"] = lambda n: list(gamma_expand(build(EnumeratorKind.BSE, n).value).gammas)
+def _row(compute):
+    """A ``ROUTES`` row: ``_check_n``, one message for every row, then ``compute``."""
+
+    def row(n: int) -> list:
+        _check_n("gamma", n)
+        return compute(n)
+
+    return row
+
+
+ROUTES = {str(r.value): _row(lambda n, r=r: gamma_from_class(r, n)) for r in GammaRoute}
+ROUTES["expand"] = _row(lambda n: list(gamma_expand(build(EnumeratorKind.BSE, n).value).gammas))

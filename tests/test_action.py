@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from eulab.action import (
     Factorization,
+    _images,
     Orbit,
     interval_swap,
     minima_hop,
@@ -329,6 +330,13 @@ def test_toggle_kernel_matches_the_multi_pass_oracle(n):
     for p in permutations(range(1, n + 1)):
         for x in range(1, n + 1):
             assert toggle(p, x) == _toggle_oracle(p, x), (p, x)
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_images_kernel_matches_the_oracle_letter_by_letter(n):
+    # the one place the toggle rule lives: every letter's image in one pass
+    for p in permutations(range(1, n + 1)):
+        assert _images(p) == tuple(_toggle_oracle(p, x) for x in range(1, n + 1)), p
 
 
 def test_hop_and_swap_match_the_oracle_moves():

@@ -350,12 +350,21 @@ WRONG_MOVES = [
 ]
 
 
+def _install(monkeypatch, kernel, wrong):
+    # patch a kernel of eulab.action; a per-letter mutant of ``_toggle`` goes
+    # in as the images kernel that ``_walk`` calls, one call per letter
+    import eulab.action
+
+    if kernel == "_toggle":
+        move = wrong
+        kernel, wrong = "_images", lambda w: tuple([move(w, x) for x in range(1, len(w) + 1)])
+    monkeypatch.setattr(eulab.action, kernel, wrong)
+
+
 @pytest.mark.parametrize("wrong", WRONG_MOVES)
 @pytest.mark.parametrize("name", ["_toggle"])
 def test_group_action_fails_on_a_wrong_toggle(monkeypatch, name, wrong):
-    import eulab.action
-
-    monkeypatch.setattr(eulab.action, name, wrong)
+    _install(monkeypatch, name, wrong)
     report = verify("group-action", n=4)
     assert not report.passed
     assert "letter" in report.witness
@@ -367,17 +376,17 @@ def test_group_action_checks_commutation_on_seven_letters(monkeypatch):
     # commutation test sees that toggles 2 and 4 no longer commute
     import eulab.action
 
-    real = eulab.action._toggle
+    real = eulab.action._images
     traded = {}
     for a, b in (("1234576", "4123657"), ("1234657", "4123576")):
         a, b = tuple(map(int, a)), tuple(map(int, b))
-        assert real(a, 4) != b and real(b, 4) != a
+        assert real(a)[3] != b and real(b)[3] != a
         traded[a], traded[b] = b, a
 
     def wrong(w, x):
-        return traded[w] if x == 4 and w in traded else real(w, x)
+        return traded[w] if x == 4 and w in traded else real(w)[x - 1]
 
-    monkeypatch.setattr(eulab.action, "_toggle", wrong)
+    _install(monkeypatch, "_toggle", wrong)
     assert verify("group-action", n=7).witness == {
         "word": "1 2 3 4 5 7 6", "letters": [2, 4], "reason": "toggles do not commute",
     }
@@ -405,9 +414,7 @@ PIP_WRONG_MOVE_WITNESSES = {
 @pytest.mark.parametrize("wrong", WRONG_MOVES)
 @pytest.mark.parametrize("klass", ["sym", "prw"])
 def test_pip_fails_on_a_wrong_toggle(monkeypatch, klass, wrong):
-    import eulab.action
-
-    monkeypatch.setattr(eulab.action, "_toggle", wrong)
+    _install(monkeypatch, "_toggle", wrong)
     report = verify("pip", klass=klass, n=4)
     assert report.witness == PIP_WRONG_MOVE_WITNESSES[klass][WRONG_MOVES.index(wrong)]
 
@@ -417,12 +424,12 @@ def _escaping(word, letter, image):
     # a word outside the decreasing-prefix class that every letter fixes
     import eulab.action
 
-    real = eulab.action._toggle
+    real = eulab.action._images
 
     def wrong(w, x):
         if w == image:
             return w
-        return image if (w, x) == (word, letter) else real(w, x)
+        return image if (w, x) == (word, letter) else real(w)[x - 1]
 
     return wrong
 
@@ -442,9 +449,7 @@ ESCAPES = [
 
 @pytest.mark.parametrize("word, letter, image, witness", ESCAPES)
 def test_pip_reports_an_orbit_that_leaves_the_class(monkeypatch, word, letter, image, witness):
-    import eulab.action
-
-    monkeypatch.setattr(eulab.action, "_toggle", _escaping(word, letter, image))
+    _install(monkeypatch, "_toggle", _escaping(word, letter, image))
     report = verify("pip", klass="prw", n=4)
     assert report.to_json() == {
         "check": "pip", "params": {"klass": "prw", "n": 4}, "verdict": "FAIL", "witness": witness,
@@ -454,10 +459,8 @@ def test_pip_reports_an_orbit_that_leaves_the_class(monkeypatch, word, letter, i
 def test_pip_names_the_least_stray_of_the_public_orbit(monkeypatch):
     # one engine: the public orbit of the representative holds the same
     # words as pip's walk, and the stray is its least word outside the class
-    import eulab.action
-
     word, letter, image, witness = ESCAPES[0]
-    monkeypatch.setattr(eulab.action, "_toggle", _escaping(word, letter, image))
+    _install(monkeypatch, "_toggle", _escaping(word, letter, image))
     assert verify("pip", klass="prw", n=4).witness == witness
     members = orbit(parse_perm(witness["orbit_of"])).members
     strays = set(members) - set(enumerate_class(PermClass.PRW, 5))
@@ -500,12 +503,11 @@ def test_a_blind_double_descent_scan_fails_pip_and_group_action(monkeypatch):
 # module at call time, so a mutant reaches the oracle too.
 
 
-def _oracle_table(words, m):
+def _oracle_table(words):
     import eulab.action
 
     own = {w: w for w in words}
-    return {w: tuple([own.get(v, v) for v in [eulab.action._toggle(w, x) for x in range(1, m + 1)]])
-            for w in words}
+    return {w: tuple([own.get(v, v) for v in eulab.action._images(w)]) for w in words}
 
 
 def _oracle_orbits(table):
@@ -546,7 +548,7 @@ def _oracle_pip(klass, n):
 
     tag = PermClass(klass)
     m = letters(tag, n)
-    orbits = _oracle_orbits(_oracle_table(list(enumerate_class(tag, m)), m))
+    orbits = _oracle_orbits(_oracle_table(list(enumerate_class(tag, m))))
     alphabets = (_REFINED_BASIS, _DES_ASC_BASIS)
 
     def product(alphabet, peaks, double_asc, weight):
@@ -576,7 +578,7 @@ def _oracle_group_action(n):
     from eulab.perms import _is_prefix_decreasing, lrmin_values, rlmin_values
 
     words = list(enumerate_class(PermClass.SYM, n))
-    table = _oracle_table(words, n)
+    table = _oracle_table(words)
     profile, kinds, prefix_dec = ({w: fact(w) for w in words} for fact in (
         _stats, _classify, _is_prefix_decreasing))
     lrmin, rlmin = ({w: fact(w) for w in words} for fact in (lrmin_values, rlmin_values))
@@ -637,9 +639,10 @@ def test_pip_and_group_action_match_the_table_oracle(n):
         assert (report.verdict, report.witness) == _oracle(name, n=n, **params), (name, params)
 
 
-# mutants of the action kernels, each patched into ``eulab.action``: the
-# wrong moves, a toggle that escapes the decreasing-prefix class, a blind
-# double-descent scan and one that sees a double descent everywhere
+# mutants of the action kernels, each patched into ``eulab.action`` by
+# ``_install``: the wrong moves, a toggle that escapes the decreasing-prefix
+# class, a blind double-descent scan and one that sees a double descent
+# everywhere
 ORACLE_MUTANTS = [("_toggle", wrong) for wrong in WRONG_MOVES] + [
     ("_toggle", "escape"),
     ("_has_double_descent", lambda w: False),
@@ -651,11 +654,9 @@ ORACLE_MUTANTS = [("_toggle", wrong) for wrong in WRONG_MOVES] + [
 def test_pip_and_group_action_fail_where_the_table_oracle_fails(monkeypatch, kernel, wrong):
     # the witnesses may differ (the orbit walk checks one orbit at a time),
     # the verdicts may not
-    import eulab.action
-
     if wrong == "escape":
         wrong = _escaping(*ESCAPES[0][:3])
-    monkeypatch.setattr(eulab.action, kernel, wrong)
+    _install(monkeypatch, kernel, wrong)
     for n in range(1, 6):
         for name, params in ORACLE_RUNS:
             got = verify(name, n=n, **params).verdict
@@ -706,6 +707,43 @@ def test_pip_fails_on_a_wrong_profile(monkeypatch, klass, wrong, caught_by):
     report = verify("pip", klass=klass, n=4)
     assert not report.passed
     assert caught_by in report.witness
+
+
+def test_pip_compares_an_orbit_whose_own_shape_is_new(monkeypatch):
+    # the orbit of 1 3 2 4 has the key and the profile multiset of the
+    # orbit of 1 2 4 3 before it; a wrong profile on its other member alone
+    # gives it a shape of its own, so pip compares it and names it
+    import eulab.checks
+
+    assert orbit((1, 3, 2, 4)).members == ((1, 3, 2, 4), (4, 1, 3, 2))
+    monkeypatch.setattr(eulab.checks, "_stats",
+                        lambda w: _stats(w[::-1]) if w == (4, 1, 3, 2) else _stats(w))
+    assert verify("pip", klass="sym", n=4).witness == {
+        "representative": "1 3 2 4", "lhs": "2*al^2*u1*u2*u3",
+        "rhs": "al^2*u1*u2*u3 + al^2*u1*u2*u4",
+    }
+
+
+@pytest.mark.parametrize("klass, n", [("sym", 4), ("sym", 5), ("prw", 4)])
+def test_pip_compares_each_distinct_orbit_shape_once(monkeypatch, klass, n):
+    # one left side per alphabet for each (key, profile multiset) of the
+    # public orbits of the class's double-descent-free words
+    import collections
+
+    import eulab.checks
+
+    tag = PermClass(klass)
+    shapes = set()
+    for r in enumerate_class(tag, letters(tag, n)):
+        if not _stats(r).double_desc:
+            key = (_stats(r).peaks, _stats(r).double_asc, _stats(r).weight)
+            counts = collections.Counter(_stats(w) for w in orbit(r).members)
+            shapes.add((key, frozenset(counts.items())))
+    sums = []
+    real = eulab.checks.monomial_sum
+    monkeypatch.setattr(eulab.checks, "monomial_sum", lambda terms: sums.append(1) or real(terms))
+    assert verify("pip", klass=klass, n=n).passed
+    assert len(sums) == 2 * len(shapes)
 
 
 def _bumped(field):

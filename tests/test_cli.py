@@ -109,6 +109,14 @@ def test_gamma_at_n_zero(capsys, interp):
     assert run(capsys, "gamma", "-n", "0", "--interp", interp) == (0, "gamma[0] = 1\n", "")
 
 
+def test_every_route_rejects_a_negative_n_alike(capsys):
+    # one range check in front of every row of the route table
+    got = {interp: run(capsys, "gamma", "-n", "-1", "--interp", interp) for interp in ROUTES}
+    assert set(got.values()) == {
+        (2, "", "error [VALUE_OUT_OF_RANGE]: n must be at least 0, got -1\n")
+    }
+
+
 def test_gamma_json(capsys):
     code, out, _ = run(capsys, "gamma", "-n", "2", "--json")
     payload = json.loads(out)
@@ -280,6 +288,29 @@ def test_bijection_table_json_is_the_emitted_payload(capsys, n):
     payload = {"n": n, "pairs": [[format_perm(w), format_perm(p)] for w, p in pair_table(n)]}
     assert run(capsys, "bijection", "table", "-n", str(n), "--json") == (
         0, json.dumps(payload, indent=2) + "\n", "")
+
+
+def _verify_help(monkeypatch, capsys) -> str:
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--help"])
+    assert info.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_verify_help_lists_every_check_with_its_summary(monkeypatch, capsys):
+    out = _verify_help(monkeypatch, capsys)
+    assert max(map(len, out.splitlines())) <= 79
+    words = " ".join(out.split())  # the summaries wrap across lines
+    for name, defn in REGISTRY.items():
+        assert f" {name} {' '.join(defn.summary.split())}" in words, name
+
+
+def test_verify_help_is_read_off_the_registry(monkeypatch, capsys):
+    monkeypatch.setitem(REGISTRY, "extra", REGISTRY["pip"]._replace(
+        name="extra", summary="a row added to the table alone"))
+    out = _verify_help(monkeypatch, capsys)
+    assert out.rstrip().endswith("extra           a row added to the table alone")
 
 
 def test_verify_single_check(capsys):
