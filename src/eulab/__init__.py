@@ -10,7 +10,7 @@ by brute-force enumeration at small sizes.
 
 from .action import Factorization, Orbit, interval_swap, minima_hop, orbit, toggle, toggle_many
 from .bijection import mirror, pair_table
-from .checks import REGISTRY, CheckReport, verify, verify_all
+from .checks import PROOFS, REGISTRY, CheckReport, verify, verify_all, verify_proofs
 from .enumerators import (
     Enumerator,
     EnumeratorKind,
@@ -47,6 +47,7 @@ __all__ = [
     "LabelWord",
     "MultiPoly",
     "Orbit",
+    "PROOFS",
     "PermClass",
     "REGISTRY",
     "StatProfile",
@@ -75,4 +76,5 @@ __all__ = [
     "toggle_many",
     "verify",
     "verify_all",
+    "verify_proofs",
 ]

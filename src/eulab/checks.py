@@ -19,10 +19,19 @@ parameters, one rule per parameter name:
 
 * ``n`` sweeps ``lo..hi``;
 * ``a``, ``b`` sweep every pair with a, b >= 1 and ``lo <= a + b <= hi``;
-* ``klass`` sweeps ``CLASSES`` (outermost), each with the whole ``n`` range.
+* ``klass`` sweeps ``CLASSES`` (outermost), each with the whole ``n`` range;
+* no parameter at all: the row runs once, and its ``lo`` and ``hi`` are not
+  read.
 
 ``max_n``, when given, replaces ``hi``.  ``lo`` is also a floor: ``verify``
 rejects an ``n`` below it before the check runs.
+
+There are two tables.  ``REGISTRY`` holds the checks that ``verify_all``
+sweeps; its report list is pinned, so it does not grow.  ``PROOFS`` holds
+the rows that ``verify_proofs`` runs, each once: identities that hold for
+every size by a finite argument, or a fast route checked against its
+enumeration oracle.  Names are unique across the two, and ``verify`` runs a
+row of either.
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ from .enumerators import (
     alternating_weight,
     build,
     euler_number,
+    profile_counts,
     profile_sum,
     stirling_eulerian,
 )
@@ -432,13 +442,32 @@ def _check_group_action(n: int) -> None:
             raise Mismatch(representative=format_perm(r), size=len(table), expected=expected)
 
 
+def _check_profile_rules() -> dict:
+    """The profile table of every class, read off its rule set, equals the
+    table counted over the class's enumerated words, on 0 to 8 letters.  A
+    mismatch names the least profile whose two counts differ."""
+    for tag in PermClass:
+        for m in range(9):
+            derived = dict(profile_counts(tag, m))
+            # enumerated words are valid, so they go straight to the kernel
+            enumerated = Counter(_stats(w) for w in enumerate_class(tag, m))
+            wrong = [s for s in derived.keys() | enumerated.keys()
+                     if derived.get(s, 0) != enumerated[s]]
+            if wrong:
+                s = min(wrong)
+                raise Mismatch(**{"class": tag.value, "letters": m, "profile": s._asdict(),
+                                  "derived": derived.get(s, 0), "enumerated": enumerated[s]})
+    return {"tables": 9 * len(PermClass)}
+
+
 # -- registry ----------------------------------------------------------------
 
 CLASSES = (PermClass.SYM.value, PermClass.PRW.value)
 
 
 class CheckDef(NamedTuple):
-    """One registry entry; see the module docstring for the grid rule."""
+    """One row of ``REGISTRY`` or ``PROOFS``; see the module docstring for
+    the grid rule."""
 
     name: str
     run: Callable[..., dict | None]
@@ -449,6 +478,8 @@ class CheckDef(NamedTuple):
 
     def sweep(self, max_n: int | None = None) -> list:
         """Parameter dicts of the default sweep, in run order."""
+        if not self.params:
+            return [{}]
         top = self.hi if max_n is None else max_n
         if "a" in self.params:
             grid = [{"a": a, "b": s - a} for s in range(self.lo, top + 1) for a in range(1, s)]
@@ -460,6 +491,8 @@ class CheckDef(NamedTuple):
 
     def describe(self, max_n: int | None = None) -> str:
         """One-line description of the default sweep."""
+        if not self.params:
+            return "once"
         top = self.hi if max_n is None else max_n
         if "a" in self.params:
             return f"a,b>=1, a+b<={top}"
@@ -504,18 +537,29 @@ REGISTRY: dict = {
     )
 }
 
+PROOFS: dict = {
+    d.name: d
+    for d in (
+        # name, run, lo, hi (unread: each row runs once), summary, params
+        CheckDef("profile-rules", _check_profile_rules, 0, 0,
+                 "every class's profile table from its rule set equals the enumerated one, "
+                 "on 0 to 8 letters", ()),
+    )
+}
+
 
 def verify(name: str, **params) -> CheckReport:
-    """Run one named check; the report's params are the arguments it ran
-    with, in the order the row declares them, and every one is required.
+    """Run one named check, a row of ``REGISTRY`` or of ``PROOFS``; the
+    report's params are the arguments it ran with, in the order the row
+    declares them, and every one is required.
     Mathematical mismatches come back as FAIL reports; unknown names,
     parameters that the row does not declare, a missing one, parameters
     that are not plain ints, classes outside ``CLASSES``, an ``n`` below the
     check's ``lo`` and an ``a`` or ``b`` below 1 raise, and so does any
     other error from the check body."""
-    defn = REGISTRY.get(name)
+    defn = REGISTRY.get(name) or PROOFS.get(name)
     if defn is None:
-        known = ", ".join(REGISTRY)
+        known = ", ".join([*REGISTRY, *PROOFS])
         raise UnknownCheckError(f"no check named {name!r} (known: {known})")
     missing = [p for p in defn.params if p not in params]
     unknown = [p for p in params if p not in defn.params]
@@ -551,12 +595,25 @@ def verify_all(max_n: int | None = None, seed: int = 0) -> list:
     check samples; it is still accepted, as an int, for existing callers
     and goes with ROADMAP item 15."""
     _require_ints("verify_all", **({} if max_n is None else {"max_n": max_n}), seed=seed)
-    grids = {name: defn.sweep(max_n) for name, defn in REGISTRY.items()}
+    return _run_table(REGISTRY, max_n)
+
+
+def verify_proofs() -> list:
+    """Run every row of ``PROOFS`` once; one report per row, in table
+    order, aggregated as ``verify_all`` aggregates its sweeps."""
+    return _run_table(PROOFS, None)
+
+
+def _run_table(table: dict, max_n: int | None) -> list:
+    """One aggregated report per row of a table: PASS with the number of
+    runs, or the first FAIL with its parameters.  A ``max_n`` that leaves
+    some row no runs is rejected before any row runs."""
+    grids = {name: defn.sweep(max_n) for name, defn in table.items()}
     empty = [name for name, grid in grids.items() if not grid]
     if empty:
         raise ValueOutOfRangeError(f"max_n={max_n} leaves no runs for {', '.join(empty)}")
     out = []
-    for defn in REGISTRY.values():
+    for defn in table.values():
         sweep = {"sweep": defn.describe(max_n)}
         runs = 0
         for params in grids[defn.name]:

@@ -13,7 +13,7 @@ import sys
 
 from .action import orbit, orbit_dot
 from .bijection import mirror, mirror_pairs
-from .checks import CLASSES, REGISTRY, verify, verify_all
+from .checks import CLASSES, PROOFS, REGISTRY, verify, verify_all, verify_proofs
 from .enumerators import KINDS, build
 from .errors import CapExceededError, EulabError, ValueOutOfRangeError
 from .gamma import ROUTES
@@ -121,19 +121,21 @@ def _cmd_bijection(args) -> int:
 
 # each flag of ``eulab verify`` -> the parameter it sets (its argparse dest)
 _VERIFY_FLAGS = {"-n": "n", "-a": "a", "-b": "b", "--class": "klass", "--max-n": "max_n"}
+# each table-wide run of ``eulab verify`` -> (the parameters it takes, its function)
+_VERIFY_TABLES = {"all": (("max_n",), verify_all), "proofs": ((), verify_proofs)}
 
 
 def _cmd_verify(args) -> int:
-    sweep = args.check == "all"
-    # 'all' takes --max-n; one check takes the flags of its parameters
-    takes = ("max_n",) if sweep else REGISTRY[args.check].params
+    sweep = _VERIFY_TABLES.get(args.check)
+    # a table-wide run takes its own flags; one check the flags of its parameters
+    takes = sweep[0] if sweep else {**REGISTRY, **PROOFS}[args.check].params
     params = {p: getattr(args, p) for p in _VERIFY_FLAGS.values() if getattr(args, p) is not None}
     stray = [f for f, p in _VERIFY_FLAGS.items() if p in params and p not in takes]
     if stray:
-        target = "'all'" if sweep else f"check {args.check!r}"
+        target = f"'{args.check}'" if sweep else f"check {args.check!r}"
         raise ValueOutOfRangeError(f"{target} does not take {', '.join(stray)}")
     if sweep:
-        reports = verify_all(**params)
+        reports = sweep[1](**params)
         if args.json:
             _emit([r.to_json() for r in reports])
         else:
@@ -157,18 +159,22 @@ def _cmd_verify(args) -> int:
 
 
 def _checks_epilog() -> str:
-    """Each registry name with its summary, wrapped to 79 columns by hand
-    (``textwrap`` would add to the import time of every command)."""
-    width = max(map(len, REGISTRY))
-    lines = ["checks:"]
-    for name, defn in REGISTRY.items():
-        line = f"  {name:<{width}} "
-        for word in defn.summary.split():
-            if len(line) + 1 + len(word) > 79:
-                lines.append(line)
-                line = " " * (width + 3)
-            line += " " + word
-        lines.append(line)
+    """Each name of the two check tables with its summary, wrapped to 79
+    columns by hand (``textwrap`` would add to the import time of every
+    command): the rows that 'proofs' runs, then those that 'all' sweeps."""
+    width = max(map(len, [*REGISTRY, *PROOFS]))
+    lines = []
+    for title, table in (("proofs (run once each by 'proofs'):", PROOFS),
+                         ("checks (swept by 'all'):", REGISTRY)):
+        lines.append(title)
+        for name, defn in table.items():
+            line = f"  {name:<{width}} "
+            for word in defn.summary.split():
+                if len(line) + 1 + len(word) > 79:
+                    lines.append(line)
+                    line = " " * (width + 3)
+                line += " " + word
+            lines.append(line)
     return "\n".join(lines)
 
 
@@ -241,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "check",
         metavar="check",
-        choices=("all", *REGISTRY),
-        help="'all' or one of: " + ", ".join(REGISTRY),
+        choices=(*_VERIFY_TABLES, *REGISTRY, *PROOFS),
+        help="'all', 'proofs' or one check of: " + ", ".join([*REGISTRY, *PROOFS]),
     )
     p_verify.add_argument("-n", type=int)
     p_verify.add_argument("-a", type=int)

@@ -2,8 +2,42 @@
 
 Every enumerator sums one monomial per word of a class, with exponents read
 off the word's statistic profile and the weight variable ``al`` raised to
-the minima count.  Profile multiplicities per class are cached, so repeated
-sums at the same size enumerate only once.
+the minima count.  The profile multiplicities of a class come from a rule
+set, not from its words, and each table is cached, so repeated sums at the
+same size compute it only once.
+
+``profile_counts`` reads a class's table off D^(m-1)(f0*e0), the
+derivative of a built-in rule set (``profile-sym`` or ``profile-prw`` of
+``eulab.grammar``) on m letters.  Inserting the largest letter into a slot
+of a word changes its profile by an amount that depends only on the class
+of the letter that owns the slot (an ascent slot belongs to the letter on
+its right, a descent slot to the letter on its left, the two end slots to
+the end letters), so each rule is one kind of letter.  The variables read:
+
+* ``x``: a descent, so asc = m-1-des; ``pk``: a peak, so valleys = peaks+1;
+* ``ida``: a double ascent that is not a right-to-left minimum; ``idd``: a
+  double descent that is not a left-to-right minimum;
+* ``F``, ``f0``: the first letter is, or is not, a double descent; ``ldd``:
+  another left-to-right minimum that is a double descent, so lrmin_dd =
+  ldd + F;
+* ``E``, ``e0``: the last letter is, or is not, a double ascent; ``rda``:
+  another right-to-left minimum that is a double ascent, so rlmin_da =
+  rda + E;
+* ``l``, ``r``: a left-to-right or right-to-left minimum besides the value
+  1, so lrmin = 1+l and rlmin = 1+r.
+
+Different monomials can read as one profile (``F`` and ``ldd``, ``E`` and
+``rda``), so counts are summed per profile.  The two smaller classes keep
+some monomials of the ``profile-sym`` derivative: words with no interior
+double descent are those with no ``idd`` or ``ldd``, and the down-up
+alternating words on two or more letters those with ``F`` and no ``idd``,
+``ldd``, ``ida`` or ``rda``.  The filter runs on the finished derivative
+only: a later step can turn ``idd`` or ``ldd`` into ``pk``, so a monomial
+pruned early would miss words.  One derivative per rule set and size is
+cached, each size one step past the size below, and shared by the classes
+that read it.  The empty word is a literal row.  The ``profile-rules``
+entry of ``eulab.checks.PROOFS`` compares every table on 0 to 8 letters with
+the one counted over the class's enumerated words.
 
 ``KINDS`` is the one table of enumerator kinds: each kind names the classes
 it may run over (the first is the default) and its exponent map.  ``build``
@@ -25,14 +59,13 @@ have n (see ``perms.letters``).
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from enum import Enum
 from math import comb
 from typing import Callable, NamedTuple
 
 from .errors import ValueOutOfRangeError
-from .perms import (PermClass, StatProfile, _check_cap, _require_ints, _stats, enumerate_class,
-                    letters)
+from .grammar import builtin, derive
+from .perms import PermClass, StatProfile, _check_cap, _require_ints, letters
 from .poly import MultiPoly, monomial_sum
 
 
@@ -72,13 +105,59 @@ class Enumerator(NamedTuple):
                    MultiPoly.from_json(payload["value"]))
 
 
+# class -> (built-in rule set, the monomials of its derivative that the
+# class keeps, or None for all); see the module docstring
+_PROFILE_RULES = {
+    PermClass.SYM: ("profile-sym", None),
+    PermClass.PRW: ("profile-prw", None),
+    PermClass.NDD_INTERIOR: ("profile-sym", lambda e, m: not e.keys() & {"idd", "ldd"}),
+    PermClass.ALT_DOWN_UP: (
+        "profile-sym",
+        lambda e, m: m < 2 or ("F" in e and not e.keys() & {"idd", "ldd", "ida", "rda"}),
+    ),
+}
+
+_EMPTY_WORD = StatProfile(*(0,) * len(StatProfile._fields))
+
+
+@functools.cache
+def _derivative(rules: str, m: int) -> MultiPoly:
+    """D^(m-1)(f0*e0) under a built-in rule set, for m >= 1 letters: one
+    step past the derivative on m - 1 letters."""
+    if m == 1:
+        return MultiPoly.monomial(1, {"f0": 1, "e0": 1})
+    return derive(builtin(rules), _derivative(rules, m - 1), 1)
+
+
+def _profile(e: dict, m: int) -> StatProfile:
+    """The profile of the words on m letters that a monomial's exponent map
+    ``e`` counts."""
+    des, peaks, ida, idd = e.get("x", 0), e.get("pk", 0), e.get("ida", 0), e.get("idd", 0)
+    rlmin_da, lrmin_dd = e.get("rda", 0) + e.get("E", 0), e.get("ldd", 0) + e.get("F", 0)
+    return StatProfile(m, des, m - 1 - des, peaks, peaks + 1, ida + rlmin_da, idd + lrmin_dd,
+                       1 + e.get("l", 0), 1 + e.get("r", 0), ida, idd, rlmin_da, lrmin_dd)
+
+
 @functools.lru_cache(maxsize=None, typed=True)
 def profile_counts(tag: PermClass, n: int) -> tuple:
-    """Multiplicity of each statistic profile over a class, as a sorted
-    tuple of (StatProfile, count) pairs.  A size past the enumeration cap,
-    or not a plain int, is rejected before any word is generated; the cache
-    is typed, so ``2.0`` never reads the table of ``2``."""
-    return tuple(sorted(Counter(_stats(w) for w in enumerate_class(tag, n)).items()))
+    """Multiplicity of each statistic profile over a class on n letters, as
+    a sorted tuple of (StatProfile, count) pairs, read off a rule-set
+    derivative (see the module docstring); no word is generated.  A size
+    past the enumeration cap, or not a plain int, is rejected before any
+    step; the cache is typed, so ``2.0`` never reads the table of ``2``."""
+    _check_cap(n)
+    if n < 0:
+        raise ValueOutOfRangeError(f"n={n} is too small for class {tag.value}")
+    if n == 0:
+        return ((_EMPTY_WORD, 1),)
+    rules, keep = _PROFILE_RULES[tag]
+    counts = {}
+    for mono, c in _derivative(rules, n).items():
+        e = dict(mono)
+        if keep is None or keep(e, n):
+            s = _profile(e, n)
+            counts[s] = counts.get(s, 0) + c
+    return tuple(sorted(counts.items()))
 
 
 def profile_sum(tag: PermClass, n: int, exponents) -> MultiPoly:
@@ -86,8 +165,8 @@ def profile_sum(tag: PermClass, n: int, exponents) -> MultiPoly:
     read off the member's profile; an exponent map that returns None drops
     the member.
 
-    The cap is checked here as well as in ``enumerate_class``, because a
-    cached profile table skips enumeration: a lower cap set after the table
+    The cap is checked here as well as in ``profile_counts``, because a
+    cached profile table skips that check: a lower cap set after the table
     was filled still applies."""
     _check_cap(n)
     maps = ((c, exponents(s)) for s, c in profile_counts(tag, n))

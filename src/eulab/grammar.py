@@ -6,11 +6,13 @@ D(c) = 0 for constants and unruled variables, and the Leibniz product rule
 extended to integer (also negative) powers by D(v^k) = k v^(k-1) D(v).
 
 Rule sets parse from a small text form, one ``head -> polynomial ;`` per
-rule, with ``#`` comments.  Two rule sets are built in: ``two-variable``
-drives the descent/ascent enumerator with a decreasing-prefix marker, and
-``five-variable`` drives the peak/double-ascent/double-descent refinement.
-The letter labeling below realizes the five-variable rule set
-combinatorially, one label per insertion slot.
+rule, with ``#`` comments.  Four rule sets are built in: ``two-variable``
+drives the descent/ascent enumerator with a decreasing-prefix marker,
+``five-variable`` drives the peak/double-ascent/double-descent refinement,
+and ``profile-sym`` and ``profile-prw`` drive the statistic-profile tables
+of ``eulab.enumerators``.  Each is parsed on its first ``builtin`` call,
+not at import.  The letter labeling below realizes the five-variable rule
+set combinatorially, one label per insertion slot.
 
 As in ``eulab.perms``, a word is validated once, at the boundary: the
 public ``slot_labels`` checks its word with ``perms.check_prefix_decreasing``
@@ -90,6 +92,14 @@ BUILTIN_SOURCES = {
     "two-variable": "a -> a*al*(z+y); x -> x*y; y -> x*y;",
     # peak (u1,u2), double-ascent (u3), double-descent (u4, u5) refinement
     "five-variable": "a -> a*al*(u3+u5); u4 -> u1*u2; u3 -> u1*u2; u1 -> u1*u3; u2 -> u2*u4;",
+    # insertion of the largest letter into every slot of a word of S_n, which
+    # ``eulab.enumerators`` reads as statistic profiles (see its docstring)
+    "profile-sym": "F -> F*ldd*x*l + f0*pk; f0 -> F*x*l; E -> E*rda*r + e0*pk*x; e0 -> E*r;"
+                   " pk -> pk*(idd*x + ida); ida -> pk*x; rda -> pk*x; idd -> pk; ldd -> pk;",
+    # the same over decreasing-prefix words: a slot after a left-to-right
+    # minimum that is a double descent lies inside the decreasing prefix
+    "profile-prw": "F -> F*ldd*x*l; f0 -> F*x*l; E -> E*rda*r + e0*pk*x; e0 -> E*r;"
+                   " pk -> pk*(idd*x + ida); ida -> pk*x; rda -> pk*x; idd -> pk;",
 }
 
 

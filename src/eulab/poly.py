@@ -38,6 +38,9 @@ here alone: other modules combine polynomials only with the operators,
 ``derivation``.
 ``coefficient``, ``is_symmetric_in`` and ``eulab.gamma.gamma_expand``
 (degree, symmetry and coefficients at once) each read one ``coefficients`` split.
+``terms`` lists the terms in display order; ``items`` lists them unsorted,
+for a reader that needs no order, such as the profile tables of
+``eulab.enumerators``.
 
 ``substitute(values)`` replaces every variable of one map by its image
 simultaneously, so ``{x: y, y: x}`` swaps x and y; ``eval_at`` is the
@@ -255,6 +258,11 @@ class MultiPoly:
         """Terms in the deterministic display order (graded lexicographic,
         highest total degree first)."""
         return iter(self._ordered_terms())
+
+    def items(self) -> Iterable[tuple[Mono, Scalar]]:
+        """The ``terms`` in storage order, unsorted: for a reader that needs
+        no order, such as a sum over all terms."""
+        return self._terms.items()
 
     def variables(self) -> set[str]:
         return {v for mono in self._terms for v, _ in mono}

@@ -8,7 +8,7 @@ import pytest
 
 from eulab.action import _swap, orbit
 from eulab.bijection import mirror
-from eulab.checks import CheckDef, CheckReport, REGISTRY, verify, verify_all
+from eulab.checks import PROOFS, CheckDef, CheckReport, REGISTRY, verify, verify_all, verify_proofs
 from eulab.errors import UnknownCheckError, ValueOutOfRangeError
 from eulab.perms import (
     DOUBLE_ASC,
@@ -887,3 +887,75 @@ def test_cgk_alpha_checks_its_k0_term_against_the_convention(monkeypatch):
     report = verify("cgk-alpha", a=1, b=2)
     assert report.verdict == "FAIL"
     assert "note" in report.witness
+
+
+# -- the second table ----------------------------------------------------------
+
+
+def test_verify_all_json_is_pinned_at_the_benchmark_sizes():
+    # the digests that the benchmark holds its verify-sweep runs to, at the
+    # default and the full sizes; the profile route must leave both as they are
+    for max_n, want in (
+        (5, "d652203a745a1ea9aa7f59df69c71df1620559fc9e76db371e053b63d8d7e311"),
+        (None, "7ac1e1ca731987b9b7be6220058d48e7fa91cdf8508773843fdcb616bdf59aa7"),
+    ):
+        text = json.dumps([r.to_json() for r in verify_all(max_n=max_n)], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == want, max_n
+
+
+def test_verify_proofs_json_is_pinned():
+    text = json.dumps([r.to_json() for r in verify_proofs()], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9a22a5854c0fe9cc36485b62b102eaeb9da737025bccfe0e4874ca71cb81157a"
+    )
+
+
+def test_names_are_unique_across_the_two_tables():
+    assert not REGISTRY.keys() & PROOFS.keys()
+    # the CLI's table-wide runs are no check's name
+    assert not {"all", "proofs"} & (REGISTRY.keys() | PROOFS.keys())
+    assert all(defn.name == name for name, defn in PROOFS.items())
+
+
+@pytest.mark.parametrize("name", list(PROOFS))
+def test_a_proof_row_runs_once_with_no_parameters(name):
+    defn = PROOFS[name]
+    assert defn.params == tuple(inspect.signature(defn.run).parameters) == ()
+    assert (defn.sweep(), defn.describe()) == ([{}], "once")
+    assert verify(name).passed
+    with pytest.raises(ValueOutOfRangeError, match="unexpected keyword argument 'n'"):
+        verify(name, n=3)
+
+
+def parse_stats(word: str) -> dict:
+    return _stats(parse_perm(word))._asdict()
+
+
+def test_profile_rules_fails_without_the_ldd_rule(monkeypatch, cold_profile_route):
+    import eulab.grammar
+
+    source = eulab.grammar.BUILTIN_SOURCES["profile-sym"]
+    assert " ldd -> pk;" in source
+    monkeypatch.setitem(eulab.grammar.BUILTIN_SOURCES, "profile-sym",
+                        source.replace(" ldd -> pk;", ""))
+    report = verify("profile-rules")
+    # an insertion next to a left-to-right minimum that is a double descent
+    # is then lost: two of the three words of this profile are counted
+    assert (report.verdict, report.witness) == ("FAIL", {
+        "class": "sym", "letters": 4, "profile": parse_stats("3 2 4 1"),
+        "derived": 2, "enumerated": 3})
+    (summary,) = verify_proofs()
+    assert (summary.verdict, summary.witness) == ("FAIL", {"params": {}, **report.witness})
+
+
+def test_profile_rules_fails_on_an_alternating_filter_without_f(monkeypatch, cold_profile_route):
+    import eulab.enumerators
+
+    rules = eulab.enumerators._PROFILE_RULES
+    monkeypatch.setitem(rules, PermClass.ALT_DOWN_UP, (
+        "profile-sym", lambda e, m: m < 2 or not e.keys() & {"idd", "ldd", "ida", "rda"}))
+    report = verify("profile-rules")
+    # the word 1 2 has no F, so only the F condition keeps it out
+    assert (report.verdict, report.witness) == ("FAIL", {
+        "class": "alt-down-up", "letters": 2, "profile": parse_stats("1 2"),
+        "derived": 1, "enumerated": 0})

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from eulab.checks import REGISTRY, CheckReport
+from eulab.checks import PROOFS, REGISTRY, CheckReport, verify_proofs
 from eulab.cli import build_parser, main
 from eulab.enumerators import Enumerator, EnumeratorKind, build
 from eulab.gamma import ROUTES
@@ -311,6 +311,46 @@ def test_verify_help_is_read_off_the_registry(monkeypatch, capsys):
         name="extra", summary="a row added to the table alone"))
     out = _verify_help(monkeypatch, capsys)
     assert out.rstrip().endswith("extra           a row added to the table alone")
+
+
+def test_verify_help_lists_the_proof_rows_too(monkeypatch, capsys):
+    out = _verify_help(monkeypatch, capsys)
+    assert max(map(len, out.splitlines())) <= 79
+    words = " ".join(out.split())
+    assert "profile-rules" in PROOFS
+    for name, defn in PROOFS.items():
+        assert f" {name} {' '.join(defn.summary.split())}" in words, name
+
+
+def test_verify_proofs(capsys):
+    assert run(capsys, "verify", "proofs") == (0, "PASS profile-rules (once)\n", "")
+    code, out, err = run(capsys, "verify", "proofs", "--json")
+    assert (code, err) == (0, "")
+    assert [CheckReport.from_json(r) for r in json.loads(out)] == verify_proofs()
+    # one proof row runs on its own, with its own witness
+    assert run(capsys, "verify", "profile-rules") == (0, "PASS profile-rules\n  tables: 36\n", "")
+
+
+@pytest.mark.parametrize("argv", [("proofs", "-n", "3"), ("proofs", "--max-n", "3"),
+                                  ("profile-rules", "--class", "sym")])
+def test_verify_proofs_takes_no_parameter(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert f"does not take {argv[1]}" in err
+
+
+def test_verify_proofs_exit_one_on_a_mutated_rule_set(monkeypatch, capsys, cold_profile_route):
+    import eulab.grammar
+
+    source = eulab.grammar.BUILTIN_SOURCES["profile-prw"]
+    assert "F -> F*ldd*x*l;" in source
+    monkeypatch.setitem(eulab.grammar.BUILTIN_SOURCES, "profile-prw",
+                        source.replace("F -> F*ldd*x*l;", "F -> F*ldd*x;"))
+    code, out, _ = run(capsys, "verify", "proofs")
+    assert (code, out) == (1, "FAIL profile-rules (once)\n")
+    code, out, _ = run(capsys, "verify", "profile-rules")
+    assert code == 1
+    assert out.startswith("FAIL profile-rules\n  class: prw\n  letters: 3\n  profile: {")
 
 
 def test_verify_single_check(capsys):

@@ -1,10 +1,14 @@
 """Closed-class enumerating polynomials and integer sequences."""
 
+import subprocess
+import sys
+from collections import Counter
 from itertools import permutations
 from math import comb, factorial
 
 import pytest
 
+import eulab.enumerators
 from eulab.enumerators import (
     Enumerator,
     EnumeratorKind,
@@ -16,7 +20,7 @@ from eulab.enumerators import (
 )
 from eulab.errors import CapExceededError, ValueOutOfRangeError
 from eulab.gamma import GammaRoute, gamma_from_class
-from eulab.perms import PermClass, stats
+from eulab.perms import PermClass, _stats, enumerate_class, stats
 from eulab.poly import MultiPoly, parse_poly
 
 
@@ -234,3 +238,100 @@ def test_alternating_weight():
         acc = acc + MultiPoly.monomial(1, {"al": stats(p).rlmin})
     assert w4 == acc
     assert w4.substitute({"al": 1}) == MultiPoly.const(euler_number(4))
+
+
+# -- the rule-set route of the profile tables ---------------------------------
+
+
+@pytest.mark.parametrize("tag", list(PermClass))
+@pytest.mark.parametrize("m", range(9))
+def test_the_rule_route_equals_the_enumerated_table(tag, m):
+    table = profile_counts(tag, m)
+    assert dict(table) == Counter(_stats(w) for w in enumerate_class(tag, m))
+    assert list(table) == sorted(table)
+
+
+def _no_double_fall_count(m: int) -> int:
+    """Words of S_m with no three consecutive letters decreasing, by the
+    up-down recurrence: ``f[j][d]`` counts arrangements whose last letter
+    has rank j among them, d marking a descent into it."""
+    if m < 2:
+        return 1
+    f = [[1, 0]]  # one letter: rank 0, no descent into it
+    for k in range(1, m):  # append a letter to arrangements of k letters
+        g = [[0, 0] for _ in range(k + 1)]
+        for j, (up, down) in enumerate(f):
+            for r in range(k + 1):  # rank of the new letter among k + 1
+                if r <= j:  # the old last letter moves to rank j + 1 > r
+                    g[r][1] += up  # a descent, allowed only after an ascent
+                else:
+                    g[r][0] += up + down
+        f = g
+    return sum(up + down for up, down in f)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_the_rule_route_reaches_past_the_exhaustive_range(monkeypatch, cold_profile_route, m):
+    # no word is generated, so the class sizes hold on 12 letters too; the
+    # fixture keeps tables past the default cap out of later tests' cache
+    monkeypatch.setenv("EULAB_MAX_N", "12")
+    totals = {tag: sum(c for _, c in profile_counts(tag, m)) for tag in PermClass}
+    assert totals == {
+        PermClass.SYM: factorial(m),
+        PermClass.PRW: sum(factorial(m - 1) // factorial(j) for j in range(m)),
+        PermClass.NDD_INTERIOR: _no_double_fall_count(m),
+        PermClass.ALT_DOWN_UP: euler_number(m),
+    }
+
+
+def test_the_up_down_recurrence_counts_words_free_of_double_falls():
+    for m in range(8):
+        words = permutations(range(1, m + 1))
+        want = sum(1 for w in words if not any(a > b > c for a, b, c in zip(w, w[1:], w[2:])))
+        assert _no_double_fall_count(m) == want
+
+
+def test_one_derivative_per_size_is_shared_and_extended(monkeypatch, cold_profile_route):
+    steps = []
+    derive = eulab.enumerators.derive
+
+    def counted(grammar, start, n):
+        steps.append(n)
+        return derive(grammar, start, n)
+
+    monkeypatch.setattr(eulab.enumerators, "derive", counted)
+    for tag in (PermClass.SYM, PermClass.NDD_INTERIOR, PermClass.ALT_DOWN_UP):
+        profile_counts(tag, 5)
+    assert steps == [1] * 4  # 1 -> 5 letters, read by all three classes
+    profile_counts(PermClass.SYM, 6)
+    assert steps == [1] * 5  # one step past the size below
+    profile_counts(PermClass.PRW, 3)
+    assert steps == [1] * 7  # the other rule set
+
+
+@pytest.mark.parametrize("size, error", [
+    (2.0, ValueOutOfRangeError), (True, ValueOutOfRangeError), ("3", ValueOutOfRangeError),
+    (-1, ValueOutOfRangeError), (11, CapExceededError),
+])
+def test_a_bad_size_is_rejected_before_any_derivation_step(monkeypatch, cold_profile_route,
+                                                           size, error):
+    def boom(*args, **kwargs):
+        raise AssertionError("a derivation step ran")
+
+    monkeypatch.setattr(MultiPoly, "derivation", boom)
+    monkeypatch.setattr(eulab.enumerators, "builtin", boom)
+    for tag in PermClass:
+        with pytest.raises(error):
+            profile_counts(tag, size)
+    monkeypatch.setenv("EULAB_MAX_N", "4")
+    with pytest.raises(CapExceededError):
+        profile_counts(PermClass.PRW, 5)
+
+
+def test_the_profile_rule_sets_are_parsed_on_first_use():
+    # nothing is parsed at import, and build(bse, 2) parses the one rule set it reads
+    code = ("import eulab, eulab.grammar as g; print(g.builtin.cache_info().currsize); "
+            "eulab.build('bse', 2); print(g.builtin.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == ["0", "1"]

@@ -758,6 +758,15 @@ def test_display_order_matches_a_degree_then_vector_sort(monos):
     assert [m for m, _ in p.terms()] == sorted(set(monos), key=key, reverse=True)
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.lists(_monos, max_size=8), st.integers(min_value=-3, max_value=3))
+def test_items_are_the_terms_unsorted(monos, coef):
+    p = MultiPoly(dict.fromkeys(monos, coef)) + MultiPoly.var("x")
+    items = list(p.items())
+    assert sorted(items) == sorted(p.terms())
+    assert len(items) == len(p)
+
+
 @pytest.mark.parametrize("a, b, want", [
     ((("x", 1),), (("x", -1),), ()),  # cancellation to the empty monomial
     ((("x", 1), ("y", 2)), (("x", -1), ("y", -2)), ()),
