@@ -163,7 +163,7 @@ def _agree(**sides: MultiPoly) -> None:
 def _class_enumerator(klass: PermClass, n: int) -> MultiPoly:
     """x^des y^asc al^weight over a class: the bse enumerator over
     decreasing-prefix words, the se enumerator over S_n."""
-    return profile_sum(klass, letters(klass, n), _DES_ASC)
+    return build(EnumeratorKind.BSE if klass is PermClass.PRW else EnumeratorKind.SE, n).value
 
 
 # -- individual checks -------------------------------------------------------
@@ -300,6 +300,17 @@ def _orbit_tables(tag: PermClass, m: int) -> Iterator[tuple]:
         raise Mismatch(words=words, orbit_members=members)
 
 
+_PIP_ALPHABETS = (_REFINED_BASIS, _DES_ASC_BASIS)
+
+
+@cache  # orbits with equal (peaks, double_asc, weight) share one product, in every run
+def _product(alphabet: int, peaks: int, double_asc: int, weight: int) -> MultiPoly:
+    """The right side of ``pip`` for one orbit key in one of its two
+    alphabets; each key is read off a word within the cap."""
+    _, pair, linear = _PIP_ALPHABETS[alphabet]
+    return pair**peaks * linear**double_asc * MultiPoly.monomial(1, {"al": weight})
+
+
 def _check_pip(klass: str, n: int) -> dict:
     """Per-orbit product formula: each orbit's statistic sum collapses to a
     single product read off its double-descent-free member, in both the
@@ -307,13 +318,6 @@ def _check_pip(klass: str, n: int) -> dict:
     the class enumerator.  The two sides are compared once per distinct
     orbit shape (key and profile multiset)."""
     tag = PermClass(klass)
-    alphabets = (_REFINED_BASIS, _DES_ASC_BASIS)
-
-    @cache  # orbits with equal (peaks, double_asc, weight) share one product
-    def product(alphabet: int, peaks: int, double_asc: int, weight: int) -> MultiPoly:
-        _, pair, linear = alphabets[alphabet]
-        return pair**peaks * linear**double_asc * MultiPoly.monomial(1, {"al": weight})
-
     keys, shapes = Counter(), set()
     for r, table in _orbit_tables(tag, letters(tag, n)):
         # r alone is free of double descents, and no member leaves the class
@@ -332,13 +336,13 @@ def _check_pip(klass: str, n: int) -> dict:
         shape = (key, frozenset(counts.items()))
         if shape in shapes:
             continue
-        for alphabet, (exponents, _, _) in enumerate(alphabets):
+        for alphabet, (exponents, _, _) in enumerate(_PIP_ALPHABETS):
             lhs = monomial_sum((c, exponents(s)) for s, c in counts.items())
-            rhs = product(alphabet, *key)
+            rhs = _product(alphabet, *key)
             if lhs != rhs:
                 raise Mismatch(representative=format_perm(r), lhs=str(lhs), rhs=str(rhs))
         shapes.add(shape)
-    total = poly_sum(c * product(1, *key) for key, c in keys.items())
+    total = poly_sum(c * _product(1, *key) for key, c in keys.items())
     _agree(orbit_total=total, enumerator=_class_enumerator(tag, n))
     return {"orbits": sum(keys.values())}
 

@@ -4,7 +4,12 @@ Every enumerator sums one monomial per word of a class, with exponents read
 off the word's statistic profile and the weight variable ``al`` raised to
 the minima count.  The profile multiplicities of a class come from a rule
 set, not from its words, and each table is cached, so repeated sums at the
-same size compute it only once.
+same size compute it only once.  The values are cached too: each ``build``
+polynomial, keyed by (kind, class, letters), and each row of
+``stirling_eulerian``, keyed by m, is summed once per process.  Every
+argument and cap check runs before a cache is read, so a warm value is
+rejected exactly as a cold one: a size that is not a plain int, or one
+past ``EULAB_MAX_N`` as it reads at the call.
 
 ``profile_counts`` reads a class's table off D^(m-1)(f0*e0), the
 derivative of a built-in rule set (``profile-sym`` or ``profile-prw`` of
@@ -233,8 +238,16 @@ def build(kind: EnumeratorKind, index: int, klass: PermClass | None = None) -> E
     # the weight exponent lrmin + rlmin - 2 presumes a nonempty word
     if size < 1:
         raise ValueOutOfRangeError(f"index {index} leaves the {kind.value} enumerator no letters")
-    value = profile_sum(tag, size, spec.exponents)
-    return Enumerator(kind, index, tag if len(spec.classes) > 1 else None, value)
+    _check_cap(size)
+    return Enumerator(kind, index, tag if len(spec.classes) > 1 else None,
+                      _value(kind, tag, size))
+
+
+@functools.cache
+def _value(kind: EnumeratorKind, tag: PermClass, size: int) -> MultiPoly:
+    """The polynomial of one enumerator over a class on ``size`` letters;
+    ``build`` checks every argument and the cap before it reads this."""
+    return profile_sum(tag, size, KINDS[kind].exponents)
 
 
 def stirling_eulerian(m: int, k: int) -> MultiPoly:
@@ -246,7 +259,17 @@ def stirling_eulerian(m: int, k: int) -> MultiPoly:
     _require_ints("stirling_eulerian", m=m, k=k)
     if m < 0 or k < 0:
         raise ValueOutOfRangeError(f"need m, k >= 0, got m={m}, k={k}")
-    return profile_sum(PermClass.SYM, m, lambda s: {"al": s.rlmin} if s.asc == k else None)
+    _check_cap(m)
+    return _ascent_rows(m).get((k,), MultiPoly.zero())
+
+
+@functools.cache
+def _ascent_rows(m: int) -> dict:
+    """Each ascent count (k,) of the words in S_m mapped to the sum of
+    al^rlmin over the words with k ascents, split off one sum over S_m;
+    ``stirling_eulerian`` checks m before it reads this, and only reads it."""
+    weights = profile_sum(PermClass.SYM, m, lambda s: {"k": s.asc, "al": s.rlmin})
+    return weights.coefficients(["k"])
 
 
 def alternating_weight(n: int) -> MultiPoly:

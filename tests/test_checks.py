@@ -903,6 +903,55 @@ def test_verify_all_json_is_pinned_at_the_benchmark_sizes():
         assert hashlib.sha256(text.encode()).hexdigest() == want, max_n
 
 
+def _library_caches() -> list:
+    # every module-level cache of the package, found as the benchmark finds
+    # the caches it clears before each cold job
+    import sys
+
+    return list({id(obj): obj for name, module in list(sys.modules.items())
+                 if name == "eulab" or name.startswith("eulab.")
+                 for obj in vars(module).values() if hasattr(obj, "cache_clear")}.values())
+
+
+def test_verify_all_json_is_the_same_cold_warm_and_cleared():
+    import subprocess
+    import sys
+
+    import eulab.checks
+    import eulab.enumerators
+
+    caches = _library_caches()
+    for value_cache in (eulab.enumerators._value, eulab.enumerators._ascent_rows,
+                        eulab.checks._product):
+        assert any(cache is value_cache for cache in caches)
+    code = ("import json, eulab; "
+            "print(json.dumps([r.to_json() for r in eulab.verify_all(max_n=4)], sort_keys=True))")
+    cold = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True).stdout
+
+    def run() -> str:
+        return json.dumps([r.to_json() for r in verify_all(max_n=4)], sort_keys=True) + "\n"
+
+    run()
+    warm = run()
+    for cache in caches:
+        cache.cache_clear()
+    cleared = run()
+    assert cold == warm == cleared
+
+
+def test_pip_runs_share_their_products():
+    import eulab.checks
+
+    product = eulab.checks._product
+    product.cache_clear()
+    assert verify("pip", klass="sym", n=4).passed
+    first = product.cache_info()
+    assert verify("pip", klass="sym", n=4).passed
+    again = product.cache_info()
+    assert first.misses > 0 and again.misses == first.misses and again.hits > first.hits
+
+
 def test_verify_proofs_json_is_pinned():
     text = json.dumps([r.to_json() for r in verify_proofs()], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (

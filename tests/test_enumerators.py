@@ -16,6 +16,7 @@ from eulab.enumerators import (
     build,
     euler_number,
     profile_counts,
+    profile_sum,
     stirling_eulerian,
 )
 from eulab.errors import CapExceededError, ValueOutOfRangeError
@@ -102,13 +103,17 @@ def test_a_size_that_is_not_an_int_is_rejected_cold_and_warm(size):
         lambda: profile_counts(PermClass.PRW, size),
         lambda: euler_number(size),
         lambda: gamma_from_class(GammaRoute.ASC_NO_DA, size),
+        lambda: stirling_eulerian(size, 1),
     ]
     for warm in (False, True):
         if warm:
             build(EnumeratorKind.BSE, int(size))
             profile_counts(PermClass.PRW, int(size))
+            stirling_eulerian(int(size), 1)
         else:
-            profile_counts.cache_clear()
+            for cache in (profile_counts, eulab.enumerators._value,
+                          eulab.enumerators._ascent_rows):
+                cache.cache_clear()
         for call in calls:
             with pytest.raises(ValueOutOfRangeError, match="takes an int"):
                 call()
@@ -120,6 +125,38 @@ def test_build_respects_cap(monkeypatch):
     monkeypatch.setenv("EULAB_MAX_N", "9")
     with pytest.raises(CapExceededError):
         build(EnumeratorKind.BSE, 10)
+
+
+def _no_sum(monkeypatch):
+    def boom(*args):
+        raise AssertionError("a warm value was summed again")
+
+    monkeypatch.setattr(eulab.enumerators, "profile_sum", boom)
+
+
+def test_each_value_is_summed_once_per_process(monkeypatch, cold_profile_route):
+    first = build(EnumeratorKind.REFINED, 3, "sym").value
+    rows = {k: stirling_eulerian(4, k) for k in range(6)}  # one sum over S_4 for every k
+    _no_sum(monkeypatch)
+    assert build(EnumeratorKind.REFINED, 3, PermClass.SYM).value is first
+    assert {k: stirling_eulerian(4, k) for k in range(6)} == rows
+    with pytest.raises(AssertionError, match="summed again"):
+        build(EnumeratorKind.REFINED, 3)  # another class is another value
+
+
+def test_a_warm_value_is_still_held_to_the_cap(monkeypatch, cold_profile_route):
+    # build(bse, 5) has 6 letters, and so has the Stirling row of m = 6
+    build(EnumeratorKind.BSE, 5)
+    stirling_eulerian(6, 2)
+    _no_sum(monkeypatch)
+    monkeypatch.setenv("EULAB_MAX_N", "5")
+    with pytest.raises(CapExceededError, match="6 letters exceed the enumeration cap 5"):
+        build(EnumeratorKind.BSE, 5)
+    with pytest.raises(CapExceededError, match="6 letters exceed the enumeration cap 5"):
+        stirling_eulerian(6, 2)
+    monkeypatch.setenv("EULAB_MAX_N", "6")
+    assert build(EnumeratorKind.BSE, 5).value.eval_at({"x": 1, "y": 1, "al": 1}) == 326
+    assert stirling_eulerian(6, 2).substitute({"al": 1}) == MultiPoly.const(302)
 
 
 def test_enumerator_record_round_trip():
@@ -182,6 +219,15 @@ def test_stirling_eulerian_takes_an_int_m(m):
     # rejected by name, before ``m < 0`` or the enumeration size check sees it
     with pytest.raises(ValueOutOfRangeError, match="stirling_eulerian takes an int m"):
         stirling_eulerian(m, 1)
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_each_stirling_row_equals_its_filtered_sum(m):
+    # the oracle: one sum over S_m for each k, filtered by ascent count
+    for k in range(m + 2):
+        filtered = profile_sum(PermClass.SYM, m,
+                               lambda s: {"al": s.rlmin} if s.asc == k else None)
+        assert stirling_eulerian(m, k) == filtered, (m, k)
 
 
 def test_stirling_eulerian_at_one_counts_ascents():
