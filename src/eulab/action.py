@@ -19,8 +19,8 @@ registry checks all of that exhaustively at small sizes.
 
 The rule lives in one kernel, ``_images``: one pass over a word gives its
 images under all n letters, each letter classified by its two neighbours
-and moved directly.  ``_toggle(w, x)`` is its entry for x; ``minima_hop``
-reads the minimum classification off ``perms`` and then asks ``_toggle``.
+and moved directly.  Every public toggle reads letter x's entry of it;
+``minima_hop`` first reads the minimum classification off ``perms``.
 
 One engine finds orbits: ``_walk`` maps each member of one word's orbit to
 its images under the letters 1..n, one ``_images`` call per member, and
@@ -31,10 +31,9 @@ at a time.
 
 Inputs are validated once, at the boundary: the public functions check the
 word with ``perms.check_word`` and the letter with ``_check_letter``.  The
-``_``-prefixed kernels (``_images``, ``_toggle`` and the swap helpers)
-trust their caller to hand them a permutation tuple and a letter of it;
-``orbit`` and ``toggle_many`` validate their input once and then run on
-them.
+``_``-prefixed kernels (``_images`` and the swap helpers) trust their
+caller to hand them a permutation tuple and a letter of it; ``orbit`` and
+``toggle_many`` validate their input once and then run on them.
 """
 
 from __future__ import annotations
@@ -142,12 +141,6 @@ def _images(w: Perm) -> tuple:
     return tuple(out)
 
 
-def _toggle(w: Perm, x: int) -> Perm:
-    """``toggle`` of a word already known to be a permutation tuple and a
-    letter in 1..n."""
-    return _images(w)[x - 1]
-
-
 def x_factorization(word: Sequence[int], x: int) -> Factorization:
     """Split around the letter x.
 
@@ -185,7 +178,7 @@ def minima_hop(word: Sequence[int], x: int) -> Perm:
     if (kind == DOUBLE_ASC and x in rlmin_values(w)) or (
         kind == DOUBLE_DESC and x in lrmin_values(w)
     ):
-        return _toggle(w, x)
+        return _images(w)[x - 1]
     return w
 
 
@@ -195,7 +188,7 @@ def toggle(word: Sequence[int], x: int) -> Perm:
     the minimum-classified ones."""
     w = check_word(word)
     _check_letter(w, x)
-    return _toggle(w, x)
+    return _images(w)[x - 1]
 
 
 def toggle_many(word: Sequence[int], letters: Iterable[int]) -> Perm:
@@ -206,7 +199,7 @@ def toggle_many(word: Sequence[int], letters: Iterable[int]) -> Perm:
     for x in xs:
         _check_letter(w, x)
     for x in sorted(set(xs)):
-        w = _toggle(w, x)
+        w = _images(w)[x - 1]
     return w
 
 

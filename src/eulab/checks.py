@@ -14,17 +14,10 @@ the function and builds the report from the arguments it ran with.
 Each registry entry is data: a name, a summary, a run function, a size
 range ``lo..hi`` and the run function's parameter names, in order (``n``
 alone unless the row says otherwise; a test holds each row to its run
-function's signature).  The parameter grid follows from the row's declared
-parameters, one rule per parameter name:
-
-* ``n`` sweeps ``lo..hi``;
-* ``a``, ``b`` sweep every pair with a, b >= 1 and ``lo <= a + b <= hi``;
-* ``klass`` sweeps ``CLASSES`` (outermost), each with the whole ``n`` range;
-* no parameter at all: the row runs once, and its ``lo`` and ``hi`` are not
-  read.
-
-``max_n``, when given, replaces ``hi``.  ``lo`` is also a floor: ``verify``
-rejects an ``n`` below it before the check runs.
+function's signature).  The parameter grid of a row is the ``_GRIDS`` entry
+of its parameter names, swept over ``lo..hi``.  ``max_n``, when given,
+replaces ``hi``.  ``lo`` is also a floor: ``verify`` rejects an ``n`` below
+it before the check runs.
 
 There are two tables.  ``REGISTRY`` holds the checks that ``verify_all``
 sweeps; its report list is pinned, so it does not grow.  ``PROOFS`` holds
@@ -213,24 +206,23 @@ def _check_mainthm2_var(n: int) -> None:
     _agree(lhs=q, rhs=build(EnumeratorKind.BSE_Z, n).value)
 
 
-def _check_grammar31(n: int) -> None:
-    """n derivative steps of the two-variable rule set produce the marker
-    times the three-variable enumerator."""
-    got = derive(builtin("two-variable"), "a", n)
-    _agree(derived=got, enumerated=MultiPoly.var("a") * build(EnumeratorKind.BSE_Z, n).value)
+def _rule_set_agrees(rules: str, kind: EnumeratorKind, n: int) -> None:
+    """n derivative steps of a built-in rule set produce the marker ``a``
+    times the enumerator of ``kind``.  The registry binds all but ``n``.
+    It returns ``None``, the PASS witness, and never the enumerator."""
+    got = derive(builtin(rules), "a", n)
+    _agree(derived=got, enumerated=MultiPoly.var("a") * build(kind, n).value)
 
 
 def _check_grammar32(n: int) -> None:
     """Five-variable rule set: derivative, enumerator, and the slot-label
     monomial sum agree."""
-    got = derive(builtin("five-variable"), "a", n)
-    value = build(EnumeratorKind.PTILDE, n).value
-    _agree(derived=got, enumerated=MultiPoly.var("a") * value)
+    _rule_set_agrees("five-variable", EnumeratorKind.PTILDE, n)
     # generated words are valid, so they go straight to the label kernel
     words = enumerate_class(PermClass.PRW, letters(PermClass.PRW, n))
     counts = Counter(_slot_labels(w) for w in words)
     _agree(labeled=monomial_sum((c, lw.exponents()) for lw, c in counts.items()),
-           enumerated=value)
+           enumerated=build(EnumeratorKind.PTILDE, n).value)
 
 
 def _check_cgk_alpha(a: int, b: int) -> dict:
@@ -468,10 +460,27 @@ def _check_profile_rules() -> dict:
 
 CLASSES = (PermClass.SYM.value, PermClass.PRW.value)
 
+# a row's parameter names -> (its parameter dicts for sizes lo..top, in run
+# order; the one-line description of that sweep).  A pair (a, b) has
+# a, b >= 1 and lo <= a + b <= top; ``klass`` sweeps ``CLASSES`` outermost;
+# a row with no parameter runs once and reads no size.  A row whose names
+# are not a key here has no sweep.
+_GRIDS = {
+    (): (lambda lo, top: [{}], lambda lo, top: "once"),
+    ("n",): (lambda lo, top: [{"n": k} for k in range(lo, top + 1)],
+             lambda lo, top: f"n={lo}..{top}"),
+    ("a", "b"): (lambda lo, top: [{"a": a, "b": s - a} for s in range(lo, top + 1)
+                                  for a in range(1, s)],
+                 lambda lo, top: f"a,b>=1, a+b<={top}"),
+    ("klass", "n"): (lambda lo, top: [{"klass": c, "n": k} for c in CLASSES
+                                      for k in range(lo, top + 1)],
+                     lambda lo, top: f"class in ({', '.join(CLASSES)}), n={lo}..{top}"),
+}
+
 
 class CheckDef(NamedTuple):
-    """One row of ``REGISTRY`` or ``PROOFS``; see the module docstring for
-    the grid rule."""
+    """One row of ``REGISTRY`` or ``PROOFS``; its grid is the ``_GRIDS``
+    entry of its ``params``."""
 
     name: str
     run: Callable[..., dict | None]
@@ -482,28 +491,11 @@ class CheckDef(NamedTuple):
 
     def sweep(self, max_n: int | None = None) -> list:
         """Parameter dicts of the default sweep, in run order."""
-        if not self.params:
-            return [{}]
-        top = self.hi if max_n is None else max_n
-        if "a" in self.params:
-            grid = [{"a": a, "b": s - a} for s in range(self.lo, top + 1) for a in range(1, s)]
-        else:
-            grid = [{"n": k} for k in range(self.lo, top + 1)]
-        if "klass" in self.params:
-            grid = [{"klass": c, **p} for c in CLASSES for p in grid]
-        return grid
+        return _GRIDS[self.params][0](self.lo, self.hi if max_n is None else max_n)
 
     def describe(self, max_n: int | None = None) -> str:
         """One-line description of the default sweep."""
-        if not self.params:
-            return "once"
-        top = self.hi if max_n is None else max_n
-        if "a" in self.params:
-            return f"a,b>=1, a+b<={top}"
-        text = f"n={self.lo}..{top}"
-        if "klass" in self.params:
-            text = f"class in ({', '.join(CLASSES)}), {text}"
-        return text
+        return _GRIDS[self.params][1](self.lo, self.hi if max_n is None else max_n)
 
 
 REGISTRY: dict = {
@@ -520,7 +512,8 @@ REGISTRY: dict = {
                  "refined enumerator over the symmetric group in the peeled basis"),
         CheckDef("mainthm2-var", _check_mainthm2_var, 1, 7,
                  "five-variable enumerator collapses to the three-variable one"),
-        CheckDef("grammar-31", _check_grammar31, 1, 7,
+        CheckDef("grammar-31",
+                 partial(_rule_set_agrees, "two-variable", EnumeratorKind.BSE_Z), 1, 7,
                  "two-variable rule-set derivative equals the marked enumerator"),
         CheckDef("grammar-32", _check_grammar32, 1, 7,
                  "five-variable rule-set derivative, enumerator, and slot labels agree"),
@@ -573,10 +566,10 @@ def verify(name: str, **params) -> CheckReport:
         raise ValueOutOfRangeError(f"bad parameters for check {name!r}: {problem}")
     args = {p: params[p] for p in defn.params}
     _require_ints(f"check {name!r}", **{k: args[k] for k in ("n", "a", "b") if k in args})
-    klass = args.get("klass", CLASSES[0])
-    if klass not in CLASSES:
+    if "klass" in args and args["klass"] not in CLASSES:
         known = ", ".join(CLASSES)
-        raise ValueOutOfRangeError(f"check {name!r} takes a class in ({known}), not {klass!r}")
+        raise ValueOutOfRangeError(
+            f"check {name!r} takes a class in ({known}), not {args['klass']!r}")
     if "n" in args and args["n"] < defn.lo:
         raise ValueOutOfRangeError(f"check {name!r} takes n >= {defn.lo}, got n={args['n']}")
     if min(args.get("a", 1), args.get("b", 1)) < 1:

@@ -277,12 +277,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except CapExceededError as exc:
-        print(f"error [{exc.code}]: {exc.message}", file=sys.stderr)
-        return 3
     except EulabError as exc:
         print(f"error [{exc.code}]: {exc.message}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, CapExceededError) else 2
 
 
 def entry() -> None:

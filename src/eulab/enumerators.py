@@ -70,7 +70,7 @@ from typing import Callable, NamedTuple
 
 from .errors import ValueOutOfRangeError
 from .grammar import builtin, derive
-from .perms import PermClass, StatProfile, _check_cap, _require_ints, letters
+from .perms import PermClass, StatProfile, _check_cap, _check_class_size, _require_ints, letters
 from .poly import MultiPoly, monomial_sum
 
 
@@ -150,9 +150,7 @@ def profile_counts(tag: PermClass, n: int) -> tuple:
     derivative (see the module docstring); no word is generated.  A size
     past the enumeration cap, or not a plain int, is rejected before any
     step; the cache is typed, so ``2.0`` never reads the table of ``2``."""
-    _check_cap(n)
-    if n < 0:
-        raise ValueOutOfRangeError(f"n={n} is too small for class {tag.value}")
+    _check_class_size(tag, n)
     if n == 0:
         return ((_EMPTY_WORD, 1),)
     rules, keep = _PROFILE_RULES[tag]

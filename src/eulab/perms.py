@@ -73,6 +73,14 @@ def _check_cap(n: int) -> None:
         raise CapExceededError(f"{n} letters exceed the enumeration cap {cap} ({_CAP_ENV})")
 
 
+def _check_class_size(tag: PermClass, n: int) -> None:
+    """``_check_cap``, then reject a negative number of letters: on 0
+    letters every class holds exactly the empty word."""
+    _check_cap(n)
+    if n < 0:
+        raise ValueOutOfRangeError(f"n={n} is too small for class {tag.value}")
+
+
 def check_word(word: Sequence[int]) -> Perm:
     """Validate that ``word`` is a permutation of 1..n and return it as a
     tuple.  Every letter must be a plain ``int``: a ``bool``, a ``float``
@@ -351,9 +359,7 @@ def enumerate_class(tag: PermClass, n: int) -> Iterator[Perm]:
     """Stream the members of a class on n letters, at most the enumeration
     cap (see ``enumeration_cap``), in lexicographic order.  On 0 letters
     every class holds exactly the empty word."""
-    _check_cap(n)
-    if n < 0:
-        raise ValueOutOfRangeError(f"n={n} is too small for class {tag.value}")
+    _check_class_size(tag, n)
     return itertools.chain.from_iterable(_runs(_RULES[tag], n))
 
 

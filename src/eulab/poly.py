@@ -662,9 +662,9 @@ class ExprParser:
     """Recursive-descent parser over a token list; used for standalone
     polynomials and for rule bodies inside rule-set files."""
 
-    def __init__(self, tokens: Sequence[Token], pos: int = 0):
+    def __init__(self, tokens: Sequence[Token]):
         self.tokens = tokens
-        self.pos = pos
+        self.pos = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]

@@ -341,6 +341,35 @@ def test_default_sweeps():
     assert REGISTRY["group-action"].sweep(2) == [{"n": 1}, {"n": 2}]
 
 
+def test_every_row_signature_has_a_grid():
+    from eulab.checks import _GRIDS
+
+    for defn in [*REGISTRY.values(), *PROOFS.values()]:
+        assert defn.params in _GRIDS, defn.name
+
+
+def test_a_row_with_an_unlisted_signature_has_no_sweep():
+    # one grid per signature: an unknown one is not swept as n
+    defn = CheckDef("unlisted", lambda k: None, 1, 3, "no grid", ("k",))
+    with pytest.raises(KeyError):
+        defn.sweep()
+    with pytest.raises(KeyError):
+        defn.describe()
+
+
+def test_grammar_31_fails_on_a_rule_set_missing_a_rule(monkeypatch, cold_profile_route):
+    import eulab.grammar
+
+    source = eulab.grammar.BUILTIN_SOURCES["two-variable"]
+    assert " y -> x*y;" in source
+    monkeypatch.setitem(eulab.grammar.BUILTIN_SOURCES, "two-variable",
+                        source.replace(" y -> x*y;", ""))
+    assert verify("grammar-31", n=1).passed  # one step reads only the marker's rule
+    report = verify("grammar-31", n=2)
+    assert not report.passed
+    assert set(report.witness) == {"derived", "enumerated"}
+
+
 # wrong toggles: no move at all, and the classical interval swap on every
 # double ascent and descent (an involution too, but without the minima hop)
 WRONG_MOVES = [
@@ -351,8 +380,9 @@ WRONG_MOVES = [
 
 
 def _install(monkeypatch, kernel, wrong):
-    # patch a kernel of eulab.action; a per-letter mutant of ``_toggle`` goes
-    # in as the images kernel that ``_walk`` calls, one call per letter
+    # patch a kernel of eulab.action; a per-letter mutant, labelled
+    # ``_toggle``, goes in as the images kernel that ``_walk`` calls, one
+    # call per letter
     import eulab.action
 
     if kernel == "_toggle":
@@ -903,27 +933,16 @@ def test_verify_all_json_is_pinned_at_the_benchmark_sizes():
         assert hashlib.sha256(text.encode()).hexdigest() == want, max_n
 
 
-def _library_caches() -> list:
-    # every module-level cache of the package, found as the benchmark finds
-    # the caches it clears before each cold job
-    import sys
-
-    return list({id(obj): obj for name, module in list(sys.modules.items())
-                 if name == "eulab" or name.startswith("eulab.")
-                 for obj in vars(module).values() if hasattr(obj, "cache_clear")}.values())
-
-
-def test_verify_all_json_is_the_same_cold_warm_and_cleared():
+def test_verify_all_json_is_the_same_cold_warm_and_cleared(library_caches):
     import subprocess
     import sys
 
     import eulab.checks
     import eulab.enumerators
 
-    caches = _library_caches()
     for value_cache in (eulab.enumerators._value, eulab.enumerators._ascent_rows,
                         eulab.checks._product):
-        assert any(cache is value_cache for cache in caches)
+        assert any(cache is value_cache for cache in library_caches)
     code = ("import json, eulab; "
             "print(json.dumps([r.to_json() for r in eulab.verify_all(max_n=4)], sort_keys=True))")
     cold = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -934,7 +953,7 @@ def test_verify_all_json_is_the_same_cold_warm_and_cleared():
 
     run()
     warm = run()
-    for cache in caches:
+    for cache in library_caches:
         cache.cache_clear()
     cleared = run()
     assert cold == warm == cleared

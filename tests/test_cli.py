@@ -359,6 +359,15 @@ def test_verify_single_check(capsys):
     assert out.startswith("PASS secant")
 
 
+def test_verify_rule_set_check_prints_no_witness(capsys):
+    # the rule-set comparison returns None, its PASS witness, not the enumerator
+    code, out, _ = run(capsys, "verify", "grammar-31", "-n", "3")
+    assert (code, out) == (0, "PASS grammar-31 n=3\n")
+    code, out, _ = run(capsys, "verify", "grammar-31", "-n", "3", "--json")
+    assert code == 0
+    assert json.loads(out)["witness"] is None
+
+
 def test_verify_single_check_json(capsys):
     code, out, _ = run(capsys, "verify", "cgk-alpha", "-a", "2", "-b", "1", "--json")
     assert code == 0
@@ -520,7 +529,7 @@ def test_nonpositive_cap_exit_two(capsys, monkeypatch, raw):
     assert "VALUE_OUT_OF_RANGE" in err
 
 
-def test_cap_rejected_before_any_word(capsys, monkeypatch):
+def test_cap_rejected_before_any_word(capsys, monkeypatch, library_caches):
     # with a cold profile cache, the rejection must come before enumeration
     import eulab.checks
     import eulab.enumerators
@@ -537,7 +546,8 @@ def test_cap_rejected_before_any_word(capsys, monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, no_words)
     monkeypatch.setenv("EULAB_MAX_N", "6")
-    eulab.enumerators.profile_counts.cache_clear()
+    for cache in library_caches:
+        cache.cache_clear()
 
     code, _, err = run(capsys, "verify", "gamm", "-n", "8", "--class", "sym")
     assert code == 3

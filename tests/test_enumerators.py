@@ -95,7 +95,7 @@ def test_build_rejects_bad_index():
 
 
 @pytest.mark.parametrize("size", [2.0, True])
-def test_a_size_that_is_not_an_int_is_rejected_cold_and_warm(size):
+def test_a_size_that_is_not_an_int_is_rejected_cold_and_warm(size, library_caches):
     # 2.0 and True equal 2 and 1, so a cache keyed by the size would serve
     # them once the int size has been built
     calls = [
@@ -111,8 +111,7 @@ def test_a_size_that_is_not_an_int_is_rejected_cold_and_warm(size):
             profile_counts(PermClass.PRW, int(size))
             stirling_eulerian(int(size), 1)
         else:
-            for cache in (profile_counts, eulab.enumerators._value,
-                          eulab.enumerators._ascent_rows):
+            for cache in library_caches:
                 cache.cache_clear()
         for call in calls:
             with pytest.raises(ValueOutOfRangeError, match="takes an int"):
