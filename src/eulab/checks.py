@@ -29,6 +29,9 @@ row of either.
 
 from __future__ import annotations
 
+import marshal
+import os
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cache, partial
@@ -590,7 +593,9 @@ def verify_all(max_n: int | None = None, seed: int = 0) -> list:
     be ``None``) and a ``max_n`` that leaves some check no runs are
     rejected before any check runs.  ``seed`` reaches no check, since no
     check samples; it is still accepted, as an int, for existing callers
-    and goes with ROADMAP item 15."""
+    and goes with ROADMAP item 15.  The runs are spread over the usable
+    CPUs (see ``_run_table``); the reports, and any error raised, are those
+    of running every run in table order in this process."""
     _require_ints("verify_all", **({} if max_n is None else {"max_n": max_n}), seed=seed)
     return _run_table(REGISTRY, max_n)
 
@@ -604,22 +609,99 @@ def verify_proofs() -> list:
 def _run_table(table: dict, max_n: int | None) -> list:
     """One aggregated report per row of a table: PASS with the number of
     runs, or the first FAIL with its parameters.  A ``max_n`` that leaves
-    some row no runs is rejected before any row runs."""
+    some row no runs is rejected before any row runs, and before any fork.
+
+    The runs are spread over k processes, k the number of CPUs this
+    process may use or the number of runs, whichever is smaller
+    (``_spread``).  The reports are then read in table order, and a run
+    that no process finished (it raised, or its worker died) runs here, in
+    that order: the report list, its FAIL witnesses and ``runs`` counts,
+    and the error raised, with its traceback, are those of one process
+    running the rows in order, each up to its first FAIL."""
     grids = {name: defn.sweep(max_n) for name, defn in table.items()}
     empty = [name for name, grid in grids.items() if not grid]
     if empty:
         raise ValueOutOfRangeError(f"max_n={max_n} leaves no runs for {', '.join(empty)}")
-    out = []
+    runs = [(name, params) for name, grid in grids.items() for params in grid]
+    done = _spread(runs)
+    out, first = [], 0
     for defn in table.values():
         sweep = {"sweep": defn.describe(max_n)}
-        runs = 0
-        for params in grids[defn.name]:
-            report = verify(defn.name, **params)
-            runs += 1
+        grid = grids[defn.name]
+        for i, params in enumerate(grid, first):
+            report = done[i] if i in done else verify(defn.name, **params)
             if not report.passed:
                 witness = {"params": report.params, **(report.witness or {})}
                 out.append(CheckReport(defn.name, sweep, "FAIL", witness))
                 break
         else:
-            out.append(CheckReport(defn.name, sweep, "PASS", {"runs": runs}))
+            out.append(CheckReport(defn.name, sweep, "PASS", {"runs": len(grid)}))
+        first += len(grid)
     return out
+
+
+def _claim(queue: int, runs: list) -> dict:
+    """The reports of the runs whose indices this process reads off the
+    pipe ``queue``, two bytes each, until it is empty.  A run that raises is
+    left out; ``_run_table`` runs it again in table order, and raises there
+    if no earlier run of the table raises or ends its row first."""
+    done = {}
+    while index := os.read(queue, 2):
+        i = int.from_bytes(index, "big")
+        name, params = runs[i]
+        try:
+            done[i] = verify(name, **params)
+        except Exception:  # the in-order pass runs it again and raises there
+            pass
+    return done
+
+
+def _spread(runs: list) -> dict:
+    """Reports of ``runs`` by index, from k processes: this one and k - 1
+    forked workers, all claiming indices from one queue.  Each worker sends
+    its reports as marshalled ``to_json()`` dicts and leaves with
+    ``os._exit``; every worker is reaped before this returns or raises, and
+    only one that exited 0 counts.  Nothing forks, and the result is empty,
+    when k is 1, the platform has no ``fork`` or another thread runs.  The
+    queue holds at most 2048 indices, 4 KiB: one page, the least a Linux
+    pipe holds, so filling it never blocks; later runs are left to the
+    in-order pass of ``_run_table``."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = sys.modules.get("threading")
+    k = min(cpus or 1, len(runs))
+    if k < 2 or not hasattr(os, "fork") or (threads and threads.active_count() > 1):
+        return {}
+    queue, fill = os.pipe()
+    os.write(fill, b"".join(i.to_bytes(2, "big") for i in range(min(len(runs), 2048))))
+    os.close(fill)
+    workers, done = [], {}
+    try:
+        for _ in range(k - 1):
+            out, into = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: those running claim every run
+                os.close(out)
+                os.close(into)
+                break
+            if not pid:
+                # a worker: it exits 0 once its reports are all sent, else 1,
+                # and never returns into the caller's code
+                try:
+                    with open(into, "wb") as pipe:
+                        marshal.dump({i: r.to_json() for i, r in _claim(queue, runs).items()},
+                                     pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(into)
+            workers.append((pid, out))
+        done.update(_claim(queue, runs))
+    finally:
+        for pid, out in workers:
+            with open(out, "rb") as pipe:
+                data = pipe.read()
+            if os.waitpid(pid, 0)[1] == 0:
+                done.update({i: CheckReport.from_json(r) for i, r in marshal.loads(data).items()})
+        os.close(queue)
+    return done

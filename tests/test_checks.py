@@ -3,13 +3,27 @@
 import hashlib
 import inspect
 import json
+import marshal
+import os
+import subprocess
+import sys
+import threading
 
 import pytest
 
 from eulab.action import _swap, orbit
 from eulab.bijection import mirror
-from eulab.checks import PROOFS, CheckDef, CheckReport, REGISTRY, verify, verify_all, verify_proofs
-from eulab.errors import UnknownCheckError, ValueOutOfRangeError
+from eulab.checks import (
+    PROOFS,
+    REGISTRY,
+    CheckDef,
+    CheckReport,
+    Mismatch,
+    verify,
+    verify_all,
+    verify_proofs,
+)
+from eulab.errors import CapExceededError, UnknownCheckError, ValueOutOfRangeError
 from eulab.perms import (
     DOUBLE_ASC,
     DOUBLE_DESC,
@@ -380,19 +394,19 @@ WRONG_MOVES = [
 
 
 def _install(monkeypatch, kernel, wrong):
-    # patch a kernel of eulab.action; a per-letter mutant, labelled
-    # ``_toggle``, goes in as the images kernel that ``_walk`` calls, one
-    # call per letter
+    # patch a kernel of eulab.action; a mutant of ``_images`` is given per
+    # letter, as ``wrong(w, x)``, and goes in as the images kernel that
+    # ``_walk`` calls, one call per letter
     import eulab.action
 
-    if kernel == "_toggle":
+    if kernel == "_images":
         move = wrong
-        kernel, wrong = "_images", lambda w: tuple([move(w, x) for x in range(1, len(w) + 1)])
+        wrong = lambda w: tuple([move(w, x) for x in range(1, len(w) + 1)])
     monkeypatch.setattr(eulab.action, kernel, wrong)
 
 
 @pytest.mark.parametrize("wrong", WRONG_MOVES)
-@pytest.mark.parametrize("name", ["_toggle"])
+@pytest.mark.parametrize("name", ["_images"])
 def test_group_action_fails_on_a_wrong_toggle(monkeypatch, name, wrong):
     _install(monkeypatch, name, wrong)
     report = verify("group-action", n=4)
@@ -416,7 +430,7 @@ def test_group_action_checks_commutation_on_seven_letters(monkeypatch):
     def wrong(w, x):
         return traded[w] if x == 4 and w in traded else real(w)[x - 1]
 
-    _install(monkeypatch, "_toggle", wrong)
+    _install(monkeypatch, "_images", wrong)
     assert verify("group-action", n=7).witness == {
         "word": "1 2 3 4 5 7 6", "letters": [2, 4], "reason": "toggles do not commute",
     }
@@ -444,7 +458,7 @@ PIP_WRONG_MOVE_WITNESSES = {
 @pytest.mark.parametrize("wrong", WRONG_MOVES)
 @pytest.mark.parametrize("klass", ["sym", "prw"])
 def test_pip_fails_on_a_wrong_toggle(monkeypatch, klass, wrong):
-    _install(monkeypatch, "_toggle", wrong)
+    _install(monkeypatch, "_images", wrong)
     report = verify("pip", klass=klass, n=4)
     assert report.witness == PIP_WRONG_MOVE_WITNESSES[klass][WRONG_MOVES.index(wrong)]
 
@@ -479,7 +493,7 @@ ESCAPES = [
 
 @pytest.mark.parametrize("word, letter, image, witness", ESCAPES)
 def test_pip_reports_an_orbit_that_leaves_the_class(monkeypatch, word, letter, image, witness):
-    _install(monkeypatch, "_toggle", _escaping(word, letter, image))
+    _install(monkeypatch, "_images", _escaping(word, letter, image))
     report = verify("pip", klass="prw", n=4)
     assert report.to_json() == {
         "check": "pip", "params": {"klass": "prw", "n": 4}, "verdict": "FAIL", "witness": witness,
@@ -490,7 +504,7 @@ def test_pip_names_the_least_stray_of_the_public_orbit(monkeypatch):
     # one engine: the public orbit of the representative holds the same
     # words as pip's walk, and the stray is its least word outside the class
     word, letter, image, witness = ESCAPES[0]
-    _install(monkeypatch, "_toggle", _escaping(word, letter, image))
+    _install(monkeypatch, "_images", _escaping(word, letter, image))
     assert verify("pip", klass="prw", n=4).witness == witness
     members = orbit(parse_perm(witness["orbit_of"])).members
     strays = set(members) - set(enumerate_class(PermClass.PRW, 5))
@@ -673,8 +687,8 @@ def test_pip_and_group_action_match_the_table_oracle(n):
 # ``_install``: the wrong moves, a toggle that escapes the decreasing-prefix
 # class, a blind double-descent scan and one that sees a double descent
 # everywhere
-ORACLE_MUTANTS = [("_toggle", wrong) for wrong in WRONG_MOVES] + [
-    ("_toggle", "escape"),
+ORACLE_MUTANTS = [("_images", wrong) for wrong in WRONG_MOVES] + [
+    ("_images", "escape"),
     ("_has_double_descent", lambda w: False),
     ("_has_double_descent", lambda w: True),
 ]
@@ -934,9 +948,6 @@ def test_verify_all_json_is_pinned_at_the_benchmark_sizes():
 
 
 def test_verify_all_json_is_the_same_cold_warm_and_cleared(library_caches):
-    import subprocess
-    import sys
-
     import eulab.checks
     import eulab.enumerators
 
@@ -1027,3 +1038,193 @@ def test_profile_rules_fails_on_an_alternating_filter_without_f(monkeypatch, col
     assert (report.verdict, report.witness) == ("FAIL", {
         "class": "alt-down-up", "letters": 2, "profile": parse_stats("1 2"),
         "derived": 1, "enumerated": 0})
+
+
+# -- one table's runs, spread over the usable CPUs -----------------------------
+# ``_run_table`` forks a worker per usable CPU past the first, up to the number
+# of runs; the report list, its FAIL witnesses and the error it raises are
+# those of running every run in table order in one process.
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or _usable_cpus() < 2,
+    reason="needs sched_setaffinity and at least two usable CPUs")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the workers that ``os.fork`` starts during the test."""
+    real, pids = os.fork, []
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_all_raises_the_error_of_the_earlier_row(monkeypatch):
+    # the later row raises on every run, the earlier one only on its last;
+    # alone in a table, the later row has 28 runs, so that every process
+    # claims some of them
+    from eulab.checks import _run_table
+
+    def late(n):
+        if n == 3:
+            raise KeyError("the last run of the earlier row")
+
+    def early(a, b):
+        raise ZeroDivisionError("every run of the later row")
+
+    rows = {"raises-late": CheckDef("raises-late", late, 1, 3, "raises"),
+            "raises-early": CheckDef("raises-early", early, 2, 8, "raises", ("a", "b"))}
+    for name, row in rows.items():
+        monkeypatch.setitem(REGISTRY, name, row)
+    with pytest.raises(KeyError, match="the last run of the earlier row"):
+        verify_all(max_n=3)
+    with pytest.raises(KeyError, match="the last run of the earlier row"):
+        _run_table(rows, None)
+
+
+def test_a_raise_past_the_first_fail_of_a_row_is_never_reached(monkeypatch):
+    def fails_then_raises(n):
+        if n == 2:
+            raise Mismatch(at=n)
+        if n == 3:
+            raise KeyError("past the first FAIL of the row")
+
+    monkeypatch.setitem(REGISTRY, "fails", CheckDef("fails", fails_then_raises, 1, 3, "fails"))
+    report = verify_all(max_n=3)[-1]
+    assert report.to_json() == {"check": "fails", "params": {"sweep": "n=1..3"},
+                                "verdict": "FAIL", "witness": {"params": {"n": 2}, "at": 2}}
+
+
+def test_verify_all_under_a_cap_of_six_raises_as_the_serial_sweep_did(monkeypatch):
+    # the first run in table order past the cap is symmetry-gamma at n=6,
+    # on seven letters
+    monkeypatch.setenv("EULAB_MAX_N", "6")
+    with pytest.raises(CapExceededError) as info:
+        verify_all()
+    assert (type(info.value), info.value.code, info.value.message) == (
+        CapExceededError, "CAP_EXCEEDED", "7 letters exceed the enumeration cap 6 (EULAB_MAX_N)")
+
+
+def test_reports_survive_the_worker_transport(monkeypatch, library_caches, cold_profile_route):
+    # workers send ``to_json()`` dicts through marshal; every run report and
+    # FAIL witnesses with nested dicts and lists must come back equal
+    import eulab.grammar
+    from eulab.gamma import ROUTES
+
+    def back(report):
+        return CheckReport.from_json(marshal.loads(marshal.dumps(report.to_json())))
+
+    reports = [verify(name, **params) for name, defn in REGISTRY.items()
+               for params in defn.sweep(3)]
+    assert len(reports) == sum(r.witness["runs"] for r in verify_all(max_n=3))
+    source = eulab.grammar.BUILTIN_SOURCES["profile-sym"]
+    monkeypatch.setitem(eulab.grammar.BUILTIN_SOURCES, "profile-sym",
+                        source.replace(" ldd -> pk;", ""))
+    monkeypatch.setitem(ROUTES, "off", lambda n: [g + 1 for g in ROUTES["expand"](n)])
+    for cache in library_caches:  # the tables of the real rule set are cached
+        cache.cache_clear()
+    failed = [verify("profile-rules"), *verify_proofs(), verify("prw-g", n=3),
+              *[r for r in verify_all(max_n=3) if not r.passed]]
+    assert {"profile-rules", "prw-g"} <= {r.check for r in failed}
+    assert not any(r.passed for r in failed)
+    assert isinstance(failed[0].witness["profile"], dict)
+    for report in reports + failed:
+        assert back(report) == report and type(back(report)) is CheckReport
+
+
+@needs_two_cpus
+def test_verify_all_json_is_the_same_on_one_cpu_and_on_all():
+    # one subprocess at a time, so the test never runs more processes than
+    # there are usable CPUs; the pinned one forks nothing
+    code = ("import json, os, sys, eulab\n"
+            "if sys.argv[1:]:\n"
+            "    os.sched_setaffinity(0, {int(sys.argv[1])})\n"
+            "print(json.dumps([r.to_json() for r in eulab.verify_all(max_n=4)], sort_keys=True))\n")
+    pinned, unpinned = (subprocess.run([sys.executable, "-c", code, *cpu], capture_output=True,
+                                       text=True, check=True).stdout
+                        for cpu in ([str(min(os.sched_getaffinity(0)))], []))
+    assert pinned == unpinned
+    assert [r["verdict"] for r in json.loads(pinned)] == ["PASS"] * len(REGISTRY)
+
+
+@needs_two_cpus
+def test_no_worker_outlives_verify_all(monkeypatch, forks):
+    assert all(r.passed for r in verify_all(max_n=3))
+    assert len(forks) == _usable_cpus() - 1
+    _no_child_left()
+    monkeypatch.setitem(REGISTRY, "raises", CheckDef("raises", lambda n: 1 // 0, 1, 3, "raises"))
+    with pytest.raises(ZeroDivisionError):
+        verify_all(max_n=3)
+    assert len(forks) == 2 * (_usable_cpus() - 1)
+    _no_child_left()
+    # a table of one run forks nothing
+    assert [r.verdict for r in verify_proofs()] == ["PASS"]
+    assert len(forks) == 2 * (_usable_cpus() - 1)
+
+
+@needs_two_cpus
+def test_workers_that_die_cost_no_report(monkeypatch, forks):
+    # every run function exits at once in any process but this one, so each
+    # worker dies on the first run it claims, and sends nothing
+    want = json.dumps([r.to_json() for r in verify_all(max_n=4)])
+    me = os.getpid()
+
+    def dying(run):
+        def run_here(**params):
+            if os.getpid() != me:
+                os._exit(1)
+            return run(**params)
+        return run_here
+
+    for name, defn in REGISTRY.items():
+        monkeypatch.setitem(REGISTRY, name, defn._replace(run=dying(defn.run)))
+    forks.clear()
+    assert json.dumps([r.to_json() for r in verify_all(max_n=4)]) == want
+    assert len(forks) == _usable_cpus() - 1
+    _no_child_left()
+
+
+def test_verify_all_runs_every_run_itself_when_fork_fails(monkeypatch):
+    def fork():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", fork)
+    text = json.dumps([r.to_json() for r in verify_all(max_n=3)], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "877982ed4e09f1e82dcafda9870603b8597426ed7a6bebebe71079e0af3c786a"
+    )
+
+
+def test_verify_all_forks_nothing_while_another_thread_runs(monkeypatch):
+    def fork():
+        raise AssertionError("forked while another thread was running")
+
+    monkeypatch.setattr(os, "fork", fork)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        text = json.dumps([r.to_json() for r in verify_all(max_n=3)], sort_keys=True)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "877982ed4e09f1e82dcafda9870603b8597426ed7a6bebebe71079e0af3c786a"
+    )
