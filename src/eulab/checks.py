@@ -586,6 +586,12 @@ def verify(name: str, **params) -> CheckReport:
     return CheckReport(name, args, verdict, witness or None)
 
 
+# ``_spread`` forks only while ``verify`` is this function: one replaced from
+# outside (a wrapper that counts or records calls, a test double) must see
+# every run, in this process
+_OWN_VERIFY = verify
+
+
 def verify_all(max_n: int | None = None, seed: int = 0) -> list:
     """Run every registered check over its default parameter sweep
     (bounded by ``max_n`` when given).  Returns one aggregated report per
@@ -613,7 +619,8 @@ def _run_table(table: dict, max_n: int | None) -> list:
 
     The runs are spread over k processes, k the number of CPUs this
     process may use or the number of runs, whichever is smaller
-    (``_spread``).  The reports are then read in table order, and a run
+    (``_spread``); a replaced ``verify`` runs every run here, so a wrapper
+    around it sees them all.  The reports are then read in table order, and a run
     that no process finished (it raised, or its worker died) runs here, in
     that order: the report list, its FAIL witnesses and ``runs`` counts,
     and the error raised, with its traceback, are those of one process
@@ -662,14 +669,16 @@ def _spread(runs: list) -> dict:
     its reports as marshalled ``to_json()`` dicts and leaves with
     ``os._exit``; every worker is reaped before this returns or raises, and
     only one that exited 0 counts.  Nothing forks, and the result is empty,
-    when k is 1, the platform has no ``fork`` or another thread runs.  The
+    when k is 1, the platform has no ``fork``, another thread runs or
+    ``verify`` has been replaced (``_OWN_VERIFY``).  The
     queue holds at most 2048 indices, 4 KiB: one page, the least a Linux
     pipe holds, so filling it never blocks; later runs are left to the
     in-order pass of ``_run_table``."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     threads = sys.modules.get("threading")
     k = min(cpus or 1, len(runs))
-    if k < 2 or not hasattr(os, "fork") or (threads and threads.active_count() > 1):
+    if (k < 2 or not hasattr(os, "fork") or verify is not _OWN_VERIFY
+            or (threads and threads.active_count() > 1)):
         return {}
     queue, fill = os.pipe()
     os.write(fill, b"".join(i.to_bytes(2, "big") for i in range(min(len(runs), 2048))))

@@ -947,7 +947,9 @@ def test_verify_all_json_is_pinned_at_the_benchmark_sizes():
         assert hashlib.sha256(text.encode()).hexdigest() == want, max_n
 
 
-def test_verify_all_json_is_the_same_cold_warm_and_cleared(library_caches):
+def test_verify_all_json_is_the_same_cold_warm_and_cleared(library_caches, one_cpu):
+    # on one CPU nothing forks, so every run of the second sweep reads the
+    # caches the first one filled
     import eulab.checks
     import eulab.enumerators
 
@@ -1068,6 +1070,21 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", fork)
     return pids
+
+
+@pytest.fixture
+def one_cpu():
+    """Pins this process, and every process it starts, to one CPU for the
+    test, where the platform can, so that ``verify_all`` forks nothing."""
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cpus)
 
 
 def _no_child_left():
@@ -1196,6 +1213,31 @@ def test_workers_that_die_cost_no_report(monkeypatch, forks):
         monkeypatch.setitem(REGISTRY, name, defn._replace(run=dying(defn.run)))
     forks.clear()
     assert json.dumps([r.to_json() for r in verify_all(max_n=4)]) == want
+    assert len(forks) == _usable_cpus() - 1
+    _no_child_left()
+
+
+@needs_two_cpus
+def test_a_replaced_verify_sees_every_run(monkeypatch, forks):
+    # a wrapper around ``verify`` (a call counter here, a tracer that wraps
+    # every public function elsewhere) would see only its own process's
+    # share of the runs, so nothing forks while it is installed
+    import eulab.checks
+
+    calls = []
+
+    def counting(name, **params):
+        calls.append((name, params))
+        return verify(name, **params)
+
+    monkeypatch.setattr(eulab.checks, "verify", counting)
+    reports = verify_all(max_n=3)
+    assert calls == [(name, params) for name, defn in REGISTRY.items()
+                     for params in defn.sweep(3)]
+    assert len(calls) == sum(r.witness["runs"] for r in reports)
+    assert forks == []
+    monkeypatch.setattr(eulab.checks, "verify", verify)  # the forks fixture stays
+    verify_all(max_n=3)
     assert len(forks) == _usable_cpus() - 1
     _no_child_left()
 
