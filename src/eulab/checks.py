@@ -29,7 +29,6 @@ row of either.
 
 from __future__ import annotations
 
-import marshal
 import os
 import sys
 from collections import Counter
@@ -441,12 +440,18 @@ def _check_group_action(n: int) -> None:
             raise Mismatch(representative=format_perm(r), size=len(table), expected=expected)
 
 
+# class -> the most letters on which ``verify_all`` reads its profile table:
+# decreasing-prefix words of size index 8 have 9 letters
+_PROFILE_TOPS = {**dict.fromkeys(PermClass, 8), PermClass.PRW: 9}
+
+
 def _check_profile_rules() -> dict:
     """The profile table of every class, read off its rule set, equals the
-    table counted over the class's enumerated words, on 0 to 8 letters.  A
-    mismatch names the least profile whose two counts differ."""
-    for tag in PermClass:
-        for m in range(9):
+    table counted over the class's enumerated words, on 0 letters up to the
+    class's ``_PROFILE_TOPS`` entry.  A mismatch names the least profile
+    whose two counts differ."""
+    for tag, top in _PROFILE_TOPS.items():
+        for m in range(top + 1):
             derived = dict(profile_counts(tag, m))
             # enumerated words are valid, so they go straight to the kernel
             enumerated = Counter(_stats(w) for w in enumerate_class(tag, m))
@@ -456,7 +461,7 @@ def _check_profile_rules() -> dict:
                 s = min(wrong)
                 raise Mismatch(**{"class": tag.value, "letters": m, "profile": s._asdict(),
                                   "derived": derived.get(s, 0), "enumerated": enumerated[s]})
-    return {"tables": 9 * len(PermClass)}
+    return {"tables": sum(top + 1 for top in _PROFILE_TOPS.values())}
 
 
 # -- registry ----------------------------------------------------------------
@@ -543,7 +548,7 @@ PROOFS: dict = {
         # name, run, lo, hi (unread: each row runs once), summary, params
         CheckDef("profile-rules", _check_profile_rules, 0, 0,
                  "every class's profile table from its rule set equals the enumerated one, "
-                 "on 0 to 8 letters", ()),
+                 "on 0 to 8 letters (9 for prw)", ()),
     )
 }
 
@@ -600,8 +605,9 @@ def verify_all(max_n: int | None = None, seed: int = 0) -> list:
     rejected before any check runs.  ``seed`` reaches no check, since no
     check samples; it is still accepted, as an int, for existing callers
     and goes with ROADMAP item 15.  The runs are spread over the usable
-    CPUs (see ``_run_table``); the reports, and any error raised, are those
-    of running every run in table order in this process."""
+    CPUs, and only which of them passed comes back (see ``_run_table``);
+    every other run runs again in this process, so the reports, and any
+    error raised, are those of running every run in table order here."""
     _require_ints("verify_all", **({} if max_n is None else {"max_n": max_n}), seed=seed)
     return _run_table(REGISTRY, max_n)
 
@@ -617,26 +623,26 @@ def _run_table(table: dict, max_n: int | None) -> list:
     runs, or the first FAIL with its parameters.  A ``max_n`` that leaves
     some row no runs is rejected before any row runs, and before any fork.
 
-    The runs are spread over k processes, k the number of CPUs this
-    process may use or the number of runs, whichever is smaller
-    (``_spread``); a replaced ``verify`` runs every run here, so a wrapper
-    around it sees them all.  The reports are then read in table order, and a run
-    that no process finished (it raised, or its worker died) runs here, in
-    that order: the report list, its FAIL witnesses and ``runs`` counts,
-    and the error raised, with its traceback, are those of one process
-    running the rows in order, each up to its first FAIL."""
+    ``_spread`` first shares the runs out over the usable CPUs, and all
+    that comes back is which of them passed.  Every other run (it failed,
+    raised, was never finished or never queued) runs here, in table order,
+    each row up to its first FAIL: the report list, its FAIL witnesses and
+    ``runs`` counts, and the error raised, with its traceback, are those of
+    one process running the rows in order."""
     grids = {name: defn.sweep(max_n) for name, defn in table.items()}
     empty = [name for name, grid in grids.items() if not grid]
     if empty:
         raise ValueOutOfRangeError(f"max_n={max_n} leaves no runs for {', '.join(empty)}")
     runs = [(name, params) for name, grid in grids.items() for params in grid]
-    done = _spread(runs)
+    passed = _spread(runs)
     out, first = [], 0
     for defn in table.values():
         sweep = {"sweep": defn.describe(max_n)}
         grid = grids[defn.name]
         for i, params in enumerate(grid, first):
-            report = done[i] if i in done else verify(defn.name, **params)
+            if passed[i]:
+                continue
+            report = verify(defn.name, **params)
             if not report.passed:
                 witness = {"params": report.params, **(report.witness or {})}
                 out.append(CheckReport(defn.name, sweep, "FAIL", witness))
@@ -647,70 +653,61 @@ def _run_table(table: dict, max_n: int | None) -> list:
     return out
 
 
-def _claim(queue: int, runs: list) -> dict:
-    """The reports of the runs whose indices this process reads off the
-    pipe ``queue``, two bytes each, until it is empty.  A run that raises is
-    left out; ``_run_table`` runs it again in table order, and raises there
-    if no earlier run of the table raises or ends its row first."""
-    done = {}
+def _claim(queue: int, runs: list, passed) -> None:
+    """Set ``passed[i]`` for each run whose index this process reads off the
+    pipe ``queue``, two bytes each, until it is empty, once ``verify`` has
+    returned a PASS report for it.  A run that fails or raises stays unset;
+    ``_run_table`` runs it again in table order, and it fails or raises
+    there if no earlier run of the table raises or ends its row first."""
     while index := os.read(queue, 2):
         i = int.from_bytes(index, "big")
         name, params = runs[i]
         try:
-            done[i] = verify(name, **params)
+            passed[i] = verify(name, **params).passed
         except Exception:  # the in-order pass runs it again and raises there
             pass
-    return done
 
 
-def _spread(runs: list) -> dict:
-    """Reports of ``runs`` by index, from k processes: this one and k - 1
-    forked workers, all claiming indices from one queue.  Each worker sends
-    its reports as marshalled ``to_json()`` dicts and leaves with
-    ``os._exit``; every worker is reaped before this returns or raises, and
-    only one that exited 0 counts.  Nothing forks, and the result is empty,
-    when k is 1, the platform has no ``fork``, another thread runs or
-    ``verify`` has been replaced (``_OWN_VERIFY``).  The
-    queue holds at most 2048 indices, 4 KiB: one page, the least a Linux
-    pipe holds, so filling it never blocks; later runs are left to the
-    in-order pass of ``_run_table``."""
+def _spread(runs: list):
+    """One byte per run of ``runs``, nonzero for a run that passed in one
+    of k processes, k the number of CPUs this process may use or of runs,
+    whichever is smaller: this one and k - 1 forked workers, all claiming
+    indices from one queue and setting bytes of one shared anonymous map.
+    A byte once set stays set, whatever its worker does after.  Every
+    worker leaves with ``os._exit`` and is reaped before this returns or
+    raises.  Nothing forks, and every byte is zero, when k is 1, the
+    platform has no ``fork``, another thread runs or ``verify`` has been
+    replaced (``_OWN_VERIFY``).  The queue holds at most 2048 indices,
+    4 KiB: one page, the least a Linux pipe holds, so filling it never
+    blocks; later runs are left to the in-order pass of ``_run_table``."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     threads = sys.modules.get("threading")
     k = min(cpus or 1, len(runs))
     if (k < 2 or not hasattr(os, "fork") or verify is not _OWN_VERIFY
             or (threads and threads.active_count() > 1)):
-        return {}
+        return bytes(len(runs))
+    import mmap  # here, so that ``import eulab`` loads no module for it
+
+    passed = mmap.mmap(-1, len(runs))
     queue, fill = os.pipe()
     os.write(fill, b"".join(i.to_bytes(2, "big") for i in range(min(len(runs), 2048))))
     os.close(fill)
-    workers, done = [], {}
+    workers = []
     try:
         for _ in range(k - 1):
-            out, into = os.pipe()
             try:
                 pid = os.fork()
             except OSError:  # no process to spare: those running claim every run
-                os.close(out)
-                os.close(into)
                 break
             if not pid:
-                # a worker: it exits 0 once its reports are all sent, else 1,
-                # and never returns into the caller's code
                 try:
-                    with open(into, "wb") as pipe:
-                        marshal.dump({i: r.to_json() for i, r in _claim(queue, runs).items()},
-                                     pipe)
+                    _claim(queue, runs, passed)
+                finally:  # a worker never returns into the caller's code
                     os._exit(0)
-                finally:
-                    os._exit(1)
-            os.close(into)
-            workers.append((pid, out))
-        done.update(_claim(queue, runs))
+            workers.append(pid)
+        _claim(queue, runs, passed)
     finally:
-        for pid, out in workers:
-            with open(out, "rb") as pipe:
-                data = pipe.read()
-            if os.waitpid(pid, 0)[1] == 0:
-                done.update({i: CheckReport.from_json(r) for i, r in marshal.loads(data).items()})
+        for pid in workers:
+            os.waitpid(pid, 0)
         os.close(queue)
-    return done
+    return passed

@@ -41,8 +41,8 @@ only: a later step can turn ``idd`` or ``ldd`` into ``pk``, so a monomial
 pruned early would miss words.  One derivative per rule set and size is
 cached, each size one step past the size below, and shared by the classes
 that read it.  The empty word is a literal row.  The ``profile-rules``
-entry of ``eulab.checks.PROOFS`` compares every table on 0 to 8 letters with
-the one counted over the class's enumerated words.
+entry of ``eulab.checks.PROOFS`` compares every table that ``verify_all``
+reads with the one counted over the class's enumerated words.
 
 ``KINDS`` is the one table of enumerator kinds: each kind names the classes
 it may run over (the first is the default) and its exponent map.  ``build``

@@ -3,11 +3,11 @@
 import hashlib
 import inspect
 import json
-import marshal
 import os
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -1029,6 +1029,43 @@ def test_profile_rules_fails_without_the_ldd_rule(monkeypatch, cold_profile_rout
     assert (summary.verdict, summary.witness) == ("FAIL", {"params": {}, **report.witness})
 
 
+def test_profile_rules_compares_every_table_that_verify_all_reads(
+        monkeypatch, cold_profile_route, one_cpu):
+    # every (class, letters) whose table ``verify_all`` reads, through the
+    # module's own ``profile_counts``, is one that ``profile-rules`` compares
+    # with enumeration; pinned to one CPU, every run reads in this process
+    import eulab.checks
+    import eulab.enumerators
+
+    def recording(module):
+        real, served = module.profile_counts, set()
+
+        def profile_counts(tag, m):
+            served.add((tag.value, m))
+            return real(tag, m)
+
+        monkeypatch.setattr(module, "profile_counts", profile_counts)
+        return served
+
+    read, compared = recording(eulab.enumerators), recording(eulab.checks)
+    assert all(r.passed for r in verify_all())
+    assert verify("profile-rules").witness == {"tables": len(compared)}
+    assert ("prw", 9) in read and read <= compared, sorted(read - compared)
+
+
+def test_profile_rules_fails_on_a_prw_table_wrong_at_nine_letters(monkeypatch, cold_profile_route):
+    import eulab.enumerators
+
+    # the 9-letter table loses the identity word's profile, its one word with
+    # no descent; every table on fewer letters stays right
+    monkeypatch.setitem(eulab.enumerators._PROFILE_RULES, PermClass.PRW, (
+        "profile-prw", lambda e, m: m != 9 or e.get("x", 0) > 0))
+    report = verify("profile-rules")
+    assert (report.verdict, report.witness) == ("FAIL", {
+        "class": "prw", "letters": 9, "profile": parse_stats("1 2 3 4 5 6 7 8 9"),
+        "derived": 0, "enumerated": 1})
+
+
 def test_profile_rules_fails_on_an_alternating_filter_without_f(monkeypatch, cold_profile_route):
     import eulab.enumerators
 
@@ -1138,14 +1175,15 @@ def test_verify_all_under_a_cap_of_six_raises_as_the_serial_sweep_did(monkeypatc
         CapExceededError, "CAP_EXCEEDED", "7 letters exceed the enumeration cap 6 (EULAB_MAX_N)")
 
 
-def test_reports_survive_the_worker_transport(monkeypatch, library_caches, cold_profile_route):
-    # workers send ``to_json()`` dicts through marshal; every run report and
-    # FAIL witnesses with nested dicts and lists must come back equal
+def test_reports_survive_the_json_round_trip(monkeypatch, library_caches, cold_profile_route):
+    # the CLI prints ``to_json()`` and reads it back with ``from_json``; every
+    # run report and FAIL witnesses with nested dicts and lists must come back
+    # equal
     import eulab.grammar
     from eulab.gamma import ROUTES
 
     def back(report):
-        return CheckReport.from_json(marshal.loads(marshal.dumps(report.to_json())))
+        return CheckReport.from_json(report.to_json())
 
     reports = [verify(name, **params) for name, defn in REGISTRY.items()
                for params in defn.sweep(3)]
@@ -1178,6 +1216,28 @@ def test_verify_all_json_is_the_same_on_one_cpu_and_on_all():
                         for cpu in ([str(min(os.sched_getaffinity(0)))], []))
     assert pinned == unpinned
     assert [r["verdict"] for r in json.loads(pinned)] == ["PASS"] * len(REGISTRY)
+
+
+@needs_two_cpus
+def test_only_a_pass_comes_back_from_a_worker(monkeypatch, forks):
+    # every run fails in any process but this one, so no worker marks a run
+    # passed, and this process runs each run again and passes it; 2 ms per
+    # run lets every worker claim some of the 28
+    from eulab.checks import _run_table
+
+    me = os.getpid()
+
+    def passes_here(a, b):
+        time.sleep(0.002)
+        if os.getpid() != me:
+            raise Mismatch(pid=os.getpid())
+
+    row = CheckDef("passes-here", passes_here, 2, 8, "passes here", ("a", "b"))
+    monkeypatch.setitem(REGISTRY, row.name, row)
+    assert _run_table({row.name: row}, None) == [
+        CheckReport(row.name, {"sweep": "a,b>=1, a+b<=8"}, "PASS", {"runs": 28})]
+    assert len(forks) == min(_usable_cpus(), 28) - 1
+    _no_child_left()
 
 
 @needs_two_cpus

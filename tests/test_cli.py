@@ -328,7 +328,7 @@ def test_verify_proofs(capsys):
     assert (code, err) == (0, "")
     assert [CheckReport.from_json(r) for r in json.loads(out)] == verify_proofs()
     # one proof row runs on its own, with its own witness
-    assert run(capsys, "verify", "profile-rules") == (0, "PASS profile-rules\n  tables: 36\n", "")
+    assert run(capsys, "verify", "profile-rules") == (0, "PASS profile-rules\n  tables: 37\n", "")
 
 
 @pytest.mark.parametrize("argv", [("proofs", "-n", "3"), ("proofs", "--max-n", "3"),

@@ -51,8 +51,9 @@ def test_record_defaults():
 
 
 def test_import_eulab_loads_no_dataclasses_or_inspect():
-    # every CLI call is a cold process, so its import graph is its start-up cost
-    heavy = ("dataclasses", "inspect", "ast", "dis", "random")
+    # every CLI call is a cold process, so its import graph is its start-up
+    # cost; mmap is imported only where verify all forks
+    heavy = ("dataclasses", "inspect", "ast", "dis", "random", "mmap")
     code = f"import sys, eulab; print(sorted(set({heavy!r}) & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
