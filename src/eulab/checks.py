@@ -604,10 +604,10 @@ def verify_all(max_n: int | None = None, seed: int = 0) -> list:
     be ``None``) and a ``max_n`` that leaves some check no runs are
     rejected before any check runs.  ``seed`` reaches no check, since no
     check samples; it is still accepted, as an int, for existing callers
-    and goes with ROADMAP item 15.  The runs are spread over the usable
-    CPUs, and only which of them passed comes back (see ``_run_table``);
-    every other run runs again in this process, so the reports, and any
-    error raised, are those of running every run in table order here."""
+    and goes with ROADMAP item 15.  This process runs the sweeps in
+    registry order, while forked workers pass runs from the far end of the
+    table (see ``_run_table``); it skips only the runs a worker passed, so
+    the reports, and any error raised, are those of the serial loop."""
     _require_ints("verify_all", **({} if max_n is None else {"max_n": max_n}), seed=seed)
     return _run_table(REGISTRY, max_n)
 
@@ -623,91 +623,87 @@ def _run_table(table: dict, max_n: int | None) -> list:
     runs, or the first FAIL with its parameters.  A ``max_n`` that leaves
     some row no runs is rejected before any row runs, and before any fork.
 
-    ``_spread`` first shares the runs out over the usable CPUs, and all
-    that comes back is which of them passed.  Every other run (it failed,
-    raised, was never finished or never queued) runs here, in table order,
-    each row up to its first FAIL: the report list, its FAIL witnesses and
-    ``runs`` counts, and the error raised, with its traceback, are those of
-    one process running the rows in order."""
+    This process is the serial loop: it goes through the runs once, in
+    table order, each row up to its first FAIL, and runs each run itself,
+    setting its byte first, unless a worker of ``_spread`` has set the
+    byte for a PASS.  So the report list, its FAIL witnesses and ``runs``
+    counts, and the error raised, with its traceback, are those of one
+    process running the rows in order.  Once the loop ends, by a return or
+    a raise, every byte is set, so each worker stops after the run it is
+    on, and is reaped; a worker forked before an interrupt that comes
+    between two forks runs out its share of the queue first."""
     grids = {name: defn.sweep(max_n) for name, defn in table.items()}
     empty = [name for name, grid in grids.items() if not grid]
     if empty:
         raise ValueOutOfRangeError(f"max_n={max_n} leaves no runs for {', '.join(empty)}")
     runs = [(name, params) for name, grid in grids.items() for params in grid]
-    passed = _spread(runs)
-    out, first = [], 0
-    for defn in table.values():
-        sweep = {"sweep": defn.describe(max_n)}
-        grid = grids[defn.name]
-        for i, params in enumerate(grid, first):
-            if passed[i]:
-                continue
-            report = verify(defn.name, **params)
-            if not report.passed:
-                witness = {"params": report.params, **(report.witness or {})}
-                out.append(CheckReport(defn.name, sweep, "FAIL", witness))
-                break
-        else:
-            out.append(CheckReport(defn.name, sweep, "PASS", {"runs": len(grid)}))
-        first += len(grid)
-    return out
+    workers, passed = [], bytearray(len(runs))  # both bound for the finally
+    try:
+        passed = _spread(runs, workers)
+        out, first = [], 0
+        for defn in table.values():
+            sweep = {"sweep": defn.describe(max_n)}
+            grid = grids[defn.name]
+            for i, params in enumerate(grid, first):
+                if passed[i]:
+                    continue
+                passed[i] = True  # a worker that reads this index stops there
+                report = verify(defn.name, **params)
+                if not report.passed:
+                    witness = {"params": report.params, **(report.witness or {})}
+                    out.append(CheckReport(defn.name, sweep, "FAIL", witness))
+                    break
+            else:
+                out.append(CheckReport(defn.name, sweep, "PASS", {"runs": len(grid)}))
+            first += len(grid)
+        return out
+    finally:
+        passed[:] = b"\1" * len(runs)  # every worker stops at the next run it reads
+        for pid in workers:
+            os.waitpid(pid, 0)
 
 
-def _claim(queue: int, runs: list, passed) -> None:
-    """Set ``passed[i]`` for each run whose index this process reads off the
-    pipe ``queue``, two bytes each, until it is empty, once ``verify`` has
-    returned a PASS report for it.  A run that fails or raises stays unset;
-    ``_run_table`` runs it again in table order, and it fails or raises
-    there if no earlier run of the table raises or ends its row first."""
-    while index := os.read(queue, 2):
-        i = int.from_bytes(index, "big")
-        name, params = runs[i]
-        try:
-            passed[i] = verify(name, **params).passed
-        except Exception:  # the in-order pass runs it again and raises there
-            pass
-
-
-def _spread(runs: list):
-    """One byte per run of ``runs``, nonzero for a run that passed in one
-    of k processes, k the number of CPUs this process may use or of runs,
-    whichever is smaller: this one and k - 1 forked workers, all claiming
-    indices from one queue and setting bytes of one shared anonymous map.
-    A byte once set stays set, whatever its worker does after.  Every
-    worker leaves with ``os._exit`` and is reaped before this returns or
-    raises.  Nothing forks, and every byte is zero, when k is 1, the
-    platform has no ``fork``, another thread runs or ``verify`` has been
-    replaced (``_OWN_VERIFY``).  The queue holds at most 2048 indices,
-    4 KiB: one page, the least a Linux pipe holds, so filling it never
-    blocks; later runs are left to the in-order pass of ``_run_table``."""
+def _spread(runs: list, workers: list):
+    """One byte per run of ``runs``, shared with k - 1 forked workers, k
+    the number of CPUs this process may use or of runs, whichever is
+    smaller; each worker's pid goes on ``workers`` as it forks.  A worker
+    reads run indices off one queue, the last run first, and sets the byte
+    of each run that passes.  It leaves with ``os._exit`` at the first byte
+    set already, which only ``_run_table`` can have set, once it reached
+    that run or ended its loop, or at the first run that raises, which
+    ``_run_table`` meets itself.  Nothing forks, and the bytes are a ``bytearray`` of zeros,
+    when k is 1, the platform has no ``fork``, another thread runs or
+    ``verify`` has been replaced (``_OWN_VERIFY``).  The queue holds at
+    most the last 2048 runs, each as its distance from the last run in two
+    bytes, whatever the table's length: 4 KiB, one page, the least a Linux
+    pipe holds, so filling it never blocks."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     threads = sys.modules.get("threading")
     k = min(cpus or 1, len(runs))
     if (k < 2 or not hasattr(os, "fork") or verify is not _OWN_VERIFY
             or (threads and threads.active_count() > 1)):
-        return bytes(len(runs))
+        return bytearray(len(runs))
     import mmap  # here, so that ``import eulab`` loads no module for it
 
     passed = mmap.mmap(-1, len(runs))
-    queue, fill = os.pipe()
-    os.write(fill, b"".join(i.to_bytes(2, "big") for i in range(min(len(runs), 2048))))
+    head, fill = os.pipe()
+    os.write(fill, b"".join(d.to_bytes(2, "big") for d in range(min(len(runs), 2048))))
     os.close(fill)
-    workers = []
-    try:
+    with open(head, "rb", buffering=0) as queue:  # closed here once forking is done
         for _ in range(k - 1):
             try:
                 pid = os.fork()
-            except OSError:  # no process to spare: those running claim every run
+            except OSError:  # no process to spare: go on with those forked
                 break
             if not pid:
                 try:
-                    _claim(queue, runs, passed)
+                    while index := queue.read(2):
+                        i = len(runs) - 1 - int.from_bytes(index, "big")
+                        if passed[i]:  # the main process has reached run i
+                            break
+                        name, params = runs[i]
+                        passed[i] = verify(name, **params).passed
                 finally:  # a worker never returns into the caller's code
                     os._exit(0)
             workers.append(pid)
-        _claim(queue, runs, passed)
-    finally:
-        for pid in workers:
-            os.waitpid(pid, 0)
-        os.close(queue)
     return passed

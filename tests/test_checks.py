@@ -1081,8 +1081,9 @@ def test_profile_rules_fails_on_an_alternating_filter_without_f(monkeypatch, col
 
 # -- one table's runs, spread over the usable CPUs -----------------------------
 # ``_run_table`` forks a worker per usable CPU past the first, up to the number
-# of runs; the report list, its FAIL witnesses and the error it raises are
-# those of running every run in table order in one process.
+# of runs; the workers pass runs from the far end of the table while this
+# process runs the rest in table order, so the report list, its FAIL witnesses
+# and the error it raises are those of running every run in order here.
 
 
 def _usable_cpus() -> int:
@@ -1131,8 +1132,8 @@ def _no_child_left():
 
 def test_verify_all_raises_the_error_of_the_earlier_row(monkeypatch):
     # the later row raises on every run, the earlier one only on its last;
-    # alone in a table, the later row has 28 runs, so that every process
-    # claims some of them
+    # alone in a table, the later row has 28 runs, so that the workers read
+    # its far end while this process runs from its front
     from eulab.checks import _run_table
 
     def late(n):
@@ -1221,8 +1222,8 @@ def test_verify_all_json_is_the_same_on_one_cpu_and_on_all():
 @needs_two_cpus
 def test_only_a_pass_comes_back_from_a_worker(monkeypatch, forks):
     # every run fails in any process but this one, so no worker marks a run
-    # passed, and this process runs each run again and passes it; 2 ms per
-    # run lets every worker claim some of the 28
+    # passed, and this process reaches and passes each run itself; 2 ms per
+    # run lets every worker read some of the 28
     from eulab.checks import _run_table
 
     me = os.getpid()
@@ -1237,6 +1238,74 @@ def test_only_a_pass_comes_back_from_a_worker(monkeypatch, forks):
     assert _run_table({row.name: row}, None) == [
         CheckReport(row.name, {"sweep": "a,b>=1, a+b<=8"}, "PASS", {"runs": 28})]
     assert len(forks) == min(_usable_cpus(), 28) - 1
+    _no_child_left()
+
+
+@needs_two_cpus
+def test_this_process_runs_a_prefix_of_the_table_in_order(monkeypatch, tmp_path):
+    # each run appends "pid a b" to one file; the workers take runs from the
+    # far end and stop where this process has arrived, so this process runs
+    # a front of the table in order, and a run that a worker is still on
+    # when this process reaches it runs twice: at most one per worker
+    from eulab.checks import _run_table
+
+    log = os.open(tmp_path / "runs", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def logged(a, b):
+        time.sleep(0.002)
+        os.write(log, f"{os.getpid()} {a} {b}\n".encode())
+
+    row = CheckDef("logged", logged, 2, 8, "logs its runs", ("a", "b"))
+    monkeypatch.setitem(REGISTRY, row.name, row)
+    try:
+        assert _run_table({row.name: row}, None)[0].witness == {"runs": 28}
+    finally:
+        os.close(log)
+    _no_child_left()
+    table = [(p["a"], p["b"]) for p in row.sweep(None)]
+    entries = [line.split() for line in (tmp_path / "runs").read_text().splitlines()]
+    ran = [(int(a), int(b)) for _, a, b in entries]
+    here = [(int(a), int(b)) for pid, a, b in entries if int(pid) == os.getpid()]
+    assert set(ran) == set(table)
+    assert here == table[:len(here)]
+    assert len(ran) - len(table) <= min(_usable_cpus(), len(table)) - 1
+
+
+@needs_two_cpus
+def test_workers_stop_after_their_run_once_this_process_raises(monkeypatch, tmp_path):
+    # this process raises on the first run of the table; every byte is set
+    # before the workers are reaped, so each stops after the run it is on
+    # rather than run out its share of the other 27 runs, at 0.1 s each
+    from eulab.checks import _run_table
+
+    me = os.getpid()
+    log = os.open(tmp_path / "runs", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def slow_elsewhere(a, b):
+        if os.getpid() == me:
+            raise KeyError("the first run")
+        time.sleep(0.1)
+        os.write(log, b".")
+
+    row = CheckDef("slow-elsewhere", slow_elsewhere, 2, 8, "raises here", ("a", "b"))
+    monkeypatch.setitem(REGISTRY, row.name, row)
+    try:
+        with pytest.raises(KeyError, match="the first run"):
+            _run_table({row.name: row}, None)
+    finally:
+        os.close(log)
+    _no_child_left()
+    assert len((tmp_path / "runs").read_bytes()) <= 2 * (min(_usable_cpus(), 28) - 1)
+
+
+def test_verify_all_at_max_n_400_raises_the_serial_cap_error(monkeypatch):
+    # 85,800 runs, far past what two bytes index; the queue holds each run's
+    # distance from the last, and this process raises at its first run past
+    # the cap, symmetry-gamma at n=10
+    monkeypatch.delenv("EULAB_MAX_N", raising=False)
+    with pytest.raises(CapExceededError) as info:
+        verify_all(max_n=400)
+    assert info.value.message == "11 letters exceed the enumeration cap 10 (EULAB_MAX_N)"
     _no_child_left()
 
 
@@ -1258,7 +1327,7 @@ def test_no_worker_outlives_verify_all(monkeypatch, forks):
 @needs_two_cpus
 def test_workers_that_die_cost_no_report(monkeypatch, forks):
     # every run function exits at once in any process but this one, so each
-    # worker dies on the first run it claims, and sends nothing
+    # worker dies on the first run it reads, and marks nothing
     want = json.dumps([r.to_json() for r in verify_all(max_n=4)])
     me = os.getpid()
 
