@@ -63,6 +63,7 @@ from .perms import (
     DOUBLE_ASC,
     DOUBLE_DESC,
     PermClass,
+    _check_cap,
     _classify,
     _in_class,
     _is_prefix_decreasing,
@@ -601,14 +602,17 @@ def verify_all(max_n: int | None = None, seed: int = 0) -> list:
     """Run every registered check over its default parameter sweep
     (bounded by ``max_n`` when given).  Returns one aggregated report per
     check, in registry order.  Arguments that are not ints (``max_n`` may
-    be ``None``) and a ``max_n`` that leaves some check no runs are
-    rejected before any check runs.  ``seed`` reaches no check, since no
-    check samples; it is still accepted, as an int, for existing callers
-    and goes with ROADMAP item 15.  This process runs the sweeps in
-    registry order, while forked workers pass runs from the far end of the
-    table (see ``_run_table``); it skips only the runs a worker passed, so
-    the reports, and any error raised, are those of the serial loop."""
+    be ``None``), a ``max_n`` past the enumeration cap and a ``max_n`` that
+    leaves some check no runs are rejected before any check runs.  ``seed``
+    reaches no check, since no check samples; it is still accepted, as an
+    int, for existing callers and goes with ROADMAP item 15.  This process
+    runs the sweeps in registry order, while one forked worker passes runs
+    from the far end of the table (see ``_run_table``); it skips only the
+    runs the worker passed, so the reports, and any error raised, are those
+    of the serial loop."""
     _require_ints("verify_all", **({} if max_n is None else {"max_n": max_n}), seed=seed)
+    if max_n is not None:
+        _check_cap(max_n)
     return _run_table(REGISTRY, max_n)
 
 
@@ -625,19 +629,18 @@ def _run_table(table: dict, max_n: int | None) -> list:
 
     This process is the serial loop: it goes through the runs once, in
     table order, each row up to its first FAIL, and runs each run itself,
-    setting its byte first, unless a worker of ``_spread`` has set the
+    setting its byte first, unless the worker of ``_spread`` has set the
     byte for a PASS.  So the report list, its FAIL witnesses and ``runs``
     counts, and the error raised, with its traceback, are those of one
     process running the rows in order.  Once the loop ends, by a return or
-    a raise, every byte is set, so each worker stops after the run it is
-    on, and is reaped; a worker forked before an interrupt that comes
-    between two forks runs out its share of the queue first."""
+    a raise, the worker is killed, whatever run it is on, and reaped: no
+    result of its is read after that."""
     grids = {name: defn.sweep(max_n) for name, defn in table.items()}
     empty = [name for name, grid in grids.items() if not grid]
     if empty:
         raise ValueOutOfRangeError(f"max_n={max_n} leaves no runs for {', '.join(empty)}")
     runs = [(name, params) for name, grid in grids.items() for params in grid]
-    workers, passed = [], bytearray(len(runs))  # both bound for the finally
+    workers = []  # bound for the finally
     try:
         passed = _spread(runs, workers)
         out, first = [], 0
@@ -647,7 +650,7 @@ def _run_table(table: dict, max_n: int | None) -> list:
             for i, params in enumerate(grid, first):
                 if passed[i]:
                     continue
-                passed[i] = True  # a worker that reads this index stops there
+                passed[i] = True  # the worker stops when it reaches this run
                 report = verify(defn.name, **params)
                 if not report.passed:
                     witness = {"params": report.params, **(report.witness or {})}
@@ -658,52 +661,41 @@ def _run_table(table: dict, max_n: int | None) -> list:
             first += len(grid)
         return out
     finally:
-        passed[:] = b"\1" * len(runs)  # every worker stops at the next run it reads
         for pid in workers:
+            os.kill(pid, 9)  # SIGKILL, 9 on every POSIX system; ``import signal`` costs 0.6 ms
             os.waitpid(pid, 0)
 
 
 def _spread(runs: list, workers: list):
-    """One byte per run of ``runs``, shared with k - 1 forked workers, k
-    the number of CPUs this process may use or of runs, whichever is
-    smaller; each worker's pid goes on ``workers`` as it forks.  A worker
-    reads run indices off one queue, the last run first, and sets the byte
-    of each run that passes.  It leaves with ``os._exit`` at the first byte
-    set already, which only ``_run_table`` can have set, once it reached
-    that run or ended its loop, or at the first run that raises, which
-    ``_run_table`` meets itself.  Nothing forks, and the bytes are a ``bytearray`` of zeros,
-    when k is 1, the platform has no ``fork``, another thread runs or
-    ``verify`` has been replaced (``_OWN_VERIFY``).  The queue holds at
-    most the last 2048 runs, each as its distance from the last run in two
-    bytes, whatever the table's length: 4 KiB, one page, the least a Linux
-    pipe holds, so filling it never blocks."""
+    """One byte per run of ``runs``, shared with one forked worker, whose
+    pid goes on ``workers``.  The worker goes through the runs from the
+    last one backwards and sets the byte of each run that passes.  It
+    leaves with ``os._exit`` at the first byte set already, which only
+    ``_run_table`` can have set, once it reached that run, or at the first
+    run that raises, which ``_run_table`` meets itself.  Nothing forks, and
+    the bytes are a ``bytearray`` of zeros, when this process may use one
+    CPU only, the table has one run, the platform has no ``fork``, another
+    thread runs or ``verify`` has been replaced (``_OWN_VERIFY``)."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     threads = sys.modules.get("threading")
-    k = min(cpus or 1, len(runs))
-    if (k < 2 or not hasattr(os, "fork") or verify is not _OWN_VERIFY
+    if (min(cpus or 1, len(runs)) < 2 or not hasattr(os, "fork") or verify is not _OWN_VERIFY
             or (threads and threads.active_count() > 1)):
         return bytearray(len(runs))
     import mmap  # here, so that ``import eulab`` loads no module for it
 
     passed = mmap.mmap(-1, len(runs))
-    head, fill = os.pipe()
-    os.write(fill, b"".join(d.to_bytes(2, "big") for d in range(min(len(runs), 2048))))
-    os.close(fill)
-    with open(head, "rb", buffering=0) as queue:  # closed here once forking is done
-        for _ in range(k - 1):
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: go on with those forked
-                break
-            if not pid:
-                try:
-                    while index := queue.read(2):
-                        i = len(runs) - 1 - int.from_bytes(index, "big")
-                        if passed[i]:  # the main process has reached run i
-                            break
-                        name, params = runs[i]
-                        passed[i] = verify(name, **params).passed
-                finally:  # a worker never returns into the caller's code
-                    os._exit(0)
-            workers.append(pid)
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: this process runs every run
+        return passed
+    if not pid:
+        try:
+            for i in reversed(range(len(runs))):
+                if passed[i]:  # the main process has reached run i
+                    break
+                name, params = runs[i]
+                passed[i] = verify(name, **params).passed
+        finally:  # a worker never returns into the caller's code
+            os._exit(0)
+    workers.append(pid)
     return passed

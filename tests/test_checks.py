@@ -1079,11 +1079,12 @@ def test_profile_rules_fails_on_an_alternating_filter_without_f(monkeypatch, col
         "derived": 1, "enumerated": 0})
 
 
-# -- one table's runs, spread over the usable CPUs -----------------------------
-# ``_run_table`` forks a worker per usable CPU past the first, up to the number
-# of runs; the workers pass runs from the far end of the table while this
-# process runs the rest in table order, so the report list, its FAIL witnesses
-# and the error it raises are those of running every run in order here.
+# -- one table's runs, shared with one forked worker ---------------------------
+# ``_run_table`` forks one worker when at least two CPUs are usable and the
+# table has at least two runs; the worker passes runs from the far end of the
+# table while this process runs the rest in table order, and is killed once
+# this process is done, so the report list, its FAIL witnesses and the error
+# it raises are those of running every run in order here.
 
 
 def _usable_cpus() -> int:
@@ -1132,7 +1133,7 @@ def _no_child_left():
 
 def test_verify_all_raises_the_error_of_the_earlier_row(monkeypatch):
     # the later row raises on every run, the earlier one only on its last;
-    # alone in a table, the later row has 28 runs, so that the workers read
+    # alone in a table, the later row has 28 runs, so that the worker reads
     # its far end while this process runs from its front
     from eulab.checks import _run_table
 
@@ -1221,9 +1222,9 @@ def test_verify_all_json_is_the_same_on_one_cpu_and_on_all():
 
 @needs_two_cpus
 def test_only_a_pass_comes_back_from_a_worker(monkeypatch, forks):
-    # every run fails in any process but this one, so no worker marks a run
+    # every run fails in any process but this one, so the worker marks no run
     # passed, and this process reaches and passes each run itself; 2 ms per
-    # run lets every worker read some of the 28
+    # run lets the worker reach some of the 28
     from eulab.checks import _run_table
 
     me = os.getpid()
@@ -1237,16 +1238,16 @@ def test_only_a_pass_comes_back_from_a_worker(monkeypatch, forks):
     monkeypatch.setitem(REGISTRY, row.name, row)
     assert _run_table({row.name: row}, None) == [
         CheckReport(row.name, {"sweep": "a,b>=1, a+b<=8"}, "PASS", {"runs": 28})]
-    assert len(forks) == min(_usable_cpus(), 28) - 1
+    assert len(forks) == 1
     _no_child_left()
 
 
 @needs_two_cpus
 def test_this_process_runs_a_prefix_of_the_table_in_order(monkeypatch, tmp_path):
-    # each run appends "pid a b" to one file; the workers take runs from the
-    # far end and stop where this process has arrived, so this process runs
-    # a front of the table in order, and a run that a worker is still on
-    # when this process reaches it runs twice: at most one per worker
+    # each run appends "pid a b" to one file; the worker takes runs from the
+    # far end and stops where this process has arrived, so this process runs
+    # a front of the table in order, and a run that the worker is still on
+    # when this process reaches it runs twice: at most one
     from eulab.checks import _run_table
 
     log = os.open(tmp_path / "runs", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
@@ -1268,14 +1269,15 @@ def test_this_process_runs_a_prefix_of_the_table_in_order(monkeypatch, tmp_path)
     here = [(int(a), int(b)) for pid, a, b in entries if int(pid) == os.getpid()]
     assert set(ran) == set(table)
     assert here == table[:len(here)]
-    assert len(ran) - len(table) <= min(_usable_cpus(), len(table)) - 1
+    assert len(ran) - len(table) <= 1
 
 
 @needs_two_cpus
 def test_workers_stop_after_their_run_once_this_process_raises(monkeypatch, tmp_path):
-    # this process raises on the first run of the table; every byte is set
-    # before the workers are reaped, so each stops after the run it is on
-    # rather than run out its share of the other 27 runs, at 0.1 s each
+    # this process raises on the first run of the table once the worker has
+    # started a run that takes 30 s; the worker is killed on the raise, so
+    # the error comes at once, and the worker neither ends that run nor
+    # starts another of the other 27
     from eulab.checks import _run_table
 
     me = os.getpid()
@@ -1283,51 +1285,78 @@ def test_workers_stop_after_their_run_once_this_process_raises(monkeypatch, tmp_
 
     def slow_elsewhere(a, b):
         if os.getpid() == me:
+            deadline = time.monotonic() + 4
+            while not os.fstat(log).st_size and time.monotonic() < deadline:
+                time.sleep(0.001)
             raise KeyError("the first run")
-        time.sleep(0.1)
-        os.write(log, b".")
+        os.write(log, b"<")
+        time.sleep(30)
+        os.write(log, b">")
 
     row = CheckDef("slow-elsewhere", slow_elsewhere, 2, 8, "raises here", ("a", "b"))
     monkeypatch.setitem(REGISTRY, row.name, row)
+    start = time.monotonic()
     try:
         with pytest.raises(KeyError, match="the first run"):
             _run_table({row.name: row}, None)
     finally:
         os.close(log)
+    assert time.monotonic() - start < 5
     _no_child_left()
-    assert len((tmp_path / "runs").read_bytes()) <= 2 * (min(_usable_cpus(), 28) - 1)
+    assert (tmp_path / "runs").read_bytes() == b"<"
 
 
-def test_verify_all_at_max_n_400_raises_the_serial_cap_error(monkeypatch):
-    # 85,800 runs, far past what two bytes index; the queue holds each run's
-    # distance from the last, and this process raises at its first run past
-    # the cap, symmetry-gamma at n=10
+def test_verify_all_at_max_n_400_raises_the_cap_error_of_max_n(monkeypatch):
+    # max_n itself is held to the cap, before a table of 85,800 runs is built
     monkeypatch.delenv("EULAB_MAX_N", raising=False)
     with pytest.raises(CapExceededError) as info:
         verify_all(max_n=400)
-    assert info.value.message == "11 letters exceed the enumeration cap 10 (EULAB_MAX_N)"
+    assert info.value.message == "400 letters exceed the enumeration cap 10 (EULAB_MAX_N)"
     _no_child_left()
+
+
+def test_verify_all_checks_max_n_against_the_cap_before_any_sweep(monkeypatch):
+    def sweep(self, max_n):
+        raise AssertionError(f"swept {self.name} to max_n={max_n}")
+
+    monkeypatch.delenv("EULAB_MAX_N", raising=False)
+    monkeypatch.setattr(CheckDef, "sweep", sweep)
+    with pytest.raises(CapExceededError):
+        verify_all(max_n=400)
+    monkeypatch.setenv("EULAB_MAX_N", "6")
+    with pytest.raises(CapExceededError, match="7 letters exceed the enumeration cap 6"):
+        verify_all(max_n=7)
+    with pytest.raises(AssertionError, match="swept symmetry-gamma to max_n=6"):
+        verify_all(max_n=6)
 
 
 @needs_two_cpus
 def test_no_worker_outlives_verify_all(monkeypatch, forks):
     assert all(r.passed for r in verify_all(max_n=3))
-    assert len(forks) == _usable_cpus() - 1
+    assert len(forks) == 1
     _no_child_left()
     monkeypatch.setitem(REGISTRY, "raises", CheckDef("raises", lambda n: 1 // 0, 1, 3, "raises"))
     with pytest.raises(ZeroDivisionError):
         verify_all(max_n=3)
-    assert len(forks) == 2 * (_usable_cpus() - 1)
+    assert len(forks) == 2
     _no_child_left()
     # a table of one run forks nothing
     assert [r.verdict for r in verify_proofs()] == ["PASS"]
-    assert len(forks) == 2 * (_usable_cpus() - 1)
+    assert len(forks) == 2
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_verify_all_forks_one_worker_whatever_the_cpu_count(monkeypatch, forks):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    assert all(r.passed for r in verify_all(max_n=3))
+    assert len(forks) == 1
+    _no_child_left()
 
 
 @needs_two_cpus
 def test_workers_that_die_cost_no_report(monkeypatch, forks):
-    # every run function exits at once in any process but this one, so each
-    # worker dies on the first run it reads, and marks nothing
+    # every run function exits at once in any process but this one, so the
+    # worker dies on the first run it reaches, and marks nothing
     want = json.dumps([r.to_json() for r in verify_all(max_n=4)])
     me = os.getpid()
 
@@ -1342,7 +1371,7 @@ def test_workers_that_die_cost_no_report(monkeypatch, forks):
         monkeypatch.setitem(REGISTRY, name, defn._replace(run=dying(defn.run)))
     forks.clear()
     assert json.dumps([r.to_json() for r in verify_all(max_n=4)]) == want
-    assert len(forks) == _usable_cpus() - 1
+    assert len(forks) == 1
     _no_child_left()
 
 
@@ -1367,7 +1396,7 @@ def test_a_replaced_verify_sees_every_run(monkeypatch, forks):
     assert forks == []
     monkeypatch.setattr(eulab.checks, "verify", verify)  # the forks fixture stays
     verify_all(max_n=3)
-    assert len(forks) == _usable_cpus() - 1
+    assert len(forks) == 1
     _no_child_left()
 
 
