@@ -603,16 +603,17 @@ def verify_all(max_n: int | None = None, seed: int = 0) -> list:
     (bounded by ``max_n`` when given).  Returns one aggregated report per
     check, in registry order.  Arguments that are not ints (``max_n`` may
     be ``None``), a ``max_n`` past the enumeration cap and a ``max_n`` that
-    leaves some check no runs are rejected before any check runs.  ``seed``
-    reaches no check, since no check samples; it is still accepted, as an
-    int, for existing callers and goes with ROADMAP item 15.  This process
-    runs the sweeps in registry order, while one forked worker passes runs
-    from the far end of the table (see ``_run_table``); it skips only the
-    runs the worker passed, so the reports, and any error raised, are those
-    of the serial loop."""
+    leaves some check no runs are rejected before any check runs.  The cap
+    is checked on the most letters any class takes at size ``max_n``: size n
+    of ``prw`` is n + 1 letters.  ``seed`` reaches no check, since no check
+    samples; it is still accepted, as an int, for existing callers and goes
+    with ROADMAP item 15.  This process runs the sweeps in registry order,
+    while one forked worker passes runs from the far end of the table (see
+    ``_run_table``); it skips only the runs the worker passed, so the
+    reports, and any error raised, are those of the serial loop."""
     _require_ints("verify_all", **({} if max_n is None else {"max_n": max_n}), seed=seed)
     if max_n is not None:
-        _check_cap(max_n)
+        _check_cap(max(letters(tag, max_n) for tag in PermClass))
     return _run_table(REGISTRY, max_n)
 
 

@@ -34,7 +34,7 @@ from .errors import (
     ValueOutOfRangeError,
 )
 from .perms import PermClass, _require_ints, letters
-from .poly import MultiPoly, poly_sum
+from .poly import MultiPoly, poly_sum, weighted_sum
 
 
 class GammaExpansion(NamedTuple):
@@ -80,8 +80,8 @@ def gamma_expand(p: MultiPoly) -> GammaExpansion:
         raise NonzeroResidualError(f"residual {residual} after peeling {p}")
     gammas = []
     for k in range(n // 2 + 1):
-        lower = (-comb(n - 2 * i, k - i) * g for i, g in enumerate(gammas))
-        gammas.append(poly_sum([rows.get((k, n - k), MultiPoly.zero()), *lower]))
+        lower = ((-comb(n - 2 * i, k - i), g) for i, g in enumerate(gammas))
+        gammas.append(weighted_sum([(1, rows.get((k, n - k), MultiPoly.zero())), *lower]))
     return GammaExpansion(n=n, gammas=tuple(gammas))
 
 

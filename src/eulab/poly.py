@@ -30,12 +30,13 @@ constructors (``MultiPoly(mapping)``, ``monomial``, ``const``,
 canonical form and reject an exponent that is not a plain ``int``, while
 ``monomial_sum``, the hot path of profile sums, trusts its exponents and
 names.  ``var``, ``MultiPoly(mapping)``, ``monomial``, ``from_json`` and
-``rename`` check each variable name against ``_NAME``.  So
+``rename`` (through ``var``) check each variable name against ``_NAME``.  So
 integer polynomials, such as every rule-set derivative, run on ``int``
 arithmetic, and the monomial format and the coefficient type are decided
 here alone: other modules combine polynomials only with the operators,
-``poly_sum``, ``monomial_sum`` (of ``(coef, exponent map)`` pairs) and
-``derivation``.
+``poly_sum``, ``weighted_sum`` (of ``(weight, polynomial)`` pairs, with no
+scaled polynomial built), ``monomial_sum`` (of ``(coef, exponent map)``
+pairs) and ``derivation``.
 ``coefficient``, ``is_symmetric_in`` and ``eulab.gamma.gamma_expand``
 (degree, symmetry and coefficients at once) each read one ``coefficients`` split.
 ``terms`` lists the terms in display order; ``items`` lists them unsorted,
@@ -43,8 +44,12 @@ for a reader that needs no order, such as the profile tables of
 ``eulab.enumerators``.
 
 ``substitute(values)`` replaces every variable of one map by its image
-simultaneously, so ``{x: y, y: x}`` swaps x and y; ``eval_at`` is the
-constant term of one such call.
+simultaneously, so ``{x: y, y: x}`` swaps x and y, in one pass over the
+terms: a term with no mapped variable passes through untouched, each mapped
+``(variable, exponent)`` power is computed once per call, and a mapped
+term's image is the product of its powers merged with its unmapped part by
+``_mono_mul``.  ``rename`` is one such call with ``var`` images, and
+``eval_at`` is the constant term of one.
 
 ``derivation(images, steps)`` computes D^steps for the derivation D that
 sends each ruled variable to its image, in one pass over packed monomials:
@@ -52,7 +57,8 @@ each monomial is one ``int`` with a bit field per variable, and each term
 product is one integer addition.  The field width comes from an exponent
 bound that holds for every input, so no field overflows.  With no negative
 exponent in the input a field holds the exponent itself; otherwise it holds
-the exponent plus a bias.  A rule-set derivative is this call.
+the exponent plus a bias.  Each step runs rule by rule over one list of
+the step's nonzero terms.  A rule-set derivative is this call.
 
 The text form uses ``+ - * ^``, integer and rational literals (``3``,
 ``1/2``), and parentheses.  One token table, a regular expression with a
@@ -104,13 +110,11 @@ def _mono(exps: Mapping[str, int]) -> Mono:
     return tuple(sorted((v, e) for v, e in exps.items() if e))
 
 
-def _renamed(pairs: Iterable[tuple[str, int]], names: Mapping[str, str]) -> Mono:
-    """The monomial of ``(variable, exponent)`` pairs in any order, each
-    variable renamed through ``names``: the exponents of a repeated name are
-    summed and zero sums dropped."""
+def _renamed(pairs: Iterable[tuple[str, int]]) -> Mono:
+    """The monomial of ``(variable, exponent)`` pairs in any order: the
+    exponents of a repeated variable are summed and zero sums dropped."""
     exps: dict[str, int] = {}
     for v, e in pairs:
-        v = names.get(v, v)
         exps[v] = exps.get(v, 0) + e
     return _mono(exps)
 
@@ -201,7 +205,7 @@ class MultiPoly:
                 raise TypeError(f"exponents must be ints, got monomial {mono!r}")
             for v, _ in mono:
                 _check_name(v)
-        pairs = ((_renamed(mono, {}), _coef(coef)) for mono, coef in terms.items())
+        pairs = ((_renamed(mono), _coef(coef)) for mono, coef in terms.items())
         _set_terms(self, _collect(pairs))
 
     # -- constructors ------------------------------------------------------
@@ -383,10 +387,9 @@ class MultiPoly:
 
     def rename(self, names: Mapping[str, str]) -> "MultiPoly":
         """Simultaneously rename variables, merging exponents if two names
-        map to the same target.  Each new name is checked as ``var`` checks it."""
-        for v in names.values():
-            _check_name(v)
-        return _wrap(_collect((_renamed(mono, names), coef) for mono, coef in self._terms.items()))
+        map to the same target: ``substitute`` with the image ``var(w)``
+        for each ``v -> w``, so each new name is checked as ``var`` checks it."""
+        return self.substitute({v: MultiPoly.var(w) for v, w in names.items()})
 
     def is_symmetric_in(self, a: str, b: str) -> bool:
         """Whether the coefficient of ``a^i b^j`` is that of ``a^j b^i``, for all i, j."""
@@ -396,7 +399,11 @@ class MultiPoly:
     def substitute(self, values: Mapping[str, "MultiPoly | Scalar"]) -> "MultiPoly":
         """Replace every variable of ``values`` by its image, all at once: no
         image is substituted into again.  A negative exponent of a variable
-        requires its image to be a nonzero monomial.
+        requires its image to be a nonzero monomial, in every term, whatever
+        the images of the term's other variables.  One pass over the terms:
+        an unmapped term passes through, each mapped power is computed once
+        per call, and a mapped term becomes the product of its powers times
+        its unmapped part.
 
         >>> str(parse_poly("x^2 + x*y").substitute({"x": parse_poly("y+1")}))
         '2*y^2 + 3*y + 1'
@@ -404,25 +411,32 @@ class MultiPoly:
         'x*y^2'
         """
         images = self._images(values)
-        powers: dict[tuple[str, int], list] = {}
-
-        def power(v: str, e: int) -> list:
-            if (v, e) not in powers:
-                if e < 0 and images[v].is_zero():
-                    raise ZeroAtNegativePowerError(f"substituting 0 for {v!r} at exponent {e}")
-                powers[v, e] = list((images[v] ** e)._terms.items())
-            return powers[v, e]
-
-        def replaced(mono: Mono, coef: Scalar) -> list:
-            pairs = [(tuple(ve for ve in mono if ve[0] not in images), coef)]
-            for v, e in mono:
-                if v in images:
-                    pairs = [(_mono_mul(m, pm), c * pc) for m, c in pairs for pm, pc in power(v, e)]
-            return pairs
-
-        return _wrap(_collect(
-            pair for mono, coef in self._terms.items() for pair in replaced(mono, coef)
-        ))
+        powers: dict[tuple[str, int], list] = {}  # the terms of each mapped power
+        pairs: list[tuple[Mono, Scalar]] = []
+        append, image_of = pairs.append, images.get
+        for mono, coef in self._terms.items():
+            rest, image = [], None
+            for ve in mono:
+                q = image_of(ve[0])
+                if q is None:
+                    rest.append(ve)
+                    continue
+                power = powers.get(ve)
+                if power is None:  # checked for every mapped pair, even past a zero image
+                    v, e = ve
+                    if e < 0 and not q._terms:
+                        raise ZeroAtNegativePowerError(f"substituting 0 for {v!r} at exponent {e}")
+                    power = powers[ve] = list((q**e)._terms.items())
+                image = power if image is None else [
+                    (_mono_mul(m, pm), c * pc) for m, c in image for pm, pc in power
+                ]
+            if image is None:
+                append((mono, coef))
+            else:
+                rest = tuple(rest)
+                for m, c in image:
+                    append((_mono_mul(rest, m), coef * c))
+        return _wrap(_collect(pairs))
 
     def derivation(self, images: Mapping[str, "MultiPoly | Scalar"], steps: int = 1) -> "MultiPoly":
         """D^steps of this polynomial, for the derivation D with D(v) =
@@ -450,7 +464,9 @@ class MultiPoly:
         x^-r`` reaches ``x^-(s + steps*(1 + r))``.  At the end each key is
         unpacked a few fields at a time: the bits of a chunk name one tuple
         of ``(variable, exponent)`` pairs, shared by every monomial that
-        holds them.  A sum that cancelled to 0 is skipped where it is read.
+        holds them.  A step runs rule by rule, each over one list of the
+        step's nonzero terms: a sum that cancelled to 0 stays stored, and is
+        skipped where it is read.
 
         >>> str(parse_poly("x^2*y + y^-1").derivation({"y": parse_poly("x*y")}))
         'x^3*y - x*y^-1'
@@ -485,12 +501,13 @@ class MultiPoly:
         for _ in range(steps):
             acc: dict[int, Scalar] = {}
             get = acc.get
-            for key, coef in terms.items():
-                if coef:  # a sum that cancelled stays stored until the end
-                    for s, delta, c in rules:
-                        if e := ((key >> s) & mask) - bias:
-                            k = key + delta
-                            acc[k] = get(k, 0) + e * c * coef
+            # a sum that cancelled stays stored until the end, but is skipped here
+            live = [(key, coef) for key, coef in terms.items() if coef]
+            for s, delta, c in rules:
+                for key, coef in live:
+                    if e := ((key >> s) & mask) - bias:
+                        k = key + delta
+                        acc[k] = get(k, 0) + e * c * coef
             terms = acc
         per = max(1, 12 // max(width, 1))  # fields per unpack chunk: small tables
         chunks = [
@@ -762,6 +779,18 @@ def parse_poly(text: str) -> MultiPoly:
 def poly_sum(items: Iterable[MultiPoly]) -> MultiPoly:
     """Sum many polynomials without quadratic rebuilding."""
     return _wrap(_collect(pair for p in items for pair in p._terms.items()))
+
+
+def weighted_sum(items: Iterable[tuple[Scalar, MultiPoly]]) -> MultiPoly:
+    """Sum of ``w * p`` over ``(w, p)`` pairs, in one pass over the terms:
+    no scaled polynomial is built.  Each weight goes through ``_coef``.
+
+    >>> x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    >>> str(weighted_sum([(2, x + y), (Fraction(-1, 2), x)]))
+    '3/2*x + 2*y'
+    """
+    items = [(_coef(w), p._terms) for w, p in items]
+    return _wrap(_collect((m, w * c) for w, terms in items for m, c in terms.items()))
 
 
 def monomial_sum(terms: Iterable[tuple[Scalar, Mapping[str, int]]]) -> MultiPoly:

@@ -1311,7 +1311,7 @@ def test_verify_all_at_max_n_400_raises_the_cap_error_of_max_n(monkeypatch):
     monkeypatch.delenv("EULAB_MAX_N", raising=False)
     with pytest.raises(CapExceededError) as info:
         verify_all(max_n=400)
-    assert info.value.message == "400 letters exceed the enumeration cap 10 (EULAB_MAX_N)"
+    assert info.value.message == "401 letters exceed the enumeration cap 10 (EULAB_MAX_N)"
     _no_child_left()
 
 
@@ -1323,11 +1323,16 @@ def test_verify_all_checks_max_n_against_the_cap_before_any_sweep(monkeypatch):
     monkeypatch.setattr(CheckDef, "sweep", sweep)
     with pytest.raises(CapExceededError):
         verify_all(max_n=400)
+    with pytest.raises(CapExceededError) as info:
+        verify_all(max_n=10)
+    assert info.value.message == "11 letters exceed the enumeration cap 10 (EULAB_MAX_N)"
     monkeypatch.setenv("EULAB_MAX_N", "6")
-    with pytest.raises(CapExceededError, match="7 letters exceed the enumeration cap 6"):
-        verify_all(max_n=7)
-    with pytest.raises(AssertionError, match="swept symmetry-gamma to max_n=6"):
-        verify_all(max_n=6)
+    # size n of prw is n + 1 letters, so max_n = 6 is 7 letters
+    for max_n in (6, 7):
+        with pytest.raises(CapExceededError, match=f"{max_n + 1} letters exceed the enumeration cap 6"):
+            verify_all(max_n=max_n)
+    with pytest.raises(AssertionError, match="swept symmetry-gamma to max_n=5"):
+        verify_all(max_n=5)
 
 
 @needs_two_cpus

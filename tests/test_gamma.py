@@ -184,6 +184,33 @@ def test_solve_matches_the_peel_on_the_collapsed_derivative():
         assert gamma_expand(p).gammas == _peel_oracle(p), n
 
 
+@pytest.mark.parametrize("n", range(1, 17))
+def test_the_basis_sum_rebuilds_the_collapsed_derivative(n):
+    p = _collapsed_two_variable(n)
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    assert basis_sum(gamma_expand(p).gammas, x * y, x + y, n) == p
+
+
+def test_fraction_gammas_that_turn_integral_are_stored_as_ints():
+    # gamma_1 = 2 - C(2, 1) * 1/2 is an integral Fraction, and gamma_1 of
+    # al*(x+y)^2/2 cancels to 0: the weighted sum demotes the one, drops the other
+    gammas = gamma_expand(parse_poly("1/2*x^2 + 2*x*y + 1/2*y^2")).gammas
+    assert gammas == (MultiPoly.const(Fraction(1, 2)), MultiPoly.one())
+    assert [type(c) for g in gammas for _, c in g.terms()] == [Fraction, int]
+    assert gamma_expand(parse_poly("1/2*(x+y)^2*al")).gammas == (parse_poly("1/2*al"), MultiPoly.zero())
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("x^2 + x*y", NotSymmetricError, "not symmetric in 'x', 'y': x^2 + x*y"),
+    ("x*y + x + y", NotHomogeneousError, "mixed degrees [1, 2] in ['x', 'y']"),
+    ("x^-1*y^-1", NonzeroResidualError, "residual x^-1*y^-1 after peeling x^-1*y^-1"),
+])
+def test_the_peel_errors_keep_their_messages(text, error, message):
+    with pytest.raises(error) as info:
+        gamma_expand(parse_poly(text))
+    assert str(info.value) == message
+
+
 # a Laurent residual is exactly the terms with a negative x or y exponent
 RESIDUALS = {
     "x^3*y^-1 + x*y + x^-1*y^3":

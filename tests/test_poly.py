@@ -145,6 +145,19 @@ def test_substitute_negative_exponents():
     assert p.substitute({"y": 0}) == parse_poly("x")
 
 
+@pytest.mark.parametrize("first", ["a", "z"])  # a sorts before y, z after it
+def test_every_negative_power_is_checked_whatever_the_names(first):
+    # a zero image of an earlier variable does not hide a later one's
+    # negative power: the outcome does not depend on the order of the names
+    p = parse_poly(f"{first}*y^-1")
+    with pytest.raises(ZeroAtNegativePowerError, match="substituting 0 for 'y' at exponent -1"):
+        p.substitute({first: 0, "y": 0})
+    with pytest.raises(ZeroAtNegativePowerError, match="substituting 0 for 'y' at exponent -1"):
+        p.eval_at({first: 0, "y": 0})
+    with pytest.raises(NegativePowerOfNonMonomialError):
+        p.substitute({first: 0, "y": parse_poly("x + 1")})
+
+
 @pytest.mark.parametrize("bad", [0.5, "1", None])
 def test_substitute_rejects_inexact_images(bad):
     # checked before any term is touched, also for a variable the
@@ -803,6 +816,74 @@ _renames = st.dictionaries(
 @example(parse_poly("x - y + u1*u2^-1"), {"y": "x", "u2": "u1"})
 def test_rename_matches_the_fold(p, names):
     assert p.rename(names) == _rename_by_fold(p, names)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_laurent_polys, _renames)
+@example(parse_poly("x^2*y^-2*u1 + 3*x*y^-1"), {"y": "x", "u1": "a"})
+def test_rename_is_substitute_by_variables(p, names):
+    assert p.rename(names) == p.substitute({v: MultiPoly.var(w) for v, w in names.items()})
+
+
+def _substitute_per_term(p: MultiPoly, values: dict) -> MultiPoly:
+    # the per-term product that the one-pass substitute replaced: each term
+    # times the image powers of its mapped variables, one variable at a time
+    images = {v: q if isinstance(q, MultiPoly) else MultiPoly.const(q) for v, q in values.items()}
+    powers: dict = {}
+
+    def power(v: str, e: int) -> list:
+        if (v, e) not in powers:
+            if e < 0 and images[v].is_zero():
+                raise ZeroAtNegativePowerError(f"substituting 0 for {v!r} at exponent {e}")
+            powers[v, e] = list((images[v] ** e).terms())
+        return powers[v, e]
+
+    def replaced(mono, coef) -> list:
+        pairs = [(tuple(ve for ve in mono if ve[0] not in images), coef)]
+        for v, e in mono:
+            if v in images:
+                pairs = [(_mono_mul(m, pm), c * pc) for m, c in pairs for pm, pc in power(v, e)]
+        return pairs
+
+    return poly_sum(MultiPoly({m: c}) for mono, coef in p.terms() for m, c in replaced(mono, coef))
+
+
+_sub_names = ["a", "x", "y", "z"]
+_sub_polys = st.dictionaries(
+    st.dictionaries(st.sampled_from(_sub_names), st.integers(min_value=-2, max_value=2).filter(bool))
+    .map(lambda exps: tuple(sorted(exps.items()))),
+    _coef.filter(bool),
+    max_size=4,
+).map(MultiPoly)
+# zero, a constant (bare or as a polynomial), a variable (so swaps and
+# merges), a Laurent monomial, or any polynomial
+_sub_images = st.one_of(
+    st.just(0),
+    _coef,
+    _coef.map(MultiPoly.const),
+    st.sampled_from(_sub_names).map(MultiPoly.var),
+    st.builds(MultiPoly.monomial, _coef.filter(bool),
+              st.dictionaries(st.sampled_from(_sub_names), st.integers(min_value=-2, max_value=2))),
+    _sub_polys,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sub_polys, st.dictionaries(st.sampled_from(_sub_names), _sub_images, max_size=4))
+@example(parse_poly("x^2*y^-1 + 3*x*z - y"), {"x": MultiPoly.var("y"), "y": MultiPoly.var("x")})
+@example(parse_poly("x*z^-2 + z^2*a - x^-2"), {"z": MultiPoly.var("x")})
+@example(parse_poly("a*x^-1*z + 2*z"), {"a": parse_poly("x + z"), "z": 0, "x": parse_poly("-y")})
+def test_substitute_matches_the_per_term_product(p, values):
+    images = {v: q if isinstance(q, MultiPoly) else MultiPoly.const(q) for v, q in values.items()}
+    # a negative power needs a nonzero monomial image, in every term
+    bad = any(v in images and e < 0 and len(images[v]) != 1 for m, _ in p.terms() for v, e in m)
+    if bad:
+        with pytest.raises((ZeroAtNegativePowerError, NegativePowerOfNonMonomialError)):
+            p.substitute(values)
+    else:
+        got = p.substitute(values)
+        assert got == _substitute_per_term(p, values)
+        assert _stored_cleanly(got)
 
 
 def _coefficient_by_scan(p: MultiPoly, pattern: dict) -> MultiPoly:
