@@ -44,13 +44,15 @@ def test_expand_degree_two_display():
 
 
 def test_expand_rejects_asymmetric():
-    with pytest.raises(NotSymmetricError):
+    with pytest.raises(NotSymmetricError) as info:
         gamma_expand(parse_poly("x^2 + x*y"))
+    assert str(info.value) == "not symmetric in 'x', 'y': x^2 + x*y"
 
 
 def test_expand_rejects_inhomogeneous():
-    with pytest.raises(NotHomogeneousError):
+    with pytest.raises(NotHomogeneousError) as info:
         gamma_expand(parse_poly("x*y + x + y"))
+    assert str(info.value) == "mixed degrees [1, 2] in ['x', 'y']"
 
 
 def _weight(profile):
@@ -198,17 +200,6 @@ def test_fraction_gammas_that_turn_integral_are_stored_as_ints():
     assert gammas == (MultiPoly.const(Fraction(1, 2)), MultiPoly.one())
     assert [type(c) for g in gammas for _, c in g.terms()] == [Fraction, int]
     assert gamma_expand(parse_poly("1/2*(x+y)^2*al")).gammas == (parse_poly("1/2*al"), MultiPoly.zero())
-
-
-@pytest.mark.parametrize("text, error, message", [
-    ("x^2 + x*y", NotSymmetricError, "not symmetric in 'x', 'y': x^2 + x*y"),
-    ("x*y + x + y", NotHomogeneousError, "mixed degrees [1, 2] in ['x', 'y']"),
-    ("x^-1*y^-1", NonzeroResidualError, "residual x^-1*y^-1 after peeling x^-1*y^-1"),
-])
-def test_the_peel_errors_keep_their_messages(text, error, message):
-    with pytest.raises(error) as info:
-        gamma_expand(parse_poly(text))
-    assert str(info.value) == message
 
 
 # a Laurent residual is exactly the terms with a negative x or y exponent
